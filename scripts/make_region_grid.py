@@ -9,8 +9,7 @@ grows as the channel improves.
 import argparse
 import collections
 
-import numpy as np
-
+from infodesign.cli import write_region_csv
 from infodesign.splitting import RegionLabel, region_scan
 
 
@@ -28,12 +27,7 @@ def main():
     counts = collections.Counter(
         names[int(v)] for v in grid.labels.ravel())
 
-    with open(args.out, "w") as f:
-        f.write("p1,p2,label\n")
-        for i, p1 in enumerate(grid.p1_axis):
-            labels = grid.labels[i]
-            for j, p2 in enumerate(grid.p2_axis):
-                f.write(f"{p1:.9g},{p2:.9g},{names[int(labels[j])]}\n")
+    write_region_csv(args.out, grid)
 
     total = grid.labels.size
     print(f"p={args.p}  eps={args.eps}  capacity={grid.capacity:.6f}  "

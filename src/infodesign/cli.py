@@ -5,13 +5,16 @@ Grids and curves go to CSV (header row, 9 significant digits); reports go to
 JSON. Every run writes a side-car manifest <out>.manifest.json recording the
 resolved parameters, input digests, seed, version, output digests, and wall
 clock. Data outputs are byte-identical across reruns; the manifest is the one
-file that is not (it carries the duration).
+file that is not (it carries the duration). Each file is written to a temp
+file beside it and moved into place, so a failed run leaves no partial output.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -25,7 +28,9 @@ from .mac import build_scenario, default_config, scenario_surface
 from .persuasion import (Block, OneShot, Scenario, Unconstrained,
                          grid_best_replies, load_scenario, solve_equilibrium)
 from .prob import binary_entropy, marginal, mutual_information
-from .splitting import RegionLabel, region_scan
+from .splitting import RegionLabel, grid_intervals, region_scan
+
+CSV_BLOCK_ROWS = 4096
 
 
 def _fmt(x) -> str:
@@ -67,20 +72,72 @@ def _digest(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Text file to write in place of path: a temp file in path's directory,
+    moved onto path when the block completes and removed if it raises."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as f:
+    with _replacing(path) as f:
         json.dump(_jsonable(doc), f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def _write_csv(path: str, header, rows) -> int:
-    count = 0
-    with open(path, "w") as f:
+def _text(values) -> np.ndarray:
+    """Cells formatted one by one with _fmt, as an array to index."""
+    return np.array([_fmt(v) for v in values], dtype=object)
+
+
+def _write_csv(path: str, header, columns) -> int:
+    """Write equal-length columns under header and return the row count.
+
+    Float columns are formatted with %.9g, which prints exactly what _fmt
+    does; every other column must already be text (see _text). Rows go out
+    CSV_BLOCK_ROWS at a time, one % operation on a repeated row template each.
+    """
+    columns = [np.asarray(c) for c in columns]
+    for c in columns:
+        if c.dtype.kind not in "fO":
+            raise TypeError(f"_write_csv: {c.dtype} column is not text")
+    row = ",".join("%.9g" if c.dtype.kind == "f" else "%s"
+                   for c in columns) + "\n"
+    count = len(columns[0])
+    width = len(columns)
+    with _replacing(path) as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(c) for c in row) + "\n")
-            count += 1
+        for start in range(0, count, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, count)
+            cells = [None] * ((stop - start) * width)
+            for k, c in enumerate(columns):
+                cells[k::width] = c[start:stop].tolist()
+            f.write(row * (stop - start) % tuple(cells))
     return count
+
+
+_LABEL_NAMES = _text(RegionLabel(i).name for i in range(len(RegionLabel)))
+
+
+def _square_columns(grid) -> list:
+    """p1, p2 and label columns of a posterior-square grid, row-major."""
+    n1, n2 = grid.labels.shape
+    return [np.repeat(_text(grid.p1_axis), n2), np.tile(_text(grid.p2_axis), n1),
+            _LABEL_NAMES[grid.labels.ravel()]]
+
+
+def write_region_csv(path: str, grid) -> int:
+    """The region CSV of a RegionGrid; returns the row count."""
+    return _write_csv(path, ("p1", "p2", "label"), _square_columns(grid))
 
 
 def _write_manifest(subcommand: str, parameters: dict, inputs: dict,
@@ -165,17 +222,7 @@ def cmd_region(p, eps, resolution, out):
     """Feasibility labels over the posterior square."""
     started = time.perf_counter()
     grid = region_scan(p, eps, resolution)
-    names = {int(v): v.name for v in RegionLabel}
-    p1s = [_fmt(v) for v in grid.p1_axis]
-    p2s = [_fmt(v) for v in grid.p2_axis]
-
-    def rows():
-        for i, p1 in enumerate(p1s):
-            row = grid.labels[i]
-            for j, p2 in enumerate(p2s):
-                yield (p1, p2, names[int(row[j])])
-
-    count = _write_csv(out, ("p1", "p2", "label"), rows())
+    count = write_region_csv(out, grid)
     _write_manifest("region", {"p": p, "eps": eps, "resolution": resolution,
                                "out": out, "capacity": grid.capacity},
                     [], [out], None, started)
@@ -194,11 +241,10 @@ def cmd_bestreply(scenario, step, out):
     sc, inputs = _load_scenario_arg(scenario)
     if not 0.0 < step < 1.0:
         raise ValueError(f"step {step!r} outside (0, 1)")
-    grid = np.linspace(0.0, 1.0, round(1.0 / step) + 1)
+    grid = np.linspace(0.0, 1.0, grid_intervals(step, "bestreply", 1) + 1)
     sel, _, v2 = grid_best_replies(sc, grid)
-    labels = [sc.actions[int(k)] for k in sel]
     count = _write_csv(out, ("p", "v_star", "receiver_value"),
-                       zip(grid, labels, v2))
+                       [grid, _text(sc.actions)[sel], v2])
     _write_manifest("bestreply", {"scenario": scenario, "step": step, "out": out},
                     inputs, [out], None, started)
     click.echo(f"wrote {out}: {count} grid points")
@@ -221,19 +267,9 @@ def cmd_surface(scenario, mode, eps, resolution, out):
     if mode != "unconstrained" and eps is None:
         raise click.UsageError(f"--mode {mode} requires --eps")
     surf = scenario_surface(sc, resolution, eps if mode != "unconstrained" else None)
-    names = {int(v): v.name for v in RegionLabel}
-    p1s = [_fmt(v) for v in surf.p1_axis]
-    p2s = [_fmt(v) for v in surf.p2_axis]
-
-    def rows():
-        for i, p1 in enumerate(p1s):
-            f1 = surf.phi1[i]
-            f2 = surf.phi2[i]
-            lab = surf.labels[i]
-            for j, p2 in enumerate(p2s):
-                yield (p1, p2, f1[j], f2[j], names[int(lab[j])])
-
-    count = _write_csv(out, ("p1", "p2", "phi1", "phi2", "label"), rows())
+    p1, p2, labels = _square_columns(surf)
+    count = _write_csv(out, ("p1", "p2", "phi1", "phi2", "label"),
+                       [p1, p2, surf.phi1.ravel(), surf.phi2.ravel(), labels])
     _write_manifest("surface", {"scenario": scenario, "mode": mode, "eps": eps,
                                 "resolution": resolution, "out": out},
                     inputs, [out], None, started)
@@ -358,12 +394,17 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
         "manifest": out + ".manifest.json",
     }
     _write_json(out, report)
+    results = summary.results
     _write_csv(trials_csv,
                ("trial", "error", "chosen_m", "decoded_m",
                 "l1_to_target", "util1", "util2"),
-               ((t, r.error_event, r.chosen_m, r.decoded_m,
-                 r.l1_to_target, r.util1_n, r.util2_n)
-                for t, r in enumerate(summary.results)))
+               [_text(range(len(results))),
+                _text(r.error_event for r in results),
+                _text(r.chosen_m for r in results),
+                _text(r.decoded_m for r in results),
+                np.array([r.l1_to_target for r in results], dtype=float),
+                np.array([r.util1_n for r in results], dtype=float),
+                np.array([r.util2_n for r in results], dtype=float)])
     _write_manifest("simulate", {"experiment": experiment, "trials": trials,
                                  "out": out, "trials_csv": trials_csv},
                     [experiment], [out, trials_csv], cfg.seed, started)

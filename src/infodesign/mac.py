@@ -16,7 +16,7 @@ import numpy as np
 
 from .persuasion import Scenario, grid_best_replies
 from .prob import Distribution
-from .splitting import RegionLabel, region_scan, split_masks
+from .splitting import RegionLabel, grid_intervals, region_scan, split_masks
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def best_reply_curve(cfg: MacConfig, step: float = 1e-3) -> BestReplyCurve:
     if not 0.0 < step < 1.0:
         raise ValueError(f"best_reply_curve: step {step!r} outside (0, 1)")
     sc = build_scenario(cfg)
-    grid = np.linspace(0.0, 1.0, round(1.0 / step) + 1)
+    grid = np.linspace(0.0, 1.0, grid_intervals(step, "best_reply_curve", 1) + 1)
     sel, _, V2 = grid_best_replies(sc, grid)
     labels = np.array(cfg.actions)[sel]
     return BestReplyCurve(p=grid, action=labels, value=V2)
@@ -134,7 +134,7 @@ def scenario_surface(sc: Scenario, resolution: float = 1.0 / 500,
     reproduces the solver's answer at equal resolution.
     """
     p = float(sc.prior.probs[0])
-    n = round(1.0 / resolution)
+    n = grid_intervals(resolution, "utility_surface")
     if n < 2:
         raise ValueError(f"utility_surface: resolution {resolution!r} too coarse")
     grid = np.linspace(0.0, 1.0, n + 1)

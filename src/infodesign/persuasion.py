@@ -22,7 +22,7 @@ import numpy as np
 from .prob import Distribution, JointDistribution, StochasticMatrix, mutual_information
 from .splitting import (FEAS_ATOL, NO_INFO, BinarySignal, FeasibilityVerdict,
                         PosteriorPair, SplitError, block_feasible,
-                        is_valid_split, one_shot_feasible,
+                        grid_intervals, is_valid_split, one_shot_feasible,
                         signal_from_posteriors, split_masks)
 
 TIE_ATOL = 1e-12  # stray probability mass in_Q2 forgives
@@ -289,7 +289,7 @@ def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> Equilibri
     p = _require_binary(sc, "solve_equilibrium")
     if not 0 < resolution <= 0.5:
         raise ValueError(f"solve_equilibrium: resolution {resolution!r} outside (0, 0.5]")
-    n = round(1.0 / resolution)
+    n = grid_intervals(resolution, "solve_equilibrium")
     grid = np.linspace(0.0, 1.0, n + 1)
     sel, V1, V2 = grid_best_replies(sc, grid)
     mask = _mode_mask(p, grid, mode)

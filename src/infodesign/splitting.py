@@ -17,6 +17,10 @@ import numpy as np
 from .prob import binary_entropy
 
 FEAS_ATOL = 1e-12
+# Cells in one posterior grid or best-reply sweep. A solve peaks near 115
+# bytes a cell and a surface near 155, about 0.9 and 1.2 GiB at the cap; the
+# finest grid in use, 2001 x 2001 (resolution 5e-4), is half the cap.
+MAX_GRID_CELLS = 2 ** 23
 
 
 class SplitError(ValueError):
@@ -221,12 +225,27 @@ def split_masks(p: float, p1_grid, p2_grid, eps: float, cap: float):
     return valid, one_shot, block
 
 
+def grid_intervals(spacing: float, who: str, dims: int = 2) -> int:
+    """Intervals n = round(1/spacing) per axis of a grid of (n + 1)**dims cells.
+
+    Raises ValueError before anything is allocated when spacing is not
+    positive or the grid would hold more than MAX_GRID_CELLS cells.
+    """
+    if not spacing > 0:
+        raise ValueError(f"{who}: grid spacing {spacing!r} is not positive")
+    inv = 1.0 / spacing
+    if inv > MAX_GRID_CELLS or (round(inv) + 1) ** dims > MAX_GRID_CELLS:
+        raise ValueError(f"{who}: grid spacing {spacing!r} needs more than "
+                         f"the cap of {MAX_GRID_CELLS} cells")
+    return round(inv)
+
+
 def region_scan(p: float, eps: float, resolution: float = 1.0 / 500) -> RegionGrid:
     """Label every grid point of the posterior square by channel feasibility."""
     _check_prior(p)
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"region_scan: eps {eps!r} outside [0, 1/2]")
-    n = round(1.0 / resolution)
+    n = grid_intervals(resolution, "region_scan")
     if n < 1:
         raise ValueError(f"region_scan: resolution {resolution!r} too coarse")
     axis = np.linspace(0.0, 1.0, n + 1)

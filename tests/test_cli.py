@@ -1,15 +1,20 @@
 import csv
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infodesign import __version__
-from infodesign.cli import main
-from infodesign.mac import build_scenario, default_config
-from infodesign.persuasion import Unconstrained, solve_equilibrium
+from infodesign.cli import (CSV_BLOCK_ROWS, _fmt, _text, _write_csv,
+                            _write_json, main)
+from infodesign.mac import build_scenario, default_config, scenario_surface
+from infodesign.persuasion import (Unconstrained, grid_best_replies,
+                                   solve_equilibrium)
 from infodesign.prob import binary_entropy
+from infodesign.splitting import RegionLabel, region_scan
 
 
 def run_cli(args, capsys):
@@ -26,6 +31,12 @@ def read_csv(path):
 
 def stderr_error(err):
     return json.loads(err)["error"]
+
+
+def reference_csv(header, rows) -> str:
+    """The per-cell writer the block writer replaced, kept as its oracle."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join(_fmt(c) for c in row) + "\n" for row in rows)
 
 
 EXPERIMENT_DOC = {
@@ -344,6 +355,128 @@ class TestSimulate:
         assert set(manifest["outputs"]) == {"simulate.json",
                                             "simulate_trials.csv"}
         assert experiment_file in manifest["inputs"]
+
+
+SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0,
+                  5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                  1e-300, -1e-300, 0.1, 1.0 / 3.0, 123456789.5]
+
+
+class TestBlockWriter:
+    @settings(max_examples=40, deadline=None)
+    @given(count=st.sampled_from([0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                  CSV_BLOCK_ROWS + 1]),
+           data=st.data())
+    def test_matches_per_cell_writer(self, tmp_path_factory, count, data):
+        def column(values):
+            drawn = data.draw(st.lists(values, min_size=1, max_size=9))
+            return [drawn[i % len(drawn)] for i in range(count)]
+
+        floats = np.array(column(st.sampled_from(SPECIAL_FLOATS) | st.floats()),
+                          dtype=float)
+        bools = column(st.booleans())
+        ints = column(st.integers(-2 ** 70, 2 ** 70))
+        optional = column(st.none() | st.integers(0, 10 ** 6))
+        printable = st.text(st.characters(min_codepoint=32, max_codepoint=126))
+        labels = column(st.sampled_from(["a%s,b", "100%", "%.9g", ","])
+                        | printable)
+        header = ("f", "b", "i", "m", "s")
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        got = _write_csv(str(path), header, [floats, _text(bools), _text(ints),
+                                             _text(optional), _text(labels)])
+        assert got == count
+        expected = reference_csv(header, zip(floats, bools, ints, optional,
+                                             labels))
+        assert path.read_bytes() == expected.encode()
+
+    def test_rejects_unformatted_columns(self, tmp_path):
+        with pytest.raises(TypeError):
+            _write_csv(str(tmp_path / "out.csv"), ("b",),
+                       [np.array([True, False])])
+        assert os.listdir(tmp_path) == []
+
+
+class TestOutputsMatchPerCellOracle:
+    def test_region(self, workdir, capsys):
+        run_cli(["region", "--p", "0.5", "--eps", "0.25",
+                 "--resolution", "0.05"], capsys)
+        g = region_scan(0.5, 0.25, 0.05)
+        rows = ((p1, p2, RegionLabel(int(g.labels[i, j])).name)
+                for i, p1 in enumerate(g.p1_axis)
+                for j, p2 in enumerate(g.p2_axis))
+        assert (workdir / "region.csv").read_text() == reference_csv(
+            ("p1", "p2", "label"), rows)
+
+    @pytest.mark.parametrize("mode,eps", [("unconstrained", None),
+                                          ("one_shot", 0.25),
+                                          ("block", 0.25)])
+    def test_surface(self, workdir, capsys, mode, eps):
+        args = ["surface", "--scenario", "mac", "--mode", mode,
+                "--resolution", "0.05"]
+        run_cli(args + ([] if eps is None else ["--eps", str(eps)]), capsys)
+        s = scenario_surface(build_scenario(default_config()), 0.05, eps)
+        rows = ((p1, p2, s.phi1[i, j], s.phi2[i, j],
+                 RegionLabel(int(s.labels[i, j])).name)
+                for i, p1 in enumerate(s.p1_axis)
+                for j, p2 in enumerate(s.p2_axis))
+        assert (workdir / "surface.csv").read_text() == reference_csv(
+            ("p1", "p2", "phi1", "phi2", "label"), rows)
+
+    def test_bestreply(self, workdir, capsys):
+        run_cli(["bestreply", "--scenario", "mac", "--step", "0.05"], capsys)
+        sc = build_scenario(default_config())
+        grid = np.linspace(0.0, 1.0, 21)
+        sel, _, v2 = grid_best_replies(sc, grid)
+        rows = zip(grid, (sc.actions[int(k)] for k in sel), v2)
+        assert (workdir / "bestreply.csv").read_text() == reference_csv(
+            ("p", "v_star", "receiver_value"), rows)
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell cannot be formatted")
+
+
+class TestAtomicOutputs:
+    def test_csv_failing_mid_stream_leaves_nothing(self, tmp_path):
+        # the first block is written before the failing cell is reached
+        cells = ["x" * 40] * (CSV_BLOCK_ROWS + 3) + [_Unprintable()]
+        target = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError):
+            _write_csv(str(target), ("s",), [np.array(cells, dtype=object)])
+        assert os.listdir(tmp_path) == []
+
+    def test_json_failing_mid_stream_keeps_old_target(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+        with pytest.raises(TypeError):
+            _write_json(str(target), {"a": 1.0, "z": object()})
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+
+class TestGridCap:
+    @pytest.mark.parametrize("args", [
+        ["region", "--p", "0.5", "--eps", "0.25", "--resolution", "1e-6"],
+        ["surface", "--scenario", "mac", "--resolution", "1e-6"],
+        ["solve", "--scenario", "mac", "--mode", "unconstrained",
+         "--resolution", "1e-6"],
+        ["bestreply", "--scenario", "mac", "--step", "1e-9"],
+    ])
+    def test_oversized_grid_refused_before_allocation(self, workdir, capsys,
+                                                      args):
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        e = stderr_error(err)
+        assert e["type"] == "invalid_input"
+        assert "cap" in e["message"]
+        assert os.listdir(workdir) == []
+
+    def test_zero_resolution_is_invalid_input(self, workdir, capsys):
+        code, _, err = run_cli(["region", "--p", "0.5", "--eps", "0.25",
+                                "--resolution", "0"], capsys)
+        assert code == 1
+        assert stderr_error(err)["type"] == "invalid_input"
 
 
 class TestDeterminism:

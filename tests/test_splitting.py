@@ -3,9 +3,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from infodesign.prob import binary_entropy
-from infodesign.splitting import (NO_INFO, BinarySignal, DegenerateSplitError,
-                                  PosteriorPair, RegionLabel, SplitError,
-                                  block_feasible, is_valid_split,
+from infodesign.splitting import (MAX_GRID_CELLS, NO_INFO, BinarySignal,
+                                  DegenerateSplitError, PosteriorPair,
+                                  RegionLabel, SplitError, block_feasible,
+                                  grid_intervals, is_valid_split,
                                   message_weights, one_shot_feasible,
                                   posteriors_from_signal, region_scan,
                                   signal_from_posteriors,
@@ -179,6 +180,22 @@ class TestRegions:
         labels = set(np.unique(g.labels))
         assert int(RegionLabel.ONE_SHOT) not in labels
         assert int(RegionLabel.BLOCK_ONLY) not in labels
+
+    def test_grid_cap_admits_sizes_in_use(self):
+        # the finest solve grid and bestreply sweep in use; arithmetic only
+        assert grid_intervals(5e-4, "solve") == 2000
+        assert grid_intervals(1e-5, "bestreply", 1) == 100_000
+        assert 2001 ** 2 <= MAX_GRID_CELLS
+
+    @pytest.mark.parametrize("spacing", [1e-6, 1e-300, 5e-324])
+    def test_grid_cap_refuses_finer_grids(self, spacing):
+        with pytest.raises(ValueError, match="cap"):
+            grid_intervals(spacing, "region_scan")
+
+    @pytest.mark.parametrize("spacing", [0.0, -0.1, float("nan")])
+    def test_grid_spacing_must_be_positive(self, spacing):
+        with pytest.raises(ValueError, match="not positive"):
+            region_scan(0.5, 0.25, resolution=spacing)
 
 
 # -- property suites ---------------------------------------------------------
