@@ -8,11 +8,6 @@ import numpy as np
 from .prob import Distribution, StochasticMatrix
 
 
-_MAX_STEP = 2.0 ** 30  # cap on the accelerated step s, far below overflow
-_MIN_MASS = 2.0 ** -1000  # floor on each input's mass, above the subnormals
-_LEFT_BEHIND = 2.0 ** -10  # share of r(w) that _drop_input leaves on w
-
-
 class CapacityError(RuntimeError):
     """Capacity iteration failed to reach the requested residual."""
 
@@ -76,24 +71,12 @@ def capacity(ch: DMC, tol: float = 1e-9, max_iter: int = 100_000) -> CapacityRes
     current output law q. sum r d is a lower bound on capacity and max d an
     upper bound; the loop stops when the bracket closes below tol and raises
     CapacityError (with the last residual) if max_iter sweeps do not get there.
-
-    The update r <- r 2^(s d) uses a step s that doubles after every step
-    which does not lower sum r d (Matz & Duhamel's acceleration). A step that
-    lowers it is undone and retaken with s = 1, the plain Blahut-Arimoto step,
-    which never lowers it. On near-useless channels the plain step alone
-    needs 10^5 sweeps or more to close the bracket. Where a step is undone,
-    an input whose row nearly duplicates a better one may first lose almost
-    all its mass in one move (_drop_input): the step size cannot shed it
-    fast, as the other inputs bound s.
     """
     T = ch.transition.rows
     m = T.shape[0]
     support = T > 0
     logT = np.where(support, np.log2(np.where(support, T, 1.0)), 0.0)
     r = np.full(m, 1.0 / m)
-    s = 0.5  # step that produced r; the first update uses s = 1
-    kept = None  # (r, q, d, upper, lower) at the last accepted input law
-    turn = 0  # undone steps, to rotate the inputs _drop_input tries
     residual = np.inf
     for it in range(1, max_iter + 1):
         q = r @ T
@@ -102,65 +85,13 @@ def capacity(ch: DMC, tol: float = 1e-9, max_iter: int = 100_000) -> CapacityRes
         d = ((logT - logq[None, :]) * T).sum(axis=1)
         upper = float(d.max())
         lower = float(r @ d)
-        if s > 1.0 and lower < kept[4]:
-            r, q, d, upper, lower = kept
-            s = 0.5
-            turn += 1
-            moved = _drop_input(T, logT, r, d, q, upper, tol, turn)
-            if moved is not None:
-                r = moved
-                continue
-        else:
-            residual = upper - lower
-            if residual <= tol:
-                return CapacityResult(capacity=max(lower, 0.0),
-                                      optimal_input=Distribution(r),
-                                      iterations=it,
-                                      residual=residual)
-            kept = (r, q, d, upper, lower)
-        s = min(2.0 * s, _MAX_STEP)
-        r = r * np.exp2(s * (d - upper))
-        # an input that underflowed to zero could take q off the support of
-        # its row and the +inf term out of d, so every input keeps some mass
-        r = np.maximum(r / r.sum(), _MIN_MASS)
+        residual = upper - lower
+        if residual <= tol:
+            return CapacityResult(capacity=max(lower, 0.0),
+                                  optimal_input=Distribution(r),
+                                  iterations=it,
+                                  residual=residual)
+        r = r * np.exp2(d - upper)
         r = r / r.sum()
     raise CapacityError(f"capacity: residual {residual!r} above tol {tol!r} "
                         f"after {max_iter} iterations")
-
-
-def _drop_input(T, logT, r, d, q, upper, tol, turn):
-    """Input law with almost all of one input's mass moved onto another, or None.
-
-    Blahut-Arimoto sheds r(w) at d_z - d_w bits per sweep in favour of an
-    input z with a better row, which near-duplicate rows make arbitrarily
-    slow. The inputs that hold more than tol of the residual sum r (upper - d)
-    take turns as w. Moving all of r(w) onto z raises sum r d along the whole
-    way when the slope d_z - d_w is still > 0 at the end of the move, as the
-    mutual information is concave in r; of the z for which it is, the one
-    with the largest end slope is taken. The starting slope must also beat
-    |T(.|z) - T(.|w)|_1 times the square root of the residual, as q, and
-    with it the sign of d_z - d_w, can still move by about that much. A move
-    that proves wrong once q settles leaves w with _LEFT_BEHIND of its mass,
-    from which it regrows in a few sweeps rather than from the floor.
-    """
-    share = r * (upper - d)
-    held = np.flatnonzero(share > tol)
-    if held.size == 0:
-        return None
-    w = held[turn % held.size]
-    # row z: the output law after moving r(w) onto input z
-    Q = np.maximum(q[None, :] + r[w] * (T - T[w][None, :]), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logQ = np.log2(Q)
-        end = (np.where(T > 0, (logT - logQ) * T, 0.0).sum(axis=1)
-               - np.where(T[w] > 0, (logT[w] - logQ) * T[w], 0.0).sum(axis=1))
-    start = d - d[w]
-    dist = np.abs(T - T[w][None, :]).sum(axis=1)
-    ok = (start > dist * np.sqrt(share.sum())) & (end > 0.0)
-    if not ok.any():
-        return None
-    z = int(np.argmax(np.where(ok, end, -np.inf)))
-    out = r.copy()
-    out[z] += out[w] * (1.0 - _LEFT_BEHIND)
-    out[w] *= _LEFT_BEHIND
-    return out

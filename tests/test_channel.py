@@ -95,44 +95,6 @@ class TestCapacity:
             assert got == pytest.approx(1.0 - binary_entropy(float(eps)),
                                         abs=1e-6)
 
-    # Rows before normalising. Each needed 10^4 to over 10^5 plain
-    # Blahut-Arimoto sweeps at tol 1e-7: near-useless inputs, inputs whose
-    # rows nearly duplicate a better one, three inputs that the optimum all
-    # uses, two of them with close rows, and (the last) a channel where the
-    # uniform law already moves input 2 onto input 1 although the optimum
-    # needs input 2: the share left behind on it has to regrow.
-    SLOW_CHANNELS = [
-        [[0.5, 0.5], [0.5, 0.5], [0.5057, 0.4943]],
-        [[1.0, 1.0], [6.103515625e-05, 0.75], [6.103515625e-05, 0.8125]],
-        [[1.0, 1.0], [1.0, 0.25], [6.103515625e-05, 0.75],
-         [6.103515625e-05, 0.8125]],
-        [[0.999996740, 3.25990469e-06], [0.999996740, 3.25991987e-06],
-         [0.999997465, 2.53495521e-06], [0.428571429, 0.571428571]],
-        [[3.79550717e-06, 0.999996204], [0.333334018, 0.666665982],
-         [1.0, 2.0], [1.0, 2.0]],
-        [[0.875, 0.5, 0.875, 0.75], [0.90625, 0.5, 0.875, 0.75],
-         [0.4375, 0.0078125, 0.9375, 0.3125]],
-        [[8.6519640161993122e-02, 3.9496096374322148e-01, 5.1851939609478526e-01],
-         [2.4613475059389262e-06, 7.5114364805265084e-05, 9.9992242428768885e-01],
-         [2.1214014657797145e-01, 7.1630134868808856e-02, 7.1622971855321971e-01],
-         [8.6519588147719914e-02, 3.9496206754375757e-01, 5.1851834430852251e-01]],
-    ]
-
-    @pytest.mark.parametrize("rows", SLOW_CHANNELS)
-    def test_slow_channels_close_the_bracket(self, rows):
-        T = np.array(rows, dtype=float)
-        T /= T.sum(axis=1, keepdims=True)
-        res = capacity(DMC.from_rows(T), tol=1e-7)
-        assert res.residual <= 1e-7
-        assert res.iterations <= 10_000
-        # certificate from the returned law alone: max_x D(T_x || rT) bounds
-        # the capacity from above, so it must sit within the residual
-        r = res.optimal_input.probs
-        q = r @ T
-        upper = np.where(T > 0, T * np.log2(T / q), 0.0).sum(axis=1).max()
-        assert upper - res.residual - 1e-12 <= res.capacity <= upper + 1e-12
-        assert res.capacity <= np.log2(min(T.shape)) + 1e-12
-
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 4), st.integers(2, 4), st.data())
