@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 import time
 
@@ -74,14 +75,28 @@ def _digest(path: str) -> str:
 
 @contextlib.contextmanager
 def _replacing(path: str):
-    """Text file to write in place of path: a temp file in path's directory,
-    moved onto path when the block completes and removed if it raises."""
-    head, tail = os.path.split(path)
+    """Text file to write in place of path: a temp file in the directory of
+    the file path names (symlinks resolved), moved onto it with the old file's
+    permission bits when the block completes and removed if it raises. An
+    existing target that is not a regular file (a FIFO, a device) is written
+    in place."""
+    real = os.path.realpath(path)
+    try:
+        old = os.stat(real)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "w") as f:
+            yield f
+        return
+    head, tail = os.path.split(real)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as f:
             yield f
-        os.replace(tmp, path)
+        if old is not None:
+            os.chmod(tmp, stat.S_IMODE(old.st_mode))
+        os.replace(tmp, real)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -452,6 +453,45 @@ class TestAtomicOutputs:
         with pytest.raises(TypeError):
             _write_json(str(target), {"a": 1.0, "z": object()})
         assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_symlinked_output_is_written_through(self, workdir, capsys,
+                                                 existing):
+        (workdir / "data").mkdir()
+        target = workdir / "data" / "region.csv"
+        if existing:
+            target.write_text("old\n")
+        os.symlink(target, workdir / "link.csv")
+        code, _, _ = run_cli(["region", "--p", "0.5", "--eps", "0.25",
+                              "--resolution", "0.25", "--out", "link.csv"],
+                             capsys)
+        assert code == 0
+        assert os.path.islink(workdir / "link.csv")
+        header, rows = read_csv(target)
+        assert header == ["p1", "p2", "label"] and len(rows) == 25
+        assert os.listdir(workdir / "data") == ["region.csv"]
+
+    def test_existing_target_keeps_its_permission_bits(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+        os.chmod(target, 0o640)
+        _write_json(str(target), {"a": 1})
+        assert json.loads(target.read_text()) == {"a": 1}
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o640
+
+    def test_fifo_target_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "out.json"
+        os.mkfifo(fifo)
+        # a non-blocking reader lets the writer open the FIFO without a thread
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            _write_json(str(fifo), {"a": 1})
+            sent = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert json.loads(sent) == {"a": 1}
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert os.listdir(tmp_path) == ["out.json"]
 
 
