@@ -7,7 +7,8 @@ ONE_SHOT cell is also block-feasible, so INFEASIBLE shrinks and ONE_SHOT
 grows as the channel improves.
 """
 import argparse
-import collections
+
+import numpy as np
 
 from infodesign.cli import write_region_csv
 from infodesign.splitting import RegionLabel, region_scan
@@ -23,9 +24,7 @@ def main():
     args = ap.parse_args()
 
     grid = region_scan(args.p, args.eps, args.resolution)
-    names = {int(v): v.name for v in RegionLabel}
-    counts = collections.Counter(
-        names[int(v)] for v in grid.labels.ravel())
+    counts = np.bincount(grid.labels.ravel(), minlength=len(RegionLabel))
 
     write_region_csv(args.out, grid)
 
@@ -33,10 +32,10 @@ def main():
     print(f"p={args.p}  eps={args.eps}  capacity={grid.capacity:.6f}  "
           f"cells={total}")
     for name in ("ONE_SHOT", "BLOCK_ONLY", "INFEASIBLE", "INVALID_SPLIT"):
-        n = counts.get(name, 0)
+        n = counts[RegionLabel[name]]
         print(f"{name:<14} {n:>8}  ({100.0 * n / total:.2f}%)")
-    feasible = counts.get("ONE_SHOT", 0) + counts.get("BLOCK_ONLY", 0)
-    valid = total - counts.get("INVALID_SPLIT", 0)
+    feasible = counts[RegionLabel.ONE_SHOT] + counts[RegionLabel.BLOCK_ONLY]
+    valid = total - counts[RegionLabel.INVALID_SPLIT]
     if valid:
         print(f"block-feasible share of valid splits: "
               f"{100.0 * feasible / valid:.2f}%")

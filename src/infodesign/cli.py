@@ -32,6 +32,7 @@ from .prob import binary_entropy, marginal, mutual_information
 from .splitting import RegionLabel, grid_intervals, region_scan
 
 CSV_BLOCK_ROWS = 4096
+DIGEST_BLOCK_BYTES = 1 << 20
 
 
 def _fmt(x) -> str:
@@ -69,8 +70,11 @@ def _jsonable(x):
 
 
 def _digest(path: str) -> str:
+    h = hashlib.sha256()
     with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+        while block := f.read(DIGEST_BLOCK_BYTES):
+            h.update(block)
+    return h.hexdigest()
 
 
 @contextlib.contextmanager

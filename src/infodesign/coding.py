@@ -18,6 +18,7 @@ deviation test replay identical trials against alternative responses.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -122,17 +123,30 @@ class CodingConfig:
     def typicality_radius(self) -> float:
         return self.eps_typ * math.sqrt(20.0 / self.n)
 
-    @property
+    # Derived tables, computed once per config: every trial reads them.
+    @functools.cached_property
     def prior(self) -> Distribution:
         return marginal(self.target, "u")
 
-    @property
+    @functools.cached_property
     def signal(self) -> StochasticMatrix:
         return conditional(marginal(self.target, ("u", "w")), "u")
 
-    @property
+    @functools.cached_property
     def response(self) -> StochasticMatrix:
         return conditional(marginal(self.target, ("w", "v")), "w")
+
+    @functools.cached_property
+    def target_uw(self) -> np.ndarray:
+        """(source, word) target table the encoder and the audit match."""
+        return marginal(self.target, ("u", "w")).probs
+
+    @functools.cached_property
+    def target_yx(self) -> np.ndarray:
+        """(output, input) channel table the decoder matches."""
+        table = (self.input_dist.probs[:, None] * self.channel.transition.rows).T
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -217,8 +231,7 @@ def encode(u_seq: np.ndarray, cb: Codebook, cfg: CodingConfig,
 
     Uniform choice among qualifiers (seeded); None means no cover exists.
     """
-    target_uw = marginal(cfg.target, ("u", "w")).probs
-    dist = _pair_type_l1(np.asarray(u_seq), cb.w_words, target_uw)
+    dist = _pair_type_l1(np.asarray(u_seq), cb.w_words, cfg.target_uw)
     hits = np.flatnonzero(dist <= cfg.typicality_radius + TYPE_ATOL)
     if hits.size == 0:
         return None
@@ -237,8 +250,7 @@ def transmit(x_seq: np.ndarray, channel: DMC,
 def decode(y_seq: np.ndarray, cb: Codebook, cfg: CodingConfig) -> Optional[int]:
     """Unique-typicality decoding: the one codeword whose channel word pairs
     typically with the received block, or None when zero or several do."""
-    target_yx = (cfg.input_dist.probs[:, None] * cfg.channel.transition.rows).T
-    dist = _pair_type_l1(np.asarray(y_seq), cb.x_words, target_yx)
+    dist = _pair_type_l1(np.asarray(y_seq), cb.x_words, cfg.target_yx)
     hits = np.flatnonzero(dist <= cfg.typicality_radius + TYPE_ATOL)
     if hits.size == 1:
         return int(hits[0])
@@ -252,11 +264,18 @@ def generate_actions(w_seq: np.ndarray, response: StochasticMatrix,
     return _draw_rows(response.rows, w_seq, rng.random(w_seq.size))
 
 
-def _empirical_joint(cfg: CodingConfig, u_seq, w_seq, v_seq) -> JointDistribution:
-    counts = np.zeros(cfg.target.probs.shape)
-    np.add.at(counts, (u_seq.astype(np.intp), w_seq.astype(np.intp),
-                       v_seq.astype(np.intp)), 1.0)
-    return JointDistribution(counts / cfg.n, axes=cfg.target.axes)
+def _trial_pipeline(cfg: CodingConfig, cb: Codebook, streams: TrialStreams):
+    """Source -> encode -> transmit -> decode on one trial's streams, the
+    action stream left untouched: (source block, chosen index, decoded index,
+    decoded word); a failed decode yields the fallback word of first symbols."""
+    u_seq = _draw_iid(cfg.prior, cfg.n, streams.source)
+    m = encode(u_seq, cb, cfg, streams.encoder)
+    y_seq = transmit(cb.x_words[m if m is not None else 0], cfg.channel,
+                     streams.channel)
+    m_hat = decode(y_seq, cb, cfg)
+    w_seq = (cb.w_words[m_hat] if m_hat is not None
+             else np.zeros(cfg.n, dtype=np.int16))
+    return u_seq, m, m_hat, w_seq
 
 
 def run_trial(cfg: CodingConfig, cb: Codebook, rng,
@@ -271,27 +290,19 @@ def run_trial(cfg: CodingConfig, cb: Codebook, rng,
         rng = trial_streams(cfg.seed, int(rng))
     if response is None:
         response = cfg.response
-    u_seq = _draw_iid(cfg.prior, cfg.n, rng.source)
-    m = encode(u_seq, cb, cfg, rng.encoder)
-    x_seq = cb.x_words[m if m is not None else 0]
-    y_seq = transmit(x_seq, cfg.channel, rng.channel)
-    m_hat = decode(y_seq, cb, cfg)
-    if m_hat is not None:
-        w_seq = cb.w_words[m_hat]
-    else:
-        w_seq = np.zeros(cfg.n, dtype=np.int16)  # fallback word: first symbol
+    u_seq, m, m_hat, w_seq = _trial_pipeline(cfg, cb, rng)
     v_seq = generate_actions(w_seq, response, rng.actions)
-    empirical = _empirical_joint(cfg, u_seq, w_seq, v_seq)
+    u, w, v = (seq.astype(np.intp) for seq in (u_seq, w_seq, v_seq))
+    counts = np.zeros(cfg.target.probs.shape)
+    np.add.at(counts, (u, w, v), 1.0)
+    empirical = JointDistribution(counts / cfg.n, axes=cfg.target.axes)
     l1 = float(np.abs(empirical.probs - cfg.target.probs).sum())
     ok = (m is not None and m_hat == m
           and l1 <= cfg.typicality_radius + TYPE_ATOL)
-    util1 = float(cfg.phi1[u_seq.astype(np.intp), v_seq.astype(np.intp)].mean())
-    util2 = float(cfg.phi2[u_seq.astype(np.intp), v_seq.astype(np.intp)].mean())
-    return TrialResult(error_event=not ok,
-                       chosen_m=None if m is None else int(m),
-                       decoded_m=None if m_hat is None else int(m_hat),
+    return TrialResult(error_event=not ok, chosen_m=m, decoded_m=m_hat,
                        empirical=empirical, l1_to_target=l1,
-                       util1_n=util1, util2_n=util2)
+                       util1_n=float(cfg.phi1[u, v].mean()),
+                       util2_n=float(cfg.phi2[u, v].mean()))
 
 
 @dataclass(frozen=True)
@@ -368,14 +379,7 @@ def deviation_gaps(cfg: CodingConfig, cb: Codebook, alt_responses,
     uniforms = np.empty((trials, cfg.n))
     for t in range(trials):
         streams = trial_streams(cfg.seed, t)
-        u_seq = _draw_iid(cfg.prior, cfg.n, streams.source)
-        m = encode(u_seq, cb, cfg, streams.encoder)
-        y_seq = transmit(cb.x_words[m if m is not None else 0],
-                         cfg.channel, streams.channel)
-        m_hat = decode(y_seq, cb, cfg)
-        us[t] = u_seq
-        ws[t] = (cb.w_words[m_hat] if m_hat is not None
-                 else np.zeros(cfg.n, dtype=np.int16))
+        us[t], _, _, ws[t] = _trial_pipeline(cfg, cb, streams)
         uniforms[t] = streams.actions.random(cfg.n)
 
     def mean_util2(response: StochasticMatrix) -> float:
@@ -429,7 +433,7 @@ def posterior_belief_audit(cfg: CodingConfig, cb: Codebook,
     ones = blocks.sum(axis=1)
     weights = prior.probs[0] ** (n - ones) * prior.probs[1] ** ones
 
-    target_uw = marginal(cfg.target, ("u", "w")).probs
+    target_uw = cfg.target_uw
     kw = target_uw.shape[1]
     bits = blocks.astype(np.float64)
     dist = np.zeros(((1 << n), cb.size))

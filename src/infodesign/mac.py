@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .persuasion import Scenario, grid_best_replies
+from .persuasion import Scenario, grid_best_replies, split_values
 from .prob import Distribution
 from .splitting import RegionLabel, grid_intervals, region_scan, split_masks
 
@@ -138,14 +138,12 @@ def scenario_surface(sc: Scenario, resolution: float = 1.0 / 500,
     if n < 2:
         raise ValueError(f"utility_surface: resolution {resolution!r} too coarse")
     grid = np.linspace(0.0, 1.0, n + 1)
-    sel, V1, V2 = grid_best_replies(sc, grid)
-    P2 = grid[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (P2 - p) / (P2 - grid[:, None])
-        vals1 = lam * V1[:, None] + (1.0 - lam) * V1[None, :]
-        vals2 = lam * V2[:, None] + (1.0 - lam) * V2[None, :]
+    _, V1, V2 = grid_best_replies(sc, grid)
+    P1, P2 = grid[:, None], grid[None, :]
+    vals1 = split_values(p, P1, P2, V1[:, None], V1[None, :])
+    vals2 = split_values(p, P1, P2, V2[:, None], V2[None, :])
     if eps is None:
-        valid, _, _ = split_masks(p, grid[:, None], P2, 0.0, np.inf)
+        valid, _, _ = split_masks(p, P1, P2, 0.0, np.inf)
         labels = np.where(valid, int(RegionLabel.VALID),
                           int(RegionLabel.INVALID_SPLIT)).astype(np.int8)
     else:

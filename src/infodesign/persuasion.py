@@ -13,7 +13,6 @@ sender's favor, then by lowest action index, so runs are reproducible.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -82,6 +81,15 @@ class BestReplySet:
 class Unconstrained:
     name: ClassVar[str] = "unconstrained"
 
+    def mask(self, p: float, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
+        return split_masks(p, P1, P2, 0.0, np.inf)[0]
+
+    def no_info_verdict(self) -> FeasibilityVerdict:
+        return FeasibilityVerdict(True, np.inf, "unconstrained")
+
+    def split_verdict(self, p: float, pair: PosteriorPair) -> FeasibilityVerdict:
+        return self.no_info_verdict()
+
 
 @dataclass(frozen=True)
 class OneShot:
@@ -92,6 +100,16 @@ class OneShot:
         if not 0.0 <= self.eps <= 0.5:
             raise ValueError(f"OneShot: eps {self.eps!r} outside [0, 1/2]")
 
+    def mask(self, p: float, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
+        return split_masks(p, P1, P2, self.eps, np.inf)[1]
+
+    def no_info_verdict(self) -> FeasibilityVerdict:
+        # canonical signal (1/2, 1/2) sits mid-band
+        return FeasibilityVerdict(True, 0.5 - self.eps, "one_shot")
+
+    def split_verdict(self, p: float, pair: PosteriorPair) -> FeasibilityVerdict:
+        return one_shot_feasible(p, pair, self.eps)
+
 
 @dataclass(frozen=True)
 class Block:
@@ -101,6 +119,15 @@ class Block:
     def __post_init__(self):
         if not (np.isfinite(self.capacity) and self.capacity >= 0):
             raise ValueError(f"Block: capacity {self.capacity!r} must be >= 0")
+
+    def mask(self, p: float, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
+        return split_masks(p, P1, P2, 0.0, self.capacity)[2]
+
+    def no_info_verdict(self) -> FeasibilityVerdict:
+        return FeasibilityVerdict(True, self.capacity, "block")
+
+    def split_verdict(self, p: float, pair: PosteriorPair) -> FeasibilityVerdict:
+        return block_feasible(p, signal_from_posteriors(p, pair), self.capacity)
 
 
 @dataclass(frozen=True)
@@ -198,12 +225,12 @@ def _require_binary(sc: Scenario, who: str) -> float:
     return float(sc.prior.probs[0])
 
 
-def _point_values(q: float, sc: Scenario):
-    """(sender, receiver) payoff at posterior q with the tie-broken best reply."""
-    br = best_reply(Distribution((q, 1.0 - q)), sc)
-    v1 = q * sc.phi1[0, br.selected] + (1.0 - q) * sc.phi1[1, br.selected]
-    v2 = q * sc.phi2[0, br.selected] + (1.0 - q) * sc.phi2[1, br.selected]
-    return float(v1), float(v2), br.selected
+def split_values(p: float, p1, p2, v1, v2):
+    """Value lam * v1 + (1 - lam) * v2 of splits (p1, p2) of prior p, where
+    lam = (p2 - p) / (p2 - p1) weighs p1. Broadcasts; nan or inf at p1 = p2."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (p2 - p) / (p2 - p1)
+        return lam * v1 + (1.0 - lam) * v2
 
 
 def sender_value(t: PosteriorPair, p: float, sc: Scenario):
@@ -212,19 +239,16 @@ def sender_value(t: PosteriorPair, p: float, sc: Scenario):
     The no-information point p1 = p2 = p evaluates at the prior itself.
     """
     _require_binary(sc, "sender_value")
-    if t.p1 == t.p2:
-        if t.p1 != p:
-            raise SplitError(f"sender_value: degenerate pair at {t.p1!r} "
-                             f"inconsistent with prior {p!r}")
-        v1, v2, _ = _point_values(p, sc)
-        return v1, v2
-    if not is_valid_split(p, t):
+    if t.p1 == t.p2 != p:
+        raise SplitError(f"sender_value: degenerate pair at {t.p1!r} "
+                         f"inconsistent with prior {p!r}")
+    if t.p1 != t.p2 and not is_valid_split(p, t):
         raise SplitError(f"sender_value: prior {p!r} not strictly between "
                          f"({t.p1!r}, {t.p2!r})")
-    lam = (t.p2 - p) / (t.p2 - t.p1)
-    a1, a2, _ = _point_values(t.p1, sc)
-    b1, b2, _ = _point_values(t.p2, sc)
-    return lam * a1 + (1.0 - lam) * b1, lam * a2 + (1.0 - lam) * b2
+    _, V1, V2 = grid_best_replies(sc, np.array([t.p1, t.p2]))
+    if t.p1 == t.p2:
+        return float(V1[0]), float(V2[0])
+    return tuple(float(split_values(p, t.p1, t.p2, *V)) for V in (V1, V2))
 
 
 def grid_best_replies(sc: Scenario, q_grid: np.ndarray):
@@ -247,38 +271,6 @@ def grid_best_replies(sc: Scenario, q_grid: np.ndarray):
     return sel, V1, V2
 
 
-def _mode_mask(p: float, grid: np.ndarray, mode):
-    P1 = grid[:, None]
-    P2 = grid[None, :]
-    if isinstance(mode, Unconstrained):
-        valid, _, _ = split_masks(p, P1, P2, 0.0, np.inf)
-        return valid
-    if isinstance(mode, OneShot):
-        _, one_shot, _ = split_masks(p, P1, P2, mode.eps, np.inf)
-        return one_shot
-    if isinstance(mode, Block):
-        _, _, block = split_masks(p, P1, P2, 0.0, mode.capacity)
-        return block
-    raise TypeError(f"solve_equilibrium: unknown mode {mode!r}")
-
-
-def _no_info_verdict(p: float, mode) -> FeasibilityVerdict:
-    if isinstance(mode, Unconstrained):
-        return FeasibilityVerdict(True, math.inf, "unconstrained")
-    if isinstance(mode, OneShot):
-        # canonical signal (1/2, 1/2) sits mid-band
-        return FeasibilityVerdict(True, 0.5 - mode.eps, "one_shot")
-    return FeasibilityVerdict(True, mode.capacity, "block")
-
-
-def _split_verdict(p: float, pair: PosteriorPair, mode) -> FeasibilityVerdict:
-    if isinstance(mode, Unconstrained):
-        return FeasibilityVerdict(True, math.inf, "unconstrained")
-    if isinstance(mode, OneShot):
-        return one_shot_feasible(p, pair, mode.eps)
-    return block_feasible(p, signal_from_posteriors(p, pair), mode.capacity)
-
-
 def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> EquilibriumResult:
     """Sender-optimal split by grid search over posterior pairs.
 
@@ -292,39 +284,36 @@ def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> Equilibri
     n = grid_intervals(resolution, "solve_equilibrium")
     grid = np.linspace(0.0, 1.0, n + 1)
     sel, V1, V2 = grid_best_replies(sc, grid)
-    mask = _mode_mask(p, grid, mode)
+    mask = mode.mask(p, grid[:, None], grid[None, :])
 
-    no1, no2, no_sel = _point_values(p, sc)
+    no_sel, no1, no2 = grid_best_replies(sc, np.array([p]))
     best = EquilibriumResult(
         posteriors=PosteriorPair(p, p), signal=NO_INFO,
         message_weights=Distribution((0.5, 0.5)),
-        receiver_actions=(sc.actions[no_sel], sc.actions[no_sel]),
-        phi1_star=no1, phi2_star=no2, mode=mode,
-        feasibility=_no_info_verdict(p, mode), no_info=True)
+        receiver_actions=(sc.actions[no_sel[0]], sc.actions[no_sel[0]]),
+        phi1_star=float(no1[0]), phi2_star=float(no2[0]), mode=mode,
+        feasibility=mode.no_info_verdict(), no_info=True)
     if not mask.any():
         return best
 
-    P2 = grid[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (P2 - p) / (P2 - grid[:, None])
-        vals = lam * V1[:, None] + (1.0 - lam) * V1[None, :]
+    vals = split_values(p, grid[:, None], grid[None, :], V1[:, None], V1[None, :])
     vals = np.where(mask, vals, -np.inf)
     flat = int(np.argmax(vals))
-    top = float(vals.flat[flat])
-    if not top > best.phi1_star:
+    if not float(vals.flat[flat]) > best.phi1_star:
         return best
 
     i, j = divmod(flat, grid.size)
     pair = PosteriorPair(float(grid[i]), float(grid[j]))
-    phi1_star, phi2_star = sender_value(pair, p, sc)
-    lam_star = (pair.p2 - p) / (pair.p2 - pair.p1)
+    # the weight of p1: the mix of 1 at p1 and 0 at p2, bit for bit
+    lam = float(split_values(p, pair.p1, pair.p2, 1.0, 0.0))
     return EquilibriumResult(
         posteriors=pair,
         signal=signal_from_posteriors(p, pair),
-        message_weights=Distribution((lam_star, 1.0 - lam_star)),
-        receiver_actions=(sc.actions[int(sel[i])], sc.actions[int(sel[j])]),
-        phi1_star=phi1_star, phi2_star=phi2_star, mode=mode,
-        feasibility=_split_verdict(p, pair, mode), no_info=False)
+        message_weights=Distribution((lam, 1.0 - lam)),
+        receiver_actions=(sc.actions[sel[i]], sc.actions[sel[j]]),
+        phi1_star=float(split_values(p, pair.p1, pair.p2, V1[i], V1[j])),
+        phi2_star=float(split_values(p, pair.p1, pair.p2, V2[i], V2[j])),
+        mode=mode, feasibility=mode.split_verdict(p, pair), no_info=False)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infodesign import __version__
-from infodesign.cli import (CSV_BLOCK_ROWS, _fmt, _text, _write_csv,
-                            _write_json, main)
+from infodesign.cli import (CSV_BLOCK_ROWS, DIGEST_BLOCK_BYTES, _fmt, _text,
+                            _write_csv, _write_json, main)
 from infodesign.mac import build_scenario, default_config, scenario_surface
 from infodesign.persuasion import (Unconstrained, grid_best_replies,
                                    solve_equilibrium)
@@ -214,6 +214,17 @@ class TestSurface:
         _, rows = read_csv(workdir / "surface.csv")
         labels = {r[4] for r in rows}
         assert "VALID" not in labels and "INFEASIBLE" in labels
+
+    def test_manifest_digest_of_multiblock_output(self, workdir, capsys):
+        code, _, _ = run_cli(["surface", "--scenario", "mac",
+                              "--resolution", "0.004"], capsys)
+        assert code == 0
+        data = (workdir / "surface.csv").read_bytes()
+        assert len(data) > DIGEST_BLOCK_BYTES
+        manifest = json.loads(
+            (workdir / "surface.csv.manifest.json").read_text())
+        assert (manifest["outputs"]["surface.csv"]
+                == hashlib.sha256(data).hexdigest())
 
     def test_csv_reduction_matches_solver(self, workdir, capsys):
         # the published grid is a faithful reduction target: re-running the

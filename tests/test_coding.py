@@ -413,6 +413,22 @@ class TestDeviation:
         assert gaps[0] == 0.0 == gaps[2]
         assert gaps[1] < 0.0
 
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_gaps_replay_run_trial(self, n):
+        # both consumers replay the same trials: each gap is the mean over
+        # trials of run_trial's paired utility differences
+        cfg = trend_config(n)
+        cb = generate_codebook(cfg)
+        alts = [IDENTITY, FLAT, StochasticMatrix([[0.0, 1.0], [1.0, 0.0]]),
+                StochasticMatrix([[0.8, 0.2], [0.3, 0.7]])]
+        trials = 30
+        gaps = deviation_gaps(cfg, cb, alts, trials)
+        base = [run_trial(cfg, cb, t).util2_n for t in range(trials)]
+        for gap, alt in zip(gaps, alts):
+            paired = [run_trial(cfg, cb, t, response=alt).util2_n - base[t]
+                      for t in range(trials)]
+            assert abs(gap - np.mean(paired)) <= 1e-12
+
     def test_shape_mismatch_rejected(self):
         cfg = trend_config(20)
         cb = generate_codebook(cfg)

@@ -272,3 +272,27 @@ def test_solver_weights_average_to_prior(k_actions, data):
     w = res.message_weights.probs
     back = w[0] * res.posteriors.p1 + w[1] * res.posteriors.p2
     assert back == pytest.approx(float(sc.prior.probs[0]), abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.floats(0.0, 0.5), st.data())
+def test_reported_values_follow_reported_actions(k_actions, eps, data):
+    """The values are the lam-mix of the reported actions' payoffs at the
+    reported posteriors, bit for bit, in every mode; the no-information
+    point is the best reply at the prior."""
+    sc = random_binary_scenario(data, k_actions)
+    p = float(sc.prior.probs[0])
+    for mode in (Unconstrained(), OneShot(eps), Block(1.0 - binary_entropy(eps))):
+        res = solve_equilibrium(sc, mode, 0.05)
+        if res.no_info:
+            sel, V1, V2 = grid_best_replies(sc, np.array([p]))
+            assert res.receiver_actions == (sc.actions[sel[0]],) * 2
+            assert (res.phi1_star, res.phi2_star) == (V1[0], V2[0])
+            continue
+        q1, q2 = res.posteriors.p1, res.posteriors.p2
+        a1, a2 = (sc.action_index(v) for v in res.receiver_actions)
+        lam = (q2 - p) / (q2 - q1)
+        for phi, star in ((sc.phi1, res.phi1_star), (sc.phi2, res.phi2_star)):
+            at1 = q1 * phi[0, a1] + (1.0 - q1) * phi[1, a1]
+            at2 = q2 * phi[0, a2] + (1.0 - q2) * phi[1, a2]
+            assert star == lam * at1 + (1.0 - lam) * at2
