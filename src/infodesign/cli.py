@@ -160,7 +160,7 @@ def write_region_csv(path: str, grid) -> int:
 
 
 def _write_manifest(subcommand: str, parameters: dict, inputs: dict,
-                    outputs, seed, started: float) -> str:
+                    outputs, seed, started: float, counters=None) -> str:
     first = outputs[0]
     manifest_path = first + ".manifest.json"
     doc = {
@@ -172,6 +172,8 @@ def _write_manifest(subcommand: str, parameters: dict, inputs: dict,
         "duration_s": time.perf_counter() - started,
         "outputs": {p: _digest(p) for p in outputs},
     }
+    if counters is not None:
+        doc["counters"] = counters
     _write_json(manifest_path, doc)
     return manifest_path
 
@@ -347,7 +349,9 @@ def cmd_solve(scenario, mode, eps, cap, resolution, out):
     _write_manifest("solve", {"scenario": scenario, "mode": mode, "eps": eps,
                               "cap": getattr(mode_obj, "capacity", None),
                               "resolution": resolution, "out": out},
-                    inputs, [out], None, started)
+                    inputs, [out], None, started,
+                    counters={"cells_scanned": res.cells_scanned,
+                              "cells_feasible": res.cells_feasible})
     click.echo(json.dumps(_jsonable(report), sort_keys=True))
 
 

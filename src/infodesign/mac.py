@@ -143,7 +143,7 @@ def scenario_surface(sc: Scenario, resolution: float = 1.0 / 500,
     vals1 = split_values(p, P1, P2, V1[:, None], V1[None, :])
     vals2 = split_values(p, P1, P2, V2[:, None], V2[None, :])
     if eps is None:
-        valid, _, _ = split_masks(p, P1, P2, 0.0, np.inf)
+        valid = split_masks(p, P1, P2, None, None)[0]
         labels = np.where(valid, int(RegionLabel.VALID),
                           int(RegionLabel.INVALID_SPLIT)).astype(np.int8)
     else:

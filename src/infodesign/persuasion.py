@@ -26,6 +26,7 @@ from .splitting import (FEAS_ATOL, NO_INFO, BinarySignal, FeasibilityVerdict,
 
 TIE_ATOL = 1e-12  # stray probability mass in_Q2 forgives
 TIE_RTOL = 1e-12  # receiver tie band, as a fraction of the phi2 spread
+SCAN_BLOCK_CELLS = 2 ** 15  # cells in one row block of the solver's scan
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class Unconstrained:
     name: ClassVar[str] = "unconstrained"
 
     def mask(self, p: float, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
-        return split_masks(p, P1, P2, 0.0, np.inf)[0]
+        return split_masks(p, P1, P2, None, None)[0]
 
     def no_info_verdict(self) -> FeasibilityVerdict:
         return FeasibilityVerdict(True, np.inf, "unconstrained")
@@ -101,7 +102,7 @@ class OneShot:
             raise ValueError(f"OneShot: eps {self.eps!r} outside [0, 1/2]")
 
     def mask(self, p: float, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
-        return split_masks(p, P1, P2, self.eps, np.inf)[1]
+        return split_masks(p, P1, P2, self.eps, None)[1]
 
     def no_info_verdict(self) -> FeasibilityVerdict:
         # canonical signal (1/2, 1/2) sits mid-band
@@ -121,7 +122,7 @@ class Block:
             raise ValueError(f"Block: capacity {self.capacity!r} must be >= 0")
 
     def mask(self, p: float, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
-        return split_masks(p, P1, P2, 0.0, self.capacity)[2]
+        return split_masks(p, P1, P2, None, self.capacity)[2]
 
     def no_info_verdict(self) -> FeasibilityVerdict:
         return FeasibilityVerdict(True, self.capacity, "block")
@@ -140,7 +141,9 @@ class EquilibriumResult:
     phi2_star: float
     mode: object
     feasibility: FeasibilityVerdict
-    no_info: bool = False
+    no_info: bool
+    cells_scanned: int  # grid cells the solver scanned
+    cells_feasible: int  # of those, the cells that passed the mode's mask
 
 
 def receiver_expected_utility(posterior: Distribution, v, sc: Scenario) -> float:
@@ -274,9 +277,15 @@ def grid_best_replies(sc: Scenario, q_grid: np.ndarray):
 def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> EquilibriumResult:
     """Sender-optimal split by grid search over posterior pairs.
 
-    The grid is restricted to cells passing the mode's feasibility predicate;
-    the no-information point always competes. Argmax ties break to the lowest
-    p1, then lowest p2 (row-major first maximum).
+    A split is valid only when the prior p lies strictly between p1 and p2,
+    so the valid cells of the grid form two rectangles: A (p1 < p < p2) and
+    B (p2 < p < p1). The solver scans A and then B in blocks of whole rows,
+    about SCAN_BLOCK_CELLS cells each, and keeps the cells passing the
+    mode's feasibility mask; memory is O(n) plus one block. Every row of A
+    comes before every row of B, and a block's maximum replaces the running
+    best only if strictly greater, so argmax ties break to the lowest p1,
+    then lowest p2 (the row-major first maximum of the whole grid). The
+    no-information point always competes and wins ties.
     """
     p = _require_binary(sc, "solve_equilibrium")
     if not 0 < resolution <= 0.5:
@@ -284,25 +293,41 @@ def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> Equilibri
     n = grid_intervals(resolution, "solve_equilibrium")
     grid = np.linspace(0.0, 1.0, n + 1)
     sel, V1, V2 = grid_best_replies(sc, grid)
-    mask = mode.mask(p, grid[:, None], grid[None, :])
+    below = int(np.searchsorted(grid, p, "left"))  # grid[:below] < p
+    above = int(np.searchsorted(grid, p, "right"))  # grid[above:] > p
+    top, cell = -np.inf, None
+    scanned = feasible = 0
+    for rows, cols in ((range(0, below), slice(above, n + 1)),
+                       (range(above, n + 1), slice(0, below))):
+        width = cols.stop - cols.start
+        if width == 0:
+            continue
+        step = max(1, SCAN_BLOCK_CELLS // width)
+        for r0 in rows[::step]:
+            r = slice(r0, min(r0 + step, rows.stop))
+            P1, P2 = grid[r, None], grid[None, cols]
+            mask = mode.mask(p, P1, P2)
+            vals = np.where(mask, split_values(p, P1, P2, V1[r, None], V1[None, cols]),
+                            -np.inf)
+            flat = int(np.argmax(vals))
+            scanned += mask.size
+            feasible += int(np.count_nonzero(mask))
+            if vals.flat[flat] > top:
+                top = float(vals.flat[flat])
+                i, j = divmod(flat, width)
+                cell = (r0 + i, cols.start + j)
 
     no_sel, no1, no2 = grid_best_replies(sc, np.array([p]))
-    best = EquilibriumResult(
-        posteriors=PosteriorPair(p, p), signal=NO_INFO,
-        message_weights=Distribution((0.5, 0.5)),
-        receiver_actions=(sc.actions[no_sel[0]], sc.actions[no_sel[0]]),
-        phi1_star=float(no1[0]), phi2_star=float(no2[0]), mode=mode,
-        feasibility=mode.no_info_verdict(), no_info=True)
-    if not mask.any():
-        return best
+    if not top > float(no1[0]):
+        return EquilibriumResult(
+            posteriors=PosteriorPair(p, p), signal=NO_INFO,
+            message_weights=Distribution((0.5, 0.5)),
+            receiver_actions=(sc.actions[no_sel[0]], sc.actions[no_sel[0]]),
+            phi1_star=float(no1[0]), phi2_star=float(no2[0]), mode=mode,
+            feasibility=mode.no_info_verdict(), no_info=True,
+            cells_scanned=scanned, cells_feasible=feasible)
 
-    vals = split_values(p, grid[:, None], grid[None, :], V1[:, None], V1[None, :])
-    vals = np.where(mask, vals, -np.inf)
-    flat = int(np.argmax(vals))
-    if not float(vals.flat[flat]) > best.phi1_star:
-        return best
-
-    i, j = divmod(flat, grid.size)
+    i, j = cell
     pair = PosteriorPair(float(grid[i]), float(grid[j]))
     # the weight of p1: the mix of 1 at p1 and 0 at p2, bit for bit
     lam = float(split_values(p, pair.p1, pair.p2, 1.0, 0.0))
@@ -313,7 +338,8 @@ def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> Equilibri
         receiver_actions=(sc.actions[sel[i]], sc.actions[sel[j]]),
         phi1_star=float(split_values(p, pair.p1, pair.p2, V1[i], V1[j])),
         phi2_star=float(split_values(p, pair.p1, pair.p2, V2[i], V2[j])),
-        mode=mode, feasibility=mode.split_verdict(p, pair), no_info=False)
+        mode=mode, feasibility=mode.split_verdict(p, pair), no_info=False,
+        cells_scanned=scanned, cells_feasible=feasible)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

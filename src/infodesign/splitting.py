@@ -17,9 +17,10 @@ import numpy as np
 from .prob import binary_entropy
 
 FEAS_ATOL = 1e-12
-# Cells in one posterior grid or best-reply sweep. A solve peaks near 115
-# bytes a cell and a surface near 155, about 0.9 and 1.2 GiB at the cap; the
-# finest grid in use, 2001 x 2001 (resolution 5e-4), is half the cap.
+# Cells in one posterior grid or best-reply sweep. A surface peaks near 155
+# bytes a cell, about 1.2 GiB at the cap. A solve holds O(n) arrays plus one
+# row block of its scan: a 3.6 MiB peak on 2001 x 2001 (resolution 5e-4),
+# the finest grid in use, which is half the cap.
 MAX_GRID_CELLS = 2 ** 23
 
 
@@ -118,11 +119,12 @@ def is_valid_split(p: float, pair: PosteriorPair) -> bool:
 def required_signal_arrays(p: float, p1, p2):
     """Vectorized inversion: signal parameters that induce posteriors (p1, p2).
 
-    No validity checks; callers mask. Division by zero yields inf/nan.
+    No validity checks; callers mask. Division by zero, or by a tiny prior,
+    yields inf/nan.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha = p2 * (p1 - p) / (p * (p1 - p2))
         beta = (1.0 - p1) * (p - p2) / ((1.0 - p) * (p1 - p2))
     return alpha, beta
@@ -207,8 +209,12 @@ class RegionGrid:
     capacity: float
 
 
-def split_masks(p: float, p1_grid, p2_grid, eps: float, cap: float):
-    """Validity, per-use and block feasibility masks on a posterior grid."""
+def split_masks(p: float, p1_grid, p2_grid, eps: float | None, cap: float | None):
+    """Validity, per-use and block feasibility masks on a posterior grid.
+
+    eps=None skips the per-use mask and cap=None the block mask; a skipped
+    mask comes back as None, and with both skipped no signal is inverted.
+    """
     P1 = np.asarray(p1_grid, dtype=float)
     P2 = np.asarray(p2_grid, dtype=float)
     lo = np.minimum(P1, P2)
@@ -216,12 +222,17 @@ def split_masks(p: float, p1_grid, p2_grid, eps: float, cap: float):
     valid = (lo < p) & (p < hi)
     if p <= 0.0 or p >= 1.0:
         valid &= False
-    alpha, beta = required_signal_arrays(p, P1, P2)
-    margin = np.minimum.reduce([alpha - eps, (1.0 - eps) - alpha,
-                                beta - eps, (1.0 - eps) - beta])
-    one_shot = valid & (margin >= -FEAS_ATOL)
-    rate = signal_information_rate(p, np.clip(alpha, 0.0, 1.0), np.clip(beta, 0.0, 1.0))
-    block = valid & (cap - rate >= -FEAS_ATOL)
+    one_shot = block = None
+    if eps is not None or cap is not None:
+        alpha, beta = required_signal_arrays(p, P1, P2)
+    if eps is not None:
+        margin = np.minimum.reduce([alpha - eps, (1.0 - eps) - alpha,
+                                    beta - eps, (1.0 - eps) - beta])
+        one_shot = valid & (margin >= -FEAS_ATOL)
+    if cap is not None:
+        rate = signal_information_rate(p, np.clip(alpha, 0.0, 1.0),
+                                       np.clip(beta, 0.0, 1.0))
+        block = valid & (cap - rate >= -FEAS_ATOL)
     return valid, one_shot, block
 
 

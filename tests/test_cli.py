@@ -271,6 +271,18 @@ class TestSolve:
         assert a["feasibility"]["slack"] == pytest.approx(
             b["feasibility"]["slack"], abs=1e-12)
 
+    def test_manifest_counts_scanned_and_feasible_cells(self, workdir, capsys):
+        # a zero capacity passes no split: the counters say why no_info won
+        code, _, _ = run_cli(["solve", "--scenario", "mac", "--mode", "block",
+                              "--cap", "0", "--resolution", "0.01"], capsys)
+        assert code == 0
+        report = json.loads((workdir / "solve.json").read_text())
+        manifest = json.loads((workdir / "solve.json.manifest.json").read_text())
+        assert report["no_info"] is True and "counters" not in report
+        # prior 1/2 on the 101-point grid: two 50 x 50 rectangles of valid splits
+        assert manifest["counters"] == {"cells_scanned": 5000,
+                                        "cells_feasible": 0}
+
     def test_one_shot_needs_eps(self, workdir, capsys):
         code, _, err = run_cli(["solve", "--scenario", "mac",
                                 "--mode", "one_shot"], capsys)

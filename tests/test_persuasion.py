@@ -1,14 +1,19 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infodesign.persuasion import (Block, OneShot, Scenario, Unconstrained,
-                                   best_reply, grid_best_replies, in_Q0, in_Q2,
-                                   receiver_expected_utility, scenario_from_dict,
-                                   scenario_to_dict, sender_value,
-                                   solve_equilibrium)
+from infodesign import persuasion
+from infodesign.persuasion import (Block, EquilibriumResult, OneShot, Scenario,
+                                   Unconstrained, best_reply, grid_best_replies,
+                                   in_Q0, in_Q2, receiver_expected_utility,
+                                   scenario_from_dict, scenario_to_dict,
+                                   sender_value, solve_equilibrium, split_values)
 from infodesign.prob import Distribution, StochasticMatrix, binary_entropy
-from infodesign.splitting import PosteriorPair, SplitError
+from infodesign.splitting import (NO_INFO, PosteriorPair, SplitError,
+                                  signal_from_posteriors, split_masks)
 
 # classic two-state persuasion: sender wants action "act" always, receiver
 # wants it only in state good (prior tilted toward bad)
@@ -296,3 +301,113 @@ def test_reported_values_follow_reported_actions(k_actions, eps, data):
             at1 = q1 * phi[0, a1] + (1.0 - q1) * phi[1, a1]
             at2 = q2 * phi[0, a2] + (1.0 - q2) * phi[1, a2]
             assert star == lam * at1 + (1.0 - lam) * at2
+
+
+def reference_solve(sc, mode, resolution):
+    """The full-grid solver the row-block scan replaced, kept as its oracle:
+    one mask over the whole (n + 1)^2 grid, split_values, np.where and
+    np.argmax. The counts are the valid cells and those passing the mask."""
+    p = float(sc.prior.probs[0])
+    grid = np.linspace(0.0, 1.0, round(1.0 / resolution) + 1)
+    sel, V1, V2 = grid_best_replies(sc, grid)
+    P1, P2 = grid[:, None], grid[None, :]
+    valid, one_shot, block = split_masks(p, P1, P2, getattr(mode, "eps", 0.0),
+                                         getattr(mode, "capacity", np.inf))
+    mask = {"unconstrained": valid, "one_shot": one_shot, "block": block}[mode.name]
+    counts = dict(cells_scanned=int(valid.sum()), cells_feasible=int(mask.sum()))
+
+    no_sel, no1, no2 = grid_best_replies(sc, np.array([p]))
+    best = EquilibriumResult(
+        posteriors=PosteriorPair(p, p), signal=NO_INFO,
+        message_weights=Distribution((0.5, 0.5)),
+        receiver_actions=(sc.actions[no_sel[0]], sc.actions[no_sel[0]]),
+        phi1_star=float(no1[0]), phi2_star=float(no2[0]), mode=mode,
+        feasibility=mode.no_info_verdict(), no_info=True, **counts)
+    if not mask.any():
+        return best
+    vals = np.where(mask, split_values(p, P1, P2, V1[:, None], V1[None, :]), -np.inf)
+    flat = int(np.argmax(vals))
+    if not float(vals.flat[flat]) > best.phi1_star:
+        return best
+    i, j = divmod(flat, grid.size)
+    pair = PosteriorPair(float(grid[i]), float(grid[j]))
+    lam = float(split_values(p, pair.p1, pair.p2, 1.0, 0.0))
+    return EquilibriumResult(
+        posteriors=pair, signal=signal_from_posteriors(p, pair),
+        message_weights=Distribution((lam, 1.0 - lam)),
+        receiver_actions=(sc.actions[sel[i]], sc.actions[sel[j]]),
+        phi1_star=float(split_values(p, pair.p1, pair.p2, V1[i], V1[j])),
+        phi2_star=float(split_values(p, pair.p1, pair.p2, V2[i], V2[j])),
+        mode=mode, feasibility=mode.split_verdict(p, pair), no_info=False,
+        **counts)
+
+
+def assert_same_result(got, want):
+    """Every field equal, bit for bit (repr tells -0.0 from 0.0)."""
+    for f in dataclasses.fields(EquilibriumResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "message_weights":
+            a, b = a.probs.tobytes(), b.probs.tobytes()
+        assert type(a) is type(b) and repr(a) == repr(b), f.name
+
+
+# 1/401 and 1/450 spread the valid rectangles over several default blocks,
+# with a last block shorter than the others
+RESOLUTIONS = (0.5, 0.3, 0.1, 0.05, 1 / 37, 1 / 150, 1 / 401, 1 / 450)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_row_block_scan_matches_full_grid(k_actions, data):
+    """The row-block scan returns what the full-grid argmax returned, in
+    every field: integer payoffs make ties common, the prior is drawn on a
+    grid point, at 0 and at 1, and the block is the default or a few cells."""
+    resolution = data.draw(st.sampled_from(RESOLUTIONS))
+    n = round(1.0 / resolution)
+    p = data.draw(st.one_of(st.sampled_from([0.0, 1.0, 0.5]),
+                            st.integers(0, n).map(lambda i: i / n),
+                            st.floats(0.0, 1.0)))
+    phi = st.lists(st.lists(st.integers(-3, 3).map(float), min_size=k_actions,
+                            max_size=k_actions), min_size=2, max_size=2)
+    sc = Scenario(Distribution([p, 1.0 - p]), tuple(range(k_actions)),
+                  data.draw(phi), data.draw(phi))
+    eps = data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]) | st.floats(0.0, 0.5))
+    block = data.draw(st.sampled_from([persuasion.SCAN_BLOCK_CELLS, 1, 2, 7, 64]))
+    with mock.patch.object(persuasion, "SCAN_BLOCK_CELLS", block):
+        for mode in (Unconstrained(), OneShot(eps), Block(1.0 - binary_entropy(eps))):
+            assert_same_result(solve_equilibrium(sc, mode, resolution),
+                               reference_solve(sc, mode, resolution))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 22])
+def test_ties_across_block_edges(monkeypatch, block):
+    """Sender value 1 on every split with p1 <= 0.4 and p2 >= 0.6 (and the
+    mirror cells), 0 at the prior: the maximum ties in many cells of both
+    rectangles, across block edges, and the first of them in row-major
+    order must win."""
+    sc = Scenario(Distribution([0.5, 0.5]), ("a", "b", "c"),
+                  phi1=[[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]],
+                  phi2=[[0.0, 0.6, 1.0], [1.0, 0.6, 0.0]])
+    monkeypatch.setattr(persuasion, "SCAN_BLOCK_CELLS", block)
+    for resolution in (0.05, 1 / 23):
+        want = reference_solve(sc, Unconstrained(), resolution)
+        assert not want.no_info and want.phi1_star == 1.0
+        assert_same_result(solve_equilibrium(sc, Unconstrained(), resolution), want)
+
+
+def test_counts_scan_only_valid_cells():
+    """The scan visits only the valid rectangles: 2 * 10 * 10 cells of the
+    21 x 21 grid at prior 1/2, none at priors 0 and 1; a zero capacity
+    passes no cell and falls back to no information."""
+    sc = Scenario(Distribution([0.5, 0.5]), PROSECUTOR.actions,
+                  PROSECUTOR.phi1, PROSECUTOR.phi2)
+    res = solve_equilibrium(sc, Unconstrained(), 0.05)
+    assert res.cells_scanned == res.cells_feasible == 200
+    res = solve_equilibrium(sc, Block(0.0), 0.05)
+    assert res.no_info
+    assert (res.cells_scanned, res.cells_feasible) == (200, 0)
+    for p in (0.0, 1.0):
+        sc = Scenario(Distribution([p, 1.0 - p]), PROSECUTOR.actions,
+                      PROSECUTOR.phi1, PROSECUTOR.phi2)
+        res = solve_equilibrium(sc, Unconstrained(), 0.05)
+        assert res.no_info and res.cells_scanned == res.cells_feasible == 0

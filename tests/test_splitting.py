@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from infodesign.mac import build_scenario, default_config
+from infodesign.persuasion import Block, solve_equilibrium
 from infodesign.prob import binary_entropy
 from infodesign.splitting import (MAX_GRID_CELLS, NO_INFO, BinarySignal,
                                   DegenerateSplitError, PosteriorPair,
@@ -196,6 +200,36 @@ class TestRegions:
     def test_grid_spacing_must_be_positive(self, spacing):
         with pytest.raises(ValueError, match="not positive"):
             region_scan(0.5, 0.25, resolution=spacing)
+
+    def test_solve_memory_is_one_row_block(self):
+        # the full-grid solver peaked at 439 MiB on this 2001 x 2001 grid
+        sc = build_scenario(default_config())
+        tracemalloc.start()
+        try:
+            solve_equilibrium(sc, Block(CAP_QUARTER), 5e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0.0, 1.0, 0.5]) | units, st.floats(0.0, 0.5),
+       st.floats(0.0, 1.0), st.sampled_from([2, 11, 40]))
+def test_masks_requested_alone(p, eps, cap, n):
+    """Each mask asked for alone equals the same mask of the full call, and
+    a mask not asked for comes back as None."""
+    grid = np.linspace(0.0, 1.0, n + 1)
+    P1, P2 = grid[:, None], grid[None, :]
+    valid, one_shot, block = split_masks(p, P1, P2, eps, cap)
+    alone = split_masks(p, P1, P2, None, None)
+    assert np.array_equal(alone[0], valid) and alone[1:] == (None, None)
+    alone = split_masks(p, P1, P2, eps, None)
+    assert np.array_equal(alone[0], valid) and alone[2] is None
+    assert np.array_equal(alone[1], one_shot)
+    alone = split_masks(p, P1, P2, None, cap)
+    assert np.array_equal(alone[0], valid) and alone[1] is None
+    assert np.array_equal(alone[2], block)
 
 
 # -- property suites ---------------------------------------------------------
