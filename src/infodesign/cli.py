@@ -154,9 +154,10 @@ def _square_columns(grid) -> list:
             _LABEL_NAMES[grid.labels.ravel()]]
 
 
-def write_region_csv(path: str, grid) -> int:
-    """The region CSV of a RegionGrid; returns the row count."""
-    return _write_csv(path, ("p1", "p2", "label"), _square_columns(grid))
+def _label_counts(grid) -> dict:
+    """Cells per RegionLabel name of a posterior-square grid."""
+    counts = np.bincount(grid.labels.ravel(), minlength=len(RegionLabel))
+    return {label.name: int(counts[label]) for label in RegionLabel}
 
 
 def _write_manifest(subcommand: str, parameters: dict, inputs: dict,
@@ -243,10 +244,10 @@ def cmd_region(p, eps, resolution, out):
     """Feasibility labels over the posterior square."""
     started = time.perf_counter()
     grid = region_scan(p, eps, resolution)
-    count = write_region_csv(out, grid)
+    count = _write_csv(out, ("p1", "p2", "label"), _square_columns(grid))
     _write_manifest("region", {"p": p, "eps": eps, "resolution": resolution,
                                "out": out, "capacity": grid.capacity},
-                    [], [out], None, started)
+                    [], [out], None, started, counters=_label_counts(grid))
     click.echo(f"wrote {out}: {count} cells")
 
 
@@ -275,7 +276,9 @@ def cmd_bestreply(scenario, step, out):
 @click.option("--scenario", required=True,
               help="Scenario JSON path, or 'mac' for the bundled case study.")
 @click.option("--mode", type=click.Choice(["unconstrained", "one_shot", "block"]),
-              default="unconstrained", show_default=True)
+              default="unconstrained", show_default=True,
+              help="unconstrained labels splits VALID; one_shot and block both "
+                   "write the channel regions at --eps.")
 @click.option("--eps", type=float, default=None,
               help="Channel flip probability (required for one_shot/block).")
 @click.option("--resolution", type=float, default=1.0 / 500, show_default=True)
@@ -293,7 +296,7 @@ def cmd_surface(scenario, mode, eps, resolution, out):
                        [p1, p2, surf.phi1.ravel(), surf.phi2.ravel(), labels])
     _write_manifest("surface", {"scenario": scenario, "mode": mode, "eps": eps,
                                 "resolution": resolution, "out": out},
-                    inputs, [out], None, started)
+                    inputs, [out], None, started, counters=_label_counts(surf))
     click.echo(f"wrote {out}: {count} cells")
 
 

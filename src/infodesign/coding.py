@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import DMC, bsc
 from .prob import (Distribution, JointDistribution, StochasticMatrix,
-                   compose_markov, conditional, l1_distance, marginal)
+                   compose_markov, conditional, marginal)
 
 MEMORY_CAP_WORDS = 2 ** 24
 TYPE_ATOL = 1e-12

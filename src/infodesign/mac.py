@@ -16,7 +16,8 @@ import numpy as np
 
 from .persuasion import Scenario, grid_best_replies, split_values
 from .prob import Distribution
-from .splitting import RegionLabel, grid_intervals, region_scan, split_masks
+from .splitting import (SCAN_BLOCK_CELLS, RegionLabel, check_eps, grid_intervals,
+                        split_blocks, split_labels)
 
 
 @dataclass(frozen=True)
@@ -129,28 +130,27 @@ def scenario_surface(sc: Scenario, resolution: float = 1.0 / 500,
                      eps: float | None = None) -> UtilitySurface:
     """Expected (phi1, phi2) of every posterior pair on a grid.
 
-    Uses the same vectorized best-reply path as the equilibrium solver, so
-    restricting the surface to a feasibility label and taking the argmax
-    reproduces the solver's answer at equal resolution.
+    Uses the same vectorized best-reply path and the same scan of the valid
+    splits (split_blocks) as the equilibrium solver, so restricting the
+    surface to a feasibility label and taking the argmax reproduces the
+    solver's answer at equal resolution.
     """
     p = float(sc.prior.probs[0])
     n = grid_intervals(resolution, "utility_surface")
     if n < 2:
         raise ValueError(f"utility_surface: resolution {resolution!r} too coarse")
+    if eps is not None:
+        check_eps(eps, "utility_surface")
     grid = np.linspace(0.0, 1.0, n + 1)
     _, V1, V2 = grid_best_replies(sc, grid)
-    P1, P2 = grid[:, None], grid[None, :]
-    vals1 = split_values(p, P1, P2, V1[:, None], V1[None, :])
-    vals2 = split_values(p, P1, P2, V2[:, None], V2[None, :])
-    if eps is None:
-        valid = split_masks(p, P1, P2, None, None)[0]
-        labels = np.where(valid, int(RegionLabel.VALID),
-                          int(RegionLabel.INVALID_SPLIT)).astype(np.int8)
-    else:
-        labels = region_scan(p, eps, resolution).labels
-        valid = labels != int(RegionLabel.INVALID_SPLIT)
-    vals1 = np.where(valid, vals1, np.nan)
-    vals2 = np.where(valid, vals2, np.nan)
+    labels = np.full((n + 1, n + 1), int(RegionLabel.INVALID_SPLIT), dtype=np.int8)
+    vals1 = np.full((n + 1, n + 1), np.nan)
+    vals2 = np.full((n + 1, n + 1), np.nan)
+    for rows, cols in split_blocks(p, grid, SCAN_BLOCK_CELLS):
+        P1, P2 = grid[rows, None], grid[None, cols]
+        labels[rows, cols] = split_labels(p, P1, P2, eps)
+        vals1[rows, cols] = split_values(p, P1, P2, V1[rows, None], V1[None, cols])
+        vals2[rows, cols] = split_values(p, P1, P2, V2[rows, None], V2[None, cols])
     return UtilitySurface(p1_axis=grid, p2_axis=grid, phi1=vals1, phi2=vals2,
                           labels=labels, prior=p, eps=eps)
 

@@ -19,14 +19,14 @@ from typing import ClassVar
 import numpy as np
 
 from .prob import Distribution, JointDistribution, StochasticMatrix, mutual_information
-from .splitting import (FEAS_ATOL, NO_INFO, BinarySignal, FeasibilityVerdict,
-                        PosteriorPair, SplitError, block_feasible,
-                        grid_intervals, is_valid_split, one_shot_feasible,
-                        signal_from_posteriors, split_masks)
+from .splitting import (FEAS_ATOL, NO_INFO, SCAN_BLOCK_CELLS, BinarySignal,
+                        FeasibilityVerdict, PosteriorPair, SplitError,
+                        block_feasible, check_eps, grid_intervals,
+                        is_valid_split, one_shot_feasible,
+                        signal_from_posteriors, split_blocks, split_masks)
 
 TIE_ATOL = 1e-12  # stray probability mass in_Q2 forgives
 TIE_RTOL = 1e-12  # receiver tie band, as a fraction of the phi2 spread
-SCAN_BLOCK_CELLS = 2 ** 15  # cells in one row block of the solver's scan
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ class OneShot:
     name: ClassVar[str] = "one_shot"
 
     def __post_init__(self):
-        if not 0.0 <= self.eps <= 0.5:
-            raise ValueError(f"OneShot: eps {self.eps!r} outside [0, 1/2]")
+        check_eps(self.eps, "OneShot")
 
     def mask(self, p: float, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
         return split_masks(p, P1, P2, self.eps, None)[1]
@@ -277,15 +276,13 @@ def grid_best_replies(sc: Scenario, q_grid: np.ndarray):
 def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> EquilibriumResult:
     """Sender-optimal split by grid search over posterior pairs.
 
-    A split is valid only when the prior p lies strictly between p1 and p2,
-    so the valid cells of the grid form two rectangles: A (p1 < p < p2) and
-    B (p2 < p < p1). The solver scans A and then B in blocks of whole rows,
+    The solver scans the valid cells in the row blocks of split_blocks,
     about SCAN_BLOCK_CELLS cells each, and keeps the cells passing the
-    mode's feasibility mask; memory is O(n) plus one block. Every row of A
-    comes before every row of B, and a block's maximum replaces the running
-    best only if strictly greater, so argmax ties break to the lowest p1,
-    then lowest p2 (the row-major first maximum of the whole grid). The
-    no-information point always competes and wins ties.
+    mode's feasibility mask; memory is O(n) plus one block. The blocks come
+    in row-major order, and a block's maximum replaces the running best only
+    if strictly greater, so argmax ties break to the lowest p1, then lowest
+    p2 (the row-major first maximum of the whole grid). The no-information
+    point always competes and wins ties.
     """
     p = _require_binary(sc, "solve_equilibrium")
     if not 0 < resolution <= 0.5:
@@ -293,29 +290,20 @@ def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> Equilibri
     n = grid_intervals(resolution, "solve_equilibrium")
     grid = np.linspace(0.0, 1.0, n + 1)
     sel, V1, V2 = grid_best_replies(sc, grid)
-    below = int(np.searchsorted(grid, p, "left"))  # grid[:below] < p
-    above = int(np.searchsorted(grid, p, "right"))  # grid[above:] > p
     top, cell = -np.inf, None
     scanned = feasible = 0
-    for rows, cols in ((range(0, below), slice(above, n + 1)),
-                       (range(above, n + 1), slice(0, below))):
-        width = cols.stop - cols.start
-        if width == 0:
-            continue
-        step = max(1, SCAN_BLOCK_CELLS // width)
-        for r0 in rows[::step]:
-            r = slice(r0, min(r0 + step, rows.stop))
-            P1, P2 = grid[r, None], grid[None, cols]
-            mask = mode.mask(p, P1, P2)
-            vals = np.where(mask, split_values(p, P1, P2, V1[r, None], V1[None, cols]),
-                            -np.inf)
-            flat = int(np.argmax(vals))
-            scanned += mask.size
-            feasible += int(np.count_nonzero(mask))
-            if vals.flat[flat] > top:
-                top = float(vals.flat[flat])
-                i, j = divmod(flat, width)
-                cell = (r0 + i, cols.start + j)
+    for rows, cols in split_blocks(p, grid, SCAN_BLOCK_CELLS):
+        P1, P2 = grid[rows, None], grid[None, cols]
+        mask = mode.mask(p, P1, P2)
+        vals = np.where(mask, split_values(p, P1, P2, V1[rows, None], V1[None, cols]),
+                        -np.inf)
+        flat = int(np.argmax(vals))
+        scanned += mask.size
+        feasible += int(np.count_nonzero(mask))
+        if vals.flat[flat] > top:
+            top = float(vals.flat[flat])
+            i, j = divmod(flat, mask.shape[1])
+            cell = (rows.start + i, cols.start + j)
 
     no_sel, no1, no2 = grid_best_replies(sc, np.array([p]))
     if not top > float(no1[0]):

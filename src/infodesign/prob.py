@@ -135,14 +135,21 @@ def entropy(dist: Distribution) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def binary_entropy_unchecked(x) -> np.ndarray:
+    """h(x) in bits as an array, without range checks; 0 outside (0, 1) and
+    on nan."""
+    x = np.asarray(x, dtype=float)
+    inner = (x > 0) & (x < 1)
+    q = np.where(inner, x, 0.5)
+    return np.where(inner, -(q * np.log2(q) + (1 - q) * np.log2(1 - q)), 0.0)
+
+
 def binary_entropy(p):
     """h(p) in bits, elementwise for arrays. Rejects values outside [0, 1]."""
     arr = np.asarray(p, dtype=float)
     if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError(f"binary_entropy: argument outside [0, 1]: {p!r}")
-    inner = (arr > 0) & (arr < 1)
-    q = np.where(inner, arr, 0.5)
-    out = np.where(inner, -(q * np.log2(q) + (1 - q) * np.log2(1 - q)), 0.0)
+    out = binary_entropy_unchecked(arr)
     return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
 

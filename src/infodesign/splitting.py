@@ -14,14 +14,17 @@ from enum import IntEnum
 
 import numpy as np
 
-from .prob import binary_entropy
+from .prob import binary_entropy, binary_entropy_unchecked
 
 FEAS_ATOL = 1e-12
-# Cells in one posterior grid or best-reply sweep. A surface peaks near 155
-# bytes a cell, about 1.2 GiB at the cap. A solve holds O(n) arrays plus one
-# row block of its scan: a 3.6 MiB peak on 2001 x 2001 (resolution 5e-4),
-# the finest grid in use, which is half the cap.
+# Cells in one posterior grid or best-reply sweep. Through the CLI, at
+# resolution 1/500 (tracemalloc), a surface in any mode peaks near 50 bytes
+# a cell and a region near 27: about 400 and 220 MiB at the cap. A solve
+# holds O(n) arrays plus one row block of its scan: a 3.6 MiB peak on
+# 2001 x 2001 (resolution 5e-4), the finest grid in use, which is half the
+# cap.
 MAX_GRID_CELLS = 2 ** 23
+SCAN_BLOCK_CELLS = 2 ** 15  # cells in one row block of split_blocks
 
 
 class SplitError(ValueError):
@@ -78,6 +81,12 @@ class FeasibilityVerdict:
 def _check_prior(p: float) -> None:
     if not (np.isfinite(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"prior {p!r} outside [0, 1]")
+
+
+def check_eps(eps: float, who: str) -> None:
+    """Reject a channel flip probability outside [0, 1/2]."""
+    if not 0.0 <= eps <= 0.5:
+        raise ValueError(f"{who}: eps {eps!r} outside [0, 1/2]")
 
 
 def posteriors_from_signal(p: float, signal: BinarySignal) -> PosteriorPair:
@@ -152,16 +161,9 @@ def signal_information_rate(p: float, alpha, beta):
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     m1 = p * (1.0 - alpha) + (1.0 - p) * beta
-    out = _h_raw(m1) - p * _h_raw(alpha) - (1.0 - p) * _h_raw(beta)
+    h = binary_entropy_unchecked
+    out = h(m1) - p * h(alpha) - (1.0 - p) * h(beta)
     return float(out) if out.ndim == 0 else out
-
-
-def _h_raw(x) -> np.ndarray:
-    """Binary entropy without range checks; 0 outside (0, 1) and on nan."""
-    x = np.asarray(x, dtype=float)
-    inner = (x > 0) & (x < 1)
-    q = np.where(inner, x, 0.5)
-    return np.where(inner, -(q * np.log2(q) + (1 - q) * np.log2(1 - q)), 0.0)
 
 
 def one_shot_feasible(p: float, pair: PosteriorPair, eps: float) -> FeasibilityVerdict:
@@ -170,8 +172,7 @@ def one_shot_feasible(p: float, pair: PosteriorPair, eps: float) -> FeasibilityV
     Both required signal parameters must land in the attainable band
     [eps, 1-eps]. Slack is the worst signed margin into the band.
     """
-    if not 0.0 <= eps <= 0.5:
-        raise ValueError(f"one_shot_feasible: eps {eps!r} outside [0, 1/2]")
+    check_eps(eps, "one_shot_feasible")
     sig = signal_from_posteriors(p, pair)
     slack = min(sig.alpha - eps, (1.0 - eps) - sig.alpha,
                 sig.beta - eps, (1.0 - eps) - sig.beta)
@@ -251,22 +252,50 @@ def grid_intervals(spacing: float, who: str, dims: int = 2) -> int:
     return round(inv)
 
 
+def split_blocks(p: float, grid: np.ndarray, block_cells: int):
+    """Row blocks of the posterior square grid x grid that hold valid splits.
+
+    A split is valid only when p lies strictly between p1 and p2, so the
+    valid cells form two rectangles: A (p1 < p < p2) and B (p2 < p < p1).
+    Yields (rows, cols) slices covering A and then B, each in blocks of
+    whole rows of about block_cells cells, in row-major order; nothing at
+    p = 0 or p = 1.
+    """
+    n = grid.size
+    below = int(np.searchsorted(grid, p, "left"))  # grid[:below] < p
+    above = int(np.searchsorted(grid, p, "right"))  # grid[above:] > p
+    for start, stop, cols in ((0, below, slice(above, n)),
+                              (above, n, slice(0, below))):
+        width = cols.stop - cols.start
+        if width == 0:
+            continue
+        step = max(1, block_cells // width)
+        for r in range(start, stop, step):
+            yield slice(r, min(r + step, stop)), cols
+
+
+def split_labels(p: float, P1, P2, eps: float | None):
+    """RegionLabel values of a block of valid splits: VALID with no channel,
+    else ONE_SHOT, BLOCK_ONLY or INFEASIBLE for the channel with flip eps."""
+    if eps is None:
+        return int(RegionLabel.VALID)
+    _, one_shot, block = split_masks(p, P1, P2, eps, 1.0 - binary_entropy(eps))
+    labels = np.where(block, int(RegionLabel.BLOCK_ONLY), int(RegionLabel.INFEASIBLE))
+    labels[one_shot] = int(RegionLabel.ONE_SHOT)
+    return labels
+
+
 def region_scan(p: float, eps: float, resolution: float = 1.0 / 500) -> RegionGrid:
     """Label every grid point of the posterior square by channel feasibility."""
     _check_prior(p)
-    if not 0.0 <= eps <= 0.5:
-        raise ValueError(f"region_scan: eps {eps!r} outside [0, 1/2]")
+    check_eps(eps, "region_scan")
     n = grid_intervals(resolution, "region_scan")
     if n < 1:
         raise ValueError(f"region_scan: resolution {resolution!r} too coarse")
     axis = np.linspace(0.0, 1.0, n + 1)
-    P1, P2 = np.meshgrid(axis, axis, indexing="ij")
-    cap = 1.0 - binary_entropy(eps)
-    valid, one_shot, block = split_masks(p, P1, P2, eps, cap)
-    labels = np.full(P1.shape, int(RegionLabel.INVALID_SPLIT), dtype=np.int8)
-    labels[valid] = int(RegionLabel.INFEASIBLE)
-    labels[valid & block] = int(RegionLabel.BLOCK_ONLY)
-    labels[one_shot] = int(RegionLabel.ONE_SHOT)
+    labels = np.full((n + 1, n + 1), int(RegionLabel.INVALID_SPLIT), dtype=np.int8)
+    for rows, cols in split_blocks(p, axis, SCAN_BLOCK_CELLS):
+        labels[rows, cols] = split_labels(p, axis[rows, None], axis[None, cols], eps)
     labels.flags.writeable = False
     return RegionGrid(p1_axis=axis, p2_axis=axis, labels=labels,
-                      prior=p, eps=eps, capacity=cap)
+                      prior=p, eps=eps, capacity=1.0 - binary_entropy(eps))

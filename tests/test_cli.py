@@ -576,3 +576,54 @@ class TestEntryPoint:
 
     def test_help_exits_clean(self, capsys):
         assert run_cli(["--help"], capsys)[0] == 0
+
+
+# sha256 of the square outputs at resolution 0.05, recorded before the three
+# posterior-square scans became one; the oracle tests above compare the CLI
+# with the library, so only these catch a change in both
+OUTPUT_PINS = [
+    (["region", "--p", "0.5", "--eps", "0.25"], "region.csv",
+     "ae23d85100d3964c6587b456505556017dbd39907859b426c190dcde58372e62"),
+    (["surface", "--scenario", "mac", "--mode", "unconstrained"], "surface.csv",
+     "0e4ad5341cbd604918f407f6638dac210dff2ef9801c94b1af401eb9e0ef6528"),
+    (["surface", "--scenario", "mac", "--mode", "one_shot", "--eps", "0.25"],
+     "surface.csv",
+     "60d8eba95696abe7cba1614f9a9cbfaf517ff784dbb6de39a640ebbc43ed2296"),
+    (["surface", "--scenario", "mac", "--mode", "block", "--eps", "0.25"],
+     "surface.csv",
+     "60d8eba95696abe7cba1614f9a9cbfaf517ff784dbb6de39a640ebbc43ed2296"),
+    (["solve", "--scenario", "mac", "--mode", "unconstrained"], "solve.json",
+     "0932f3d6f888a49df0be26eb730f9351d4493d3bf34c931fcb319ddf0a28618d"),
+    (["solve", "--scenario", "mac", "--mode", "one_shot", "--eps", "0.25"],
+     "solve.json",
+     "69ba64e07be354158f6fcf0cd37302d9d6b3491555f9a7ce74d6bf18f1bd4587"),
+    (["solve", "--scenario", "mac", "--mode", "block", "--eps", "0.25"],
+     "solve.json",
+     "fef96f06d40936907cdd2c86e972c64ccce1e91c946eae2355aa61d2c03b3e2f"),
+]
+
+
+class TestOutputPins:
+    @pytest.mark.parametrize("args,out,digest", OUTPUT_PINS,
+                             ids=[" ".join(a[:4]) for a, _, _ in OUTPUT_PINS])
+    def test_bytes_pinned(self, workdir, capsys, args, out, digest):
+        assert run_cli(args + ["--resolution", "0.05"], capsys)[0] == 0
+        assert hashlib.sha256((workdir / out).read_bytes()).hexdigest() == digest
+
+
+class TestLabelCounters:
+    @pytest.mark.parametrize("args,out", [
+        (["region", "--p", "0.3", "--eps", "0.1"], "region.csv"),
+        (["surface", "--scenario", "mac"], "surface.csv"),
+        (["surface", "--scenario", "mac", "--mode", "block", "--eps", "0.25"],
+         "surface.csv")])
+    def test_counters_count_csv_labels(self, workdir, capsys, args, out):
+        code, stdout, _ = run_cli(args + ["--resolution", "0.05"], capsys)
+        assert code == 0 and stdout == f"wrote {out}: 441 cells\n"
+        _, rows = read_csv(workdir / out)
+        manifest = json.loads((workdir / (out + ".manifest.json")).read_text())
+        counters = manifest["counters"]
+        assert list(counters) == sorted(label.name for label in RegionLabel)
+        assert counters == {label.name: sum(r[-1] == label.name for r in rows)
+                            for label in RegionLabel}
+        assert sum(counters.values()) == 441
