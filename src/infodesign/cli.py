@@ -231,7 +231,7 @@ def cmd_capacity(bsc_eps, matrix_file, tol, max_iter, out):
     _write_manifest("capacity", {"channel": spec, "tol": tol,
                                  "max_iter": max_iter, "out": out},
                     inputs, [out], None, started)
-    click.echo(json.dumps(_jsonable(report), sort_keys=True))
+    click.echo(json.dumps(_jsonable(report), sort_keys=True), file=sys.stdout)
 
 
 @cli.command("region")
@@ -248,7 +248,7 @@ def cmd_region(p, eps, resolution, out):
     _write_manifest("region", {"p": p, "eps": eps, "resolution": resolution,
                                "out": out, "capacity": grid.capacity},
                     [], [out], None, started, counters=_label_counts(grid))
-    click.echo(f"wrote {out}: {count} cells")
+    click.echo(f"wrote {out}: {count} cells", file=sys.stdout)
 
 
 @cli.command("bestreply")
@@ -269,7 +269,7 @@ def cmd_bestreply(scenario, step, out):
                        [grid, _text(sc.actions)[sel], v2])
     _write_manifest("bestreply", {"scenario": scenario, "step": step, "out": out},
                     inputs, [out], None, started)
-    click.echo(f"wrote {out}: {count} grid points")
+    click.echo(f"wrote {out}: {count} grid points", file=sys.stdout)
 
 
 @cli.command("surface")
@@ -297,7 +297,7 @@ def cmd_surface(scenario, mode, eps, resolution, out):
     _write_manifest("surface", {"scenario": scenario, "mode": mode, "eps": eps,
                                 "resolution": resolution, "out": out},
                     inputs, [out], None, started, counters=_label_counts(surf))
-    click.echo(f"wrote {out}: {count} cells")
+    click.echo(f"wrote {out}: {count} cells", file=sys.stdout)
 
 
 def _parse_mode(mode: str, eps, cap):
@@ -355,7 +355,7 @@ def cmd_solve(scenario, mode, eps, cap, resolution, out):
                     inputs, [out], None, started,
                     counters={"cells_scanned": res.cells_scanned,
                               "cells_feasible": res.cells_feasible})
-    click.echo(json.dumps(_jsonable(report), sort_keys=True))
+    click.echo(json.dumps(_jsonable(report), sort_keys=True), file=sys.stdout)
 
 
 @cli.command("simulate")
@@ -436,7 +436,8 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
                     [experiment], [out, trials_csv], cfg.seed, started)
     click.echo(json.dumps(_jsonable({k: report[k] for k in
                                      ("error_rate", "mean_l1", "mean_util1",
-                                      "mean_util2", "trials")}), sort_keys=True))
+                                      "mean_util2", "trials")}), sort_keys=True),
+               file=sys.stdout)
 
 
 def _emit_error(kind: str, message: str) -> None:

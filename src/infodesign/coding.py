@@ -31,7 +31,11 @@ from .prob import (Distribution, JointDistribution, StochasticMatrix,
                    compose_markov, conditional, marginal)
 
 MEMORY_CAP_WORDS = 2 ** 24
+MEMORY_CAP_BYTES = 2 ** 33
 TYPE_ATOL = 1e-12
+# float32 holds every integer up to 2^24 exactly, so a count table in float32
+# sums 0/1 products exactly for blocks up to this length
+FLOAT32_EXACT = 2 ** 24
 
 # stream tags under the config seed
 _CODEBOOK, _SOURCE, _CHANNEL, _ACTIONS, _ENCODER = range(5)
@@ -113,11 +117,23 @@ class CodingConfig:
         if self.codebook_size > MEMORY_CAP_WORDS:
             raise ValueError(f"CodingConfig: codebook needs {self.codebook_size} "
                              f"words, above the cap of {MEMORY_CAP_WORDS}")
+        if self.codebook_bytes > MEMORY_CAP_BYTES:
+            raise ValueError(f"CodingConfig: codebook words and scan tables "
+                             f"need {self.codebook_bytes} bytes, above the cap "
+                             f"of {MEMORY_CAP_BYTES}")
 
     @property
     def codebook_size(self) -> int:
         # ceil of 2^(n R) with a guard against float drift at exact powers
         return int(math.ceil(2.0 ** (self.n * self.rate) * (1.0 - 1e-12)))
+
+    @property
+    def codebook_bytes(self) -> int:
+        """Bytes of the two int16 word arrays plus their indicator tables
+        (`_indicator_tables`), one per symbol but the last of each alphabet."""
+        tables = self.target.probs.shape[1] - 1 + self.channel.num_inputs - 1
+        per_symbol = 2 * 2 + tables * np.dtype(_count_dtype(self.n)).itemsize
+        return self.codebook_size * self.n * per_symbol
 
     @property
     def typicality_radius(self) -> float:
@@ -163,6 +179,8 @@ class Codebook:
             raise ValueError("Codebook: word arrays must share an (M, n) shape")
         w = np.ascontiguousarray(w, dtype=np.int16)
         x = np.ascontiguousarray(x, dtype=np.int16)
+        if w.size and min(w.min(), x.min()) < 0:
+            raise ValueError("Codebook: word symbols must be nonnegative")
         w.flags.writeable = False
         x.flags.writeable = False
         object.__setattr__(self, "w_words", w)
@@ -176,16 +194,32 @@ class Codebook:
     def n(self) -> int:
         return self.w_words.shape[1]
 
+    # Scan tables, built on the first scan and freed with the codebook.
+    @functools.cached_property
+    def w_tables(self) -> np.ndarray:
+        return _indicator_tables(self.w_words)
+
+    @functools.cached_property
+    def x_tables(self) -> np.ndarray:
+        return _indicator_tables(self.x_words)
+
 
 @dataclass(frozen=True)
 class TrialResult:
     error_event: bool
     chosen_m: Optional[int]
     decoded_m: Optional[int]
-    empirical: JointDistribution
+    counts: np.ndarray
+    axes: tuple
     l1_to_target: float
     util1_n: float
     util2_n: float
+
+    @functools.cached_property
+    def empirical(self) -> JointDistribution:
+        """Joint type of the realized (source, word, action) block."""
+        return JointDistribution(self.counts / self.counts.sum(),
+                                 axes=self.axes)
 
 
 def _draw_iid(dist: Distribution, size, rng: np.random.Generator) -> np.ndarray:
@@ -201,16 +235,48 @@ def _draw_rows(rows: np.ndarray, cond_seq: np.ndarray,
     return np.minimum(idx, rows.shape[1] - 1).astype(np.int16)
 
 
-def _pair_type_l1(seq: np.ndarray, words: np.ndarray,
+def _count_dtype(n: int):
+    return np.float32 if n <= FLOAT32_EXACT else np.float64
+
+
+def _indicator_tables(words: np.ndarray) -> np.ndarray:
+    """(K - 1, M, n) 0/1 tables (words == b) for each symbol b below the
+    largest one, K - 1; that symbol's counts follow by subtraction."""
+    top = int(words.max()) if words.size else 0
+    tables = np.empty((top,) + words.shape, dtype=_count_dtype(words.shape[1]))
+    for b in range(top):
+        np.equal(words, b, out=tables[b], casting="unsafe")
+    tables.flags.writeable = False
+    return tables
+
+
+def _pair_type_l1(seq: np.ndarray, tables: np.ndarray,
                   target: np.ndarray) -> np.ndarray:
-    """L1 distance from each (seq, words[m]) joint type to the target table."""
+    """L1 distance from each (seq, words[m]) joint type to the target table.
+
+    tables are the words' indicator tables (`_indicator_tables`). One matrix
+    product against the sequence's n x ka one-hot matrix counts every joint
+    symbol; the counts are exact integers, and the distances are summed in
+    (a, b) order, so the result is the same bits as counting pair by pair."""
     n = seq.size
-    dist = np.zeros(words.shape[0])
-    for a in range(target.shape[0]):
-        cols = words[:, seq == a]
-        for b in range(target.shape[1]):
-            cnt = (cols == b).sum(axis=1) if cols.shape[1] else 0.0
-            dist += np.abs(cnt / n - target[a, b])
+    ka, kb = target.shape
+    top, m = tables.shape[:2]
+    onehot = np.equal.outer(seq, np.arange(ka)).astype(tables.dtype)
+    k = min(top, kb)
+    counts = np.zeros((ka, kb, m))
+    counts[:, :k] = (tables[:k].reshape(-1, n) @ onehot
+                     ).reshape(k, m, ka).transpose(2, 0, 1)
+    if top < kb:
+        last = counts[:, top]
+        last += onehot.sum(axis=0)[:, None]
+        for b in range(top):
+            last -= counts[:, b]
+    counts /= n
+    counts -= target[:, :, None]
+    np.abs(counts, out=counts)
+    dist = np.zeros(m)
+    for row in counts.reshape(ka * kb, m):
+        dist += row
     return dist
 
 
@@ -231,7 +297,7 @@ def encode(u_seq: np.ndarray, cb: Codebook, cfg: CodingConfig,
 
     Uniform choice among qualifiers (seeded); None means no cover exists.
     """
-    dist = _pair_type_l1(np.asarray(u_seq), cb.w_words, cfg.target_uw)
+    dist = _pair_type_l1(np.asarray(u_seq), cb.w_tables, cfg.target_uw)
     hits = np.flatnonzero(dist <= cfg.typicality_radius + TYPE_ATOL)
     if hits.size == 0:
         return None
@@ -250,7 +316,7 @@ def transmit(x_seq: np.ndarray, channel: DMC,
 def decode(y_seq: np.ndarray, cb: Codebook, cfg: CodingConfig) -> Optional[int]:
     """Unique-typicality decoding: the one codeword whose channel word pairs
     typically with the received block, or None when zero or several do."""
-    dist = _pair_type_l1(np.asarray(y_seq), cb.x_words, cfg.target_yx)
+    dist = _pair_type_l1(np.asarray(y_seq), cb.x_tables, cfg.target_yx)
     hits = np.flatnonzero(dist <= cfg.typicality_radius + TYPE_ATOL)
     if hits.size == 1:
         return int(hits[0])
@@ -295,12 +361,11 @@ def run_trial(cfg: CodingConfig, cb: Codebook, rng,
     u, w, v = (seq.astype(np.intp) for seq in (u_seq, w_seq, v_seq))
     counts = np.zeros(cfg.target.probs.shape)
     np.add.at(counts, (u, w, v), 1.0)
-    empirical = JointDistribution(counts / cfg.n, axes=cfg.target.axes)
-    l1 = float(np.abs(empirical.probs - cfg.target.probs).sum())
+    l1 = float(np.abs(counts / cfg.n - cfg.target.probs).sum())
     ok = (m is not None and m_hat == m
           and l1 <= cfg.typicality_radius + TYPE_ATOL)
     return TrialResult(error_event=not ok, chosen_m=m, decoded_m=m_hat,
-                       empirical=empirical, l1_to_target=l1,
+                       counts=counts, axes=cfg.target.axes, l1_to_target=l1,
                        util1_n=float(cfg.phi1[u, v].mean()),
                        util2_n=float(cfg.phi2[u, v].mean()))
 

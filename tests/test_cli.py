@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import gc
 import hashlib
+import io
 import json
 import os
 import stat
+import weakref
 
 import numpy as np
 import pytest
@@ -357,6 +361,18 @@ class TestSimulate:
         assert code == 1
         assert "packing requirement" in stderr_error(err)["message"]
 
+    def test_codebook_bytes_refused_before_allocation(self, workdir, capsys):
+        # 2^24 words of 160 symbols: within the word cap, 32 GiB with tables
+        doc = dict(EXPERIMENT_DOC, n=160)
+        (workdir / "long.json").write_text(json.dumps(doc))
+        code, _, err = run_cli(["simulate", "--experiment", "long.json"],
+                               capsys)
+        assert code == 1
+        e = stderr_error(err)
+        assert e["type"] == "invalid_input"
+        assert "bytes" in e["message"]
+        assert sorted(p.name for p in workdir.iterdir()) == ["long.json"]
+
     def test_missing_experiment_file(self, workdir, capsys):
         code, _, err = run_cli(["simulate", "--experiment", "nope.json"],
                                capsys)
@@ -576,6 +592,29 @@ class TestEntryPoint:
 
     def test_help_exits_clean(self, capsys):
         assert run_cli(["--help"], capsys)[0] == 0
+
+    # one call per stdout line of the CLI; click keeps a wrapper per stream
+    # it picked itself, which holds the stream for the life of the process
+    @pytest.mark.parametrize("args", [
+        ["capacity", "--bsc", "0.25"],
+        ["region", "--p", "0.5", "--eps", "0.25", "--resolution", "0.1"],
+        ["bestreply", "--scenario", "mac", "--step", "0.1"],
+        ["surface", "--scenario", "mac", "--resolution", "0.1"],
+        ["solve", "--scenario", "mac", "--mode", "unconstrained",
+         "--resolution", "0.1"],
+        ["simulate", "--experiment", "exp.json", "--trials", "2"]],
+        ids=lambda a: a[0])
+    def test_redirected_stdout_is_released(self, experiment_file, args):
+        refs = []
+        for _ in range(3):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(args) == 0
+            assert buf.getvalue()
+            refs.append(weakref.ref(buf))
+            del buf
+        gc.collect()
+        assert [r() for r in refs] == [None] * 3
 
 
 # sha256 of the square outputs at resolution 0.05, recorded before the three

@@ -1,14 +1,18 @@
+import gc
 import json
 import math
+import weakref
 from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from infodesign.channel import bsc, capacity
-from infodesign.coding import (MEMORY_CAP_WORDS, Codebook, CodingConfig,
+from infodesign.coding import (MEMORY_CAP_BYTES, MEMORY_CAP_WORDS, Codebook,
+                               CodingConfig, _pair_type_l1, _trial_pipeline,
                                coding_config_from_dict, coding_config_to_dict,
                                decode, deviation_gaps, deviation_test, encode,
                                generate_actions, generate_codebook,
@@ -96,6 +100,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="33554432"):
             trend_config(25, rate=1.0)
         assert 2 ** 25 > MEMORY_CAP_WORDS
+
+    def test_byte_cap(self):
+        # checked on the config alone: neither codebook is ever allocated
+        with pytest.raises(ValueError, match="bytes"):
+            trend_config(160, rate=0.15)
+        cfg = trend_config(40, rate=0.6)
+        assert cfg.codebook_size == MEMORY_CAP_WORDS
+        assert cfg.codebook_bytes == MEMORY_CAP_WORDS * 40 * (2 * 2 + 2 * 4)
+        assert cfg.codebook_bytes <= MEMORY_CAP_BYTES
+
+    def test_byte_cap_counts_one_table_per_extra_symbol(self):
+        wide = CodingConfig(n=20, rate=0.3,
+                            target=compose_markov(UNIFORM, StochasticMatrix(
+                                [[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]]),
+                                StochasticMatrix([[1.0, 0.0]] * 4)),
+                            channel=bsc(0.05), input_dist=UNIFORM,
+                            phi1=EYE, phi2=EYE, seed=0)
+        # three tables for the four word symbols, one for the binary input
+        assert wide.codebook_bytes == 64 * 20 * (2 * 2 + 4 * 4)
 
     def test_codebook_size_values(self):
         assert trend_config(20).codebook_size == 8
@@ -238,6 +261,84 @@ class TestDecoder:
     def test_no_match_returns_none(self):
         junk = np.zeros((1, 20), np.int16)
         assert decode(self.BALANCED, Codebook(junk, junk), self.CFG) is None
+
+
+def pair_type_l1_oracle(seq, words, target):
+    """The per-(a, b) boolean scan the count products replaced, kept as
+    their oracle."""
+    n = seq.size
+    dist = np.zeros(words.shape[0])
+    for a in range(target.shape[0]):
+        cols = words[:, seq == a]
+        for b in range(target.shape[1]):
+            cnt = (cols == b).sum(axis=1) if cols.shape[1] else 0.0
+            dist += np.abs(cnt / n - target[a, b])
+    return dist
+
+
+@st.composite
+def scan_cases(draw):
+    """A source block, a codebook and a (source, word) target table; the
+    block may miss one source symbol and the codebook its top symbols."""
+    ka, kb = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 30))
+    absent = draw(st.none() | st.integers(0, ka - 1))
+    present = [a for a in range(ka) if a != absent]
+    seq = draw(arrays(np.int16, n, elements=st.sampled_from(present)))
+    top = draw(st.integers(0, kb - 1))
+    words = draw(arrays(np.int16, (m, n), elements=st.integers(0, top)))
+    weights = draw(arrays(float, (ka, kb),
+                          elements=st.floats(0.01, 1.0)))
+    return seq, words, weights / weights.sum()
+
+
+class TestTypeScan:
+    @given(case=scan_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pairwise_oracle(self, case):
+        seq, words, target = case
+        got = _pair_type_l1(seq, Codebook(words, words).w_tables, target)
+        assert np.array_equal(got, pair_type_l1_oracle(seq, words, target))
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 5), (7, 1)])
+    def test_smallest_blocks_and_codebooks(self, n, m):
+        rng = np.random.default_rng(n * 10 + m)
+        target = rng.random((3, 3))
+        target /= target.sum()
+        for _ in range(20):
+            seq = rng.integers(0, 3, n).astype(np.int16)
+            words = rng.integers(0, 3, (m, n)).astype(np.int16)
+            got = _pair_type_l1(seq, Codebook(words, words).x_tables, target)
+            assert np.array_equal(got, pair_type_l1_oracle(seq, words, target))
+
+    def test_codebook_scans_match_oracle(self):
+        cfg = trend_config(60)
+        cb = generate_codebook(cfg)
+        for t in range(20):
+            streams = trial_streams(cfg.seed, t)
+            u_seq = _trial_pipeline(cfg, cb, streams)[0]
+            y_seq = transmit(cb.x_words[t], cfg.channel, streams.channel)
+            for seq, tables, words, target in (
+                    (u_seq, cb.w_tables, cb.w_words, cfg.target_uw),
+                    (y_seq, cb.x_tables, cb.x_words, cfg.target_yx)):
+                assert np.array_equal(_pair_type_l1(seq, tables, target),
+                                      pair_type_l1_oracle(seq, words, target))
+
+    def test_tables_die_with_their_codebook(self):
+        cfg = trend_config(40)
+        refs = []
+        for seed in (0, 1):
+            cb = generate_codebook(trend_config(40, seed=seed))
+            run_trial(cfg, cb, 0)
+            assert cb.w_tables.shape == cb.x_tables.shape == (1, cb.size, 40)
+            refs.append(weakref.ref(cb))
+            del cb
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    def test_negative_symbols_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Codebook(np.array([[0, -1]], np.int16), np.zeros((1, 2), np.int16))
 
 
 class TestActions:
