@@ -498,16 +498,10 @@ def posterior_belief_audit(cfg: CodingConfig, cb: Codebook,
     ones = blocks.sum(axis=1)
     weights = prior.probs[0] ** (n - ones) * prior.probs[1] ** ones
 
-    target_uw = cfg.target_uw
-    kw = target_uw.shape[1]
     bits = blocks.astype(np.float64)
-    dist = np.zeros(((1 << n), cb.size))
-    for b in range(kw):
-        wb = (cb.w_words == b).astype(np.float64)
-        n1b = bits @ wb.T
-        n0b = wb.sum(axis=1)[None, :] - n1b
-        dist += np.abs(n1b / n - target_uw[1, b])
-        dist += np.abs(n0b / n - target_uw[0, b])
+    dist = np.empty(((1 << n), cb.size))
+    for s, block in enumerate(blocks):
+        dist[s] = _pair_type_l1(block, cb.w_tables, cfg.target_uw)
     typical = dist <= cfg.typicality_radius + TYPE_ATOL
     cover = typical.sum(axis=1)
     inv_cover = np.divide(1.0, cover, out=np.zeros(cover.shape), where=cover > 0)

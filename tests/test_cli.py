@@ -5,8 +5,13 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import stat
 import weakref
+from dataclasses import replace
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +19,17 @@ from hypothesis import given, settings, strategies as st
 
 from infodesign import __version__
 from infodesign.cli import (CSV_BLOCK_ROWS, DIGEST_BLOCK_BYTES, _fmt, _text,
-                            _write_csv, _write_json, main)
+                            _write_csv, _write_json, cli, main)
+from infodesign.coding import (coding_config_from_dict, run_experiment,
+                               single_letter_utilities)
 from infodesign.mac import build_scenario, default_config, scenario_surface
-from infodesign.persuasion import (Unconstrained, grid_best_replies,
+from infodesign.persuasion import (Block, OneShot, Unconstrained,
+                                   grid_best_replies, sender_value,
                                    solve_equilibrium)
 from infodesign.prob import binary_entropy
-from infodesign.splitting import RegionLabel, region_scan
+from infodesign.splitting import PosteriorPair, RegionLabel, region_scan
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args, capsys):
@@ -395,6 +405,87 @@ class TestSimulate:
         assert set(manifest["outputs"]) == {"simulate.json",
                                             "simulate_trials.csv"}
         assert experiment_file in manifest["inputs"]
+
+
+class TestCaseStudy:
+    """The power-allocation case study: one solve per feasibility mode."""
+
+    def test_modes_match_library_and_beat_revelation(self, workdir, capsys):
+        cfg = default_config()
+        sc = build_scenario(cfg)
+        modes = {"unconstrained": Unconstrained(),
+                 "block": Block(1.0 - binary_entropy(0.25)),
+                 "one_shot": OneShot(0.25)}
+        phi1 = {}
+        for name, mode in modes.items():
+            out = f"case_{name}.json"
+            code, _, _ = run_cli(["solve", "--scenario", "mac", "--eps", "0.25",
+                                  "--mode", name, "--out", out], capsys)
+            assert code == 0
+            report = json.loads((workdir / out).read_text())
+            res = solve_equilibrium(sc, mode, 1e-3)
+            assert report["phi1_star"] == res.phi1_star
+            assert report["phi2_star"] == res.phi2_star
+            assert report["posteriors"] == {"p1": res.posteriors.p1,
+                                            "p2": res.posteriors.p2}
+            phi1[name] = report["phi1_star"]
+        revealing, _ = sender_value(PosteriorPair(0.0, 1.0), cfg.prior_p, sc)
+        assert (phi1["unconstrained"] >= phi1["block"] >= phi1["one_shot"]
+                > revealing)
+
+
+class TestLadder:
+    """The block-length ladder: the packaged experiment rewritten per n."""
+
+    FIELDS = ("trials", "n", "error_rate", "nocover_rate", "decodefail_rate",
+              "mean_l1", "median_l1", "mean_util1", "mean_util2",
+              "hw_error_rate", "hw_l1", "hw_util1", "hw_util2")
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_rung_matches_run_experiment(self, workdir, capsys, n):
+        doc = json.loads(resources.files("infodesign").joinpath(
+            "data/coding_default.json").read_text())
+        cfg = coding_config_from_dict(doc)
+        (workdir / "rung.json").write_text(json.dumps(dict(doc, n=n)))
+        code, _, _ = run_cli(["simulate", "--experiment", "rung.json",
+                              "--trials", "20", "--out", f"ladder_n{n}.json"],
+                             capsys)
+        assert code == 0
+        report = json.loads((workdir / f"ladder_n{n}.json").read_text())
+        rung = replace(cfg, n=n)
+        summary = run_experiment(rung, 20)
+        assert {k: report[k] for k in self.FIELDS} == {
+            k: getattr(summary, k) for k in self.FIELDS}
+        assert report["codebook_size"] == rung.codebook_size
+        phi1, phi2 = single_letter_utilities(rung)
+        assert report["single_letter"] == {"phi1": phi1, "phi2": phi2}
+
+
+def readme_commands():
+    """Every `infodesign ...` line of README's sh blocks, as argv."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = (line.strip() for block in blocks for line in block.splitlines())
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("infodesign ")]
+
+
+class TestReadme:
+    # README is the one home of these recipes: a stale flag or choice value
+    # fails to parse. Parsing converts every value (input files are written
+    # first, for the existence checks) and runs no command.
+    @pytest.mark.parametrize("args", readme_commands(), ids=" ".join)
+    def test_command_parses(self, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        for arg in args:
+            if arg.endswith(".json"):
+                Path(arg).write_text("{}")
+        with cli.make_context("infodesign", [args[0]]) as ctx:
+            cli.get_command(ctx, args[0]).make_context(args[0], args[1:],
+                                                       parent=ctx)
+
+    def test_recipes_found(self):
+        assert {args[0] for args in readme_commands()} == {
+            "capacity", "region", "bestreply", "surface", "solve", "simulate"}
 
 
 SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0,

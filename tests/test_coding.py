@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from infodesign.channel import bsc, capacity
-from infodesign.coding import (MEMORY_CAP_BYTES, MEMORY_CAP_WORDS, Codebook,
-                               CodingConfig, _pair_type_l1, _trial_pipeline,
+from infodesign.coding import (MEMORY_CAP_BYTES, MEMORY_CAP_WORDS, TYPE_ATOL,
+                               Codebook, CodingConfig, _pair_type_l1,
+                               _trial_pipeline,
                                coding_config_from_dict, coding_config_to_dict,
                                decode, deviation_gaps, deviation_test, encode,
                                generate_actions, generate_codebook,
@@ -543,7 +544,49 @@ class TestDeviation:
             deviation_gaps(cfg, generate_codebook(cfg), [IDENTITY], 0)
 
 
+def audit_distance_oracle(blocks, words, target):
+    """The audit's float64 product per word symbol that the count kernel
+    replaced, kept as its oracle: the distance of every (block, word) pair
+    of a binary source, summed in (b, a) order."""
+    n = blocks.shape[1]
+    bits = blocks.astype(np.float64)
+    dist = np.zeros((blocks.shape[0], words.shape[0]))
+    for b in range(target.shape[1]):
+        wb = (words == b).astype(np.float64)
+        n1b = bits @ wb.T
+        n0b = wb.sum(axis=1)[None, :] - n1b
+        dist += np.abs(n1b / n - target[1, b])
+        dist += np.abs(n0b / n - target[0, b])
+    return dist
+
+
+@st.composite
+def audit_cases(draw):
+    """A binary-source target over 2-4 word symbols, a codebook that may
+    miss its top symbols, and a radius on one of the oracle's distances."""
+    kw = draw(st.integers(2, 4))
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 20))
+    top = draw(st.integers(0, kw - 1))
+    words = draw(arrays(np.int16, (m, n), elements=st.integers(0, top)))
+    weights = draw(arrays(float, (2, kw), elements=st.floats(0.01, 1.0)))
+    return words, weights / weights.sum(), draw(st.integers(0, (m << n) - 1))
+
+
 class TestAudit:
+    @given(case=audit_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_typical_mask_matches_product_oracle(self, case):
+        words, target, pick = case
+        blocks = all_words(words.shape[1])
+        want = audit_distance_oracle(blocks, words, target)
+        tables = Codebook(words, words).w_tables
+        got = np.array([_pair_type_l1(block, tables, target)
+                        for block in blocks])
+        # at most eight terms below 2 summed in another order: a few ulps
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        radius = want.ravel()[pick] + TYPE_ATOL
+        assert np.array_equal(got <= radius, want <= radius)
+
     def test_refuses_long_blocks(self):
         cfg = trend_config(17, rate=0.0)
         with pytest.raises(ValueError, match="16"):
