@@ -11,6 +11,7 @@ file beside it and moved into place, so a failed run leaves no partial output.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -41,9 +42,7 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer, np.bool_)):
         return str(int(x))
     return format(float(x), ".9g")
 
@@ -261,8 +260,6 @@ def cmd_bestreply(scenario, step, out):
     """Receiver best reply and value swept over the prior."""
     started = time.perf_counter()
     sc, inputs = _load_scenario_arg(scenario)
-    if not 0.0 < step < 1.0:
-        raise ValueError(f"step {step!r} outside (0, 1)")
     grid = np.linspace(0.0, 1.0, grid_intervals(step, "bestreply", 1) + 1)
     sel, _, v2 = grid_best_replies(sc, grid)
     count = _write_csv(out, ("p", "v_star", "receiver_value"),
@@ -374,7 +371,6 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
     started = time.perf_counter()
     cfg = load_experiment(experiment)
     if seed is not None:
-        import dataclasses
         cfg = dataclasses.replace(cfg, seed=seed)
     if trials_csv is None:
         stem = out[:-5] if out.endswith(".json") else out
@@ -395,8 +391,6 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
     phi1_sl, phi2_sl = single_letter_utilities(cfg)
     report = {
         "experiment": experiment,
-        "trials": trials,
-        "n": cfg.n,
         "rate": cfg.rate,
         "eps_typ": cfg.eps_typ,
         "seed": cfg.seed,
@@ -404,17 +398,8 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
         "typicality_radius": cfg.typicality_radius,
         "signal_information_rate": rate_needed,
         "channel_capacity": cap,
-        "error_rate": summary.error_rate,
-        "nocover_rate": summary.nocover_rate,
-        "decodefail_rate": summary.decodefail_rate,
-        "mean_l1": summary.mean_l1,
-        "median_l1": summary.median_l1,
-        "mean_util1": summary.mean_util1,
-        "mean_util2": summary.mean_util2,
-        "hw_error_rate": summary.hw_error_rate,
-        "hw_l1": summary.hw_l1,
-        "hw_util1": summary.hw_util1,
-        "hw_util2": summary.hw_util2,
+        **{f.name: getattr(summary, f.name) for f in dataclasses.fields(summary)
+           if f.name != "results"},
         "single_letter": {"phi1": phi1_sl, "phi2": phi2_sl},
         "trials_csv": trials_csv,
         "manifest": out + ".manifest.json",
@@ -452,9 +437,6 @@ def main(argv=None) -> int:
         return 0
     except click.exceptions.Exit as e:
         return int(e.exit_code)
-    except click.UsageError as e:
-        _emit_error("usage", str(e))
-        return 2
     except click.ClickException as e:
         _emit_error("usage", str(e))
         return 2

@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import DMC, bsc
 from .prob import (Distribution, JointDistribution, StochasticMatrix,
-                   compose_markov, conditional, marginal)
+                   compose_markov, conditional, marginal, payoff_table)
 
 MEMORY_CAP_WORDS = 2 ** 24
 MEMORY_CAP_BYTES = 2 ** 33
@@ -95,19 +95,11 @@ class CodingConfig:
             raise ValueError("CodingConfig: input_dist length does not match "
                              "the channel input alphabet")
         ku, kw, kv = self.target.probs.shape
-        t1 = np.array(self.phi1, dtype=float)
-        t2 = np.array(self.phi2, dtype=float)
-        for name, t in (("phi1", t1), ("phi2", t2)):
-            if t.shape != (ku, kv):
-                raise ValueError(f"CodingConfig: {name} shape {t.shape} != {(ku, kv)}")
-            if not np.all(np.isfinite(t)):
-                raise ValueError(f"CodingConfig: {name} has non-finite entries")
-        t1.flags.writeable = False
-        t2.flags.writeable = False
+        for name in ("phi1", "phi2"):
+            object.__setattr__(self, name, payoff_table(getattr(self, name), (ku, kv),
+                                                        f"CodingConfig: {name}"))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "phi1", t1)
-        object.__setattr__(self, "phi2", t2)
         rebuilt = compose_markov(self.prior, self.signal, self.response,
                                  axes=self.target.axes)
         gap = float(np.abs(rebuilt.probs - self.target.probs).sum())

@@ -16,8 +16,7 @@ import numpy as np
 
 from .persuasion import Scenario, grid_best_replies, split_values
 from .prob import Distribution
-from .splitting import (SCAN_BLOCK_CELLS, RegionLabel, check_eps, grid_intervals,
-                        split_blocks, split_labels)
+from .splitting import SCAN_BLOCK_CELLS, grid_intervals, region_scan, split_blocks
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,6 @@ class BestReplyCurve:
 
 def best_reply_curve(cfg: MacConfig, step: float = 1e-3) -> BestReplyCurve:
     """The piecewise-constant v*(p) staircase with its expected utility."""
-    if not 0.0 < step < 1.0:
-        raise ValueError(f"best_reply_curve: step {step!r} outside (0, 1)")
     sc = build_scenario(cfg)
     grid = np.linspace(0.0, 1.0, grid_intervals(step, "best_reply_curve", 1) + 1)
     sel, _, V2 = grid_best_replies(sc, grid)
@@ -130,29 +127,24 @@ def scenario_surface(sc: Scenario, resolution: float = 1.0 / 500,
                      eps: float | None = None) -> UtilitySurface:
     """Expected (phi1, phi2) of every posterior pair on a grid.
 
-    Uses the same vectorized best-reply path and the same scan of the valid
-    splits (split_blocks) as the equilibrium solver, so restricting the
-    surface to a feasibility label and taking the argmax reproduces the
-    solver's answer at equal resolution.
+    The axis and the labels are region_scan's square, and the values are
+    filled over the same scan of the valid splits (split_blocks) with the
+    same vectorized best-reply path as the equilibrium solver, so
+    restricting the surface to a feasibility label and taking the argmax
+    reproduces the solver's answer at equal resolution.
     """
     p = float(sc.prior.probs[0])
-    n = grid_intervals(resolution, "utility_surface")
-    if n < 2:
-        raise ValueError(f"utility_surface: resolution {resolution!r} too coarse")
-    if eps is not None:
-        check_eps(eps, "utility_surface")
-    grid = np.linspace(0.0, 1.0, n + 1)
+    region = region_scan(p, eps, resolution)
+    grid = region.p1_axis
     _, V1, V2 = grid_best_replies(sc, grid)
-    labels = np.full((n + 1, n + 1), int(RegionLabel.INVALID_SPLIT), dtype=np.int8)
-    vals1 = np.full((n + 1, n + 1), np.nan)
-    vals2 = np.full((n + 1, n + 1), np.nan)
+    vals1 = np.full(region.labels.shape, np.nan)
+    vals2 = np.full(region.labels.shape, np.nan)
     for rows, cols in split_blocks(p, grid, SCAN_BLOCK_CELLS):
         P1, P2 = grid[rows, None], grid[None, cols]
-        labels[rows, cols] = split_labels(p, P1, P2, eps)
         vals1[rows, cols] = split_values(p, P1, P2, V1[rows, None], V1[None, cols])
         vals2[rows, cols] = split_values(p, P1, P2, V2[rows, None], V2[None, cols])
     return UtilitySurface(p1_axis=grid, p2_axis=grid, phi1=vals1, phi2=vals2,
-                          labels=labels, prior=p, eps=eps)
+                          labels=region.labels, prior=p, eps=eps)
 
 
 def utility_surface(cfg: MacConfig, resolution: float = 1.0 / 500,

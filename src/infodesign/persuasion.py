@@ -18,7 +18,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .prob import Distribution, JointDistribution, StochasticMatrix, mutual_information
+from .prob import (Distribution, JointDistribution, StochasticMatrix,
+                   mutual_information, payoff_table)
 from .splitting import (FEAS_ATOL, NO_INFO, SCAN_BLOCK_CELLS, BinarySignal,
                         FeasibilityVerdict, PosteriorPair, SplitError,
                         block_feasible, check_eps, grid_intervals,
@@ -45,19 +46,11 @@ class Scenario:
         actions = tuple(self.actions)
         if not actions:
             raise ValueError("Scenario: empty action set")
-        t1 = np.array(self.phi1, dtype=float)
-        t2 = np.array(self.phi2, dtype=float)
         want = (len(self.prior), len(actions))
-        for name, t in (("phi1", t1), ("phi2", t2)):
-            if t.shape != want:
-                raise ValueError(f"Scenario: {name} shape {t.shape} != {want}")
-            if not np.all(np.isfinite(t)):
-                raise ValueError(f"Scenario: {name} has non-finite entries")
-        t1.flags.writeable = False
-        t2.flags.writeable = False
+        for name in ("phi1", "phi2"):
+            object.__setattr__(self, name, payoff_table(getattr(self, name), want,
+                                                        f"Scenario: {name}"))
         object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "phi1", t1)
-        object.__setattr__(self, "phi2", t2)
 
     def num_states(self) -> int:
         return len(self.prior)
@@ -285,10 +278,7 @@ def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> Equilibri
     point always competes and wins ties.
     """
     p = _require_binary(sc, "solve_equilibrium")
-    if not 0 < resolution <= 0.5:
-        raise ValueError(f"solve_equilibrium: resolution {resolution!r} outside (0, 0.5]")
-    n = grid_intervals(resolution, "solve_equilibrium")
-    grid = np.linspace(0.0, 1.0, n + 1)
+    grid = np.linspace(0.0, 1.0, grid_intervals(resolution, "solve_equilibrium") + 1)
     sel, V1, V2 = grid_best_replies(sc, grid)
     top, cell = -np.inf, None
     scanned = feasible = 0

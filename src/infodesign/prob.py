@@ -32,6 +32,18 @@ def _validated_mass(values, *, what: str) -> np.ndarray:
     return arr
 
 
+def payoff_table(values, shape: tuple, what: str) -> np.ndarray:
+    """Read-only float64 copy of a payoff table of the given shape, every
+    entry finite."""
+    arr = np.array(values, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{what} shape {arr.shape} != {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has non-finite entries")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability vector over a finite alphabet."""

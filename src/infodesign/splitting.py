@@ -9,7 +9,7 @@ information rate must fit under a channel capacity).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -37,20 +37,26 @@ class DegenerateSplitError(SplitError):
 
 @dataclass(frozen=True)
 class BinarySignal:
-    """Binary signaling kernel: row u1 = (1-alpha, alpha), row u2 = (beta, 1-beta)."""
+    """Binary signaling kernel: row u1 = (1-alpha, alpha), row u2 = (beta, 1-beta).
+
+    The complements are stored: alpha or beta near 1 keeps few of their bits."""
 
     alpha: float
     beta: float
+    one_minus_alpha: float | None = field(default=None, compare=False, repr=False)
+    one_minus_beta: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
             v = getattr(self, name)
             if not (np.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"BinarySignal: {name} = {v!r} outside [0, 1]")
+            if getattr(self, "one_minus_" + name) is None:
+                object.__setattr__(self, "one_minus_" + name, 1.0 - v)
 
     def rows(self) -> np.ndarray:
-        return np.array([[1.0 - self.alpha, self.alpha],
-                         [self.beta, 1.0 - self.beta]])
+        return np.array([[self.one_minus_alpha, self.alpha],
+                         [self.beta, self.one_minus_beta]])
 
 NO_INFO = BinarySignal(0.5, 0.5)
 
@@ -92,12 +98,12 @@ def check_eps(eps: float, who: str) -> None:
 def posteriors_from_signal(p: float, signal: BinarySignal) -> PosteriorPair:
     """Posterior pair induced by a signal; a zero-mass message keeps the prior."""
     _check_prior(p)
-    a, b = signal.alpha, signal.beta
-    m1 = p * (1.0 - a) + (1.0 - p) * b
-    m2 = p * a + (1.0 - p) * (1.0 - b)
+    a, na = signal.alpha, signal.one_minus_alpha
+    m1 = p * na + (1.0 - p) * signal.beta
+    m2 = p * a + (1.0 - p) * signal.one_minus_beta
     undefined = set()
     if m1 > 0:
-        p1 = p * (1.0 - a) / m1
+        p1 = p * na / m1
     else:
         p1, undefined = p, {"w1"}
     if m2 > 0:
@@ -110,7 +116,7 @@ def posteriors_from_signal(p: float, signal: BinarySignal) -> PosteriorPair:
 def message_weights(p: float, signal: BinarySignal) -> tuple:
     """(P(w1), P(w2)) under prior p."""
     _check_prior(p)
-    m1 = p * (1.0 - signal.alpha) + (1.0 - p) * signal.beta
+    m1 = p * signal.one_minus_alpha + (1.0 - p) * signal.beta
     return (m1, 1.0 - m1)
 
 
@@ -148,9 +154,16 @@ def signal_from_posteriors(p: float, pair: PosteriorPair) -> BinarySignal:
     if not is_valid_split(p, pair):
         raise SplitError(f"prior {p!r} not strictly between posteriors "
                          f"({pair.p1!r}, {pair.p2!r})")
-    alpha, beta = required_signal_arrays(p, pair.p1, pair.p2)
+    p1, p2 = np.float64(pair.p1), np.float64(pair.p2)
+    alpha, beta = required_signal_arrays(p, p1, p2)
+    # the complements in closed form keep full precision near the prior
+    # (nan, like alpha and beta, where a subnormal prior underflows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        one_minus_alpha = p1 * (p - p2) / (p * (p1 - p2))
+        one_minus_beta = (p1 - p) * (1.0 - p2) / ((1.0 - p) * (p1 - p2))
     # valid splits give parameters in [0, 1] up to roundoff
-    return BinarySignal(float(np.clip(alpha, 0.0, 1.0)), float(np.clip(beta, 0.0, 1.0)))
+    return BinarySignal(*(float(np.clip(v, 0.0, 1.0)) for v in
+                          (alpha, beta, one_minus_alpha, one_minus_beta)))
 
 
 def signal_information_rate(p: float, alpha, beta):
@@ -206,8 +219,8 @@ class RegionGrid:
     p2_axis: np.ndarray
     labels: np.ndarray  # RegionLabel values, shape (len(p1_axis), len(p2_axis))
     prior: float
-    eps: float
-    capacity: float
+    eps: float | None
+    capacity: float | None  # None when eps is None
 
 
 def split_masks(p: float, p1_grid, p2_grid, eps: float | None, cap: float | None):
@@ -240,8 +253,10 @@ def split_masks(p: float, p1_grid, p2_grid, eps: float | None, cap: float | None
 def grid_intervals(spacing: float, who: str, dims: int = 2) -> int:
     """Intervals n = round(1/spacing) per axis of a grid of (n + 1)**dims cells.
 
-    Raises ValueError before anything is allocated when spacing is not
-    positive or the grid would hold more than MAX_GRID_CELLS cells.
+    The one grid rule of every posterior axis and prior sweep; callers build
+    the axis as np.linspace(0, 1, n + 1). Raises ValueError before anything
+    is allocated when spacing is not positive, leaves one point (n < 1), or
+    the grid would hold more than MAX_GRID_CELLS cells.
     """
     if not spacing > 0:
         raise ValueError(f"{who}: grid spacing {spacing!r} is not positive")
@@ -249,6 +264,8 @@ def grid_intervals(spacing: float, who: str, dims: int = 2) -> int:
     if inv > MAX_GRID_CELLS or (round(inv) + 1) ** dims > MAX_GRID_CELLS:
         raise ValueError(f"{who}: grid spacing {spacing!r} needs more than "
                          f"the cap of {MAX_GRID_CELLS} cells")
+    if round(inv) < 1:
+        raise ValueError(f"{who}: grid spacing {spacing!r} leaves one point")
     return round(inv)
 
 
@@ -285,17 +302,20 @@ def split_labels(p: float, P1, P2, eps: float | None):
     return labels
 
 
-def region_scan(p: float, eps: float, resolution: float = 1.0 / 500) -> RegionGrid:
-    """Label every grid point of the posterior square by channel feasibility."""
+def region_scan(p: float, eps: float | None,
+                resolution: float = 1.0 / 500) -> RegionGrid:
+    """Label every grid point of the posterior square by channel feasibility.
+
+    eps=None labels the valid splits VALID and leaves capacity None.
+    """
     _check_prior(p)
-    check_eps(eps, "region_scan")
+    if eps is not None:
+        check_eps(eps, "region_scan")
     n = grid_intervals(resolution, "region_scan")
-    if n < 1:
-        raise ValueError(f"region_scan: resolution {resolution!r} too coarse")
     axis = np.linspace(0.0, 1.0, n + 1)
     labels = np.full((n + 1, n + 1), int(RegionLabel.INVALID_SPLIT), dtype=np.int8)
     for rows, cols in split_blocks(p, axis, SCAN_BLOCK_CELLS):
         labels[rows, cols] = split_labels(p, axis[rows, None], axis[None, cols], eps)
     labels.flags.writeable = False
-    return RegionGrid(p1_axis=axis, p2_axis=axis, labels=labels,
-                      prior=p, eps=eps, capacity=1.0 - binary_entropy(eps))
+    return RegionGrid(p1_axis=axis, p2_axis=axis, labels=labels, prior=p, eps=eps,
+                      capacity=None if eps is None else 1.0 - binary_entropy(eps))

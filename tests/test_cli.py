@@ -4,12 +4,13 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
 import stat
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -20,13 +21,14 @@ from hypothesis import given, settings, strategies as st
 from infodesign import __version__
 from infodesign.cli import (CSV_BLOCK_ROWS, DIGEST_BLOCK_BYTES, _fmt, _text,
                             _write_csv, _write_json, cli, main)
-from infodesign.coding import (coding_config_from_dict, run_experiment,
-                               single_letter_utilities)
-from infodesign.mac import build_scenario, default_config, scenario_surface
-from infodesign.persuasion import (Block, OneShot, Unconstrained,
-                                   grid_best_replies, sender_value,
-                                   solve_equilibrium)
-from infodesign.prob import binary_entropy
+from infodesign.coding import (ExperimentSummary, coding_config_from_dict,
+                               run_experiment, single_letter_utilities)
+from infodesign.mac import (best_reply_curve, build_scenario, default_config,
+                            scenario_surface)
+from infodesign.persuasion import (Block, OneShot, Scenario, Unconstrained,
+                                   grid_best_replies, scenario_to_dict,
+                                   sender_value, solve_equilibrium)
+from infodesign.prob import Distribution, binary_entropy
 from infodesign.splitting import PosteriorPair, RegionLabel, region_scan
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -437,9 +439,7 @@ class TestCaseStudy:
 class TestLadder:
     """The block-length ladder: the packaged experiment rewritten per n."""
 
-    FIELDS = ("trials", "n", "error_rate", "nocover_rate", "decodefail_rate",
-              "mean_l1", "median_l1", "mean_util1", "mean_util2",
-              "hw_error_rate", "hw_l1", "hw_util1", "hw_util2")
+    FIELDS = tuple(f.name for f in fields(ExperimentSummary) if f.name != "results")
 
     @pytest.mark.parametrize("n", [20, 40])
     def test_rung_matches_run_experiment(self, workdir, capsys, n):
@@ -647,6 +647,68 @@ class TestGridCap:
                                 "--resolution", "0"], capsys)
         assert code == 1
         assert stderr_error(err)["type"] == "invalid_input"
+
+
+PRIOR_03 = Scenario(Distribution([0.3, 0.7]), (0, 1), np.eye(2), np.eye(2))
+
+
+def scan_points(cells):
+    """Points per axis of a two- or three-point grid from the cells a solve
+    at prior 0.3 scans: one point lies below the prior, so 2 (points - 1)."""
+    return cells // 2 + 1
+
+
+def cli_grid(args, capsys, points):
+    """points(stdout) of a CLI run; a run that fails with invalid_input
+    raises ValueError with its message, as the library would."""
+    code, out, err = run_cli(args, capsys)
+    if code:
+        e = stderr_error(err)
+        assert code == 1 and e["type"] == "invalid_input"
+        raise ValueError(e["message"])
+    return points(out)
+
+
+def solve_points(out):
+    manifest = json.loads(Path("solve.json.manifest.json").read_text())
+    return scan_points(manifest["counters"]["cells_scanned"])
+
+
+GRID_SITES = {
+    "region_scan": lambda s, _: region_scan(0.3, 0.25, s).p1_axis.size,
+    "scenario_surface": lambda s, _: scenario_surface(PRIOR_03, s).p1_axis.size,
+    "solve_equilibrium": lambda s, _: scan_points(
+        solve_equilibrium(PRIOR_03, Unconstrained(), s).cells_scanned),
+    "best_reply_curve": lambda s, _: best_reply_curve(default_config(), s).p.size,
+    "cli region": lambda s, c: cli_grid(
+        ["region", "--p", "0.3", "--eps", "0.25", "--resolution", str(s)], c,
+        lambda out: math.isqrt(int(out.split()[2]))),
+    "cli surface": lambda s, c: cli_grid(
+        ["surface", "--scenario", "mac", "--resolution", str(s)], c,
+        lambda out: math.isqrt(int(out.split()[2]))),
+    "cli solve": lambda s, c: cli_grid(
+        ["solve", "--scenario", "prior03.json", "--mode", "unconstrained",
+         "--resolution", str(s)], c, solve_points),
+    "cli bestreply": lambda s, c: cli_grid(
+        ["bestreply", "--scenario", "mac", "--step", str(s)], c,
+        lambda out: int(out.split()[2])),
+}
+
+
+class TestGridRule:
+    """Every posterior grid and prior sweep has round(1/spacing) intervals,
+    at least one (splitting.grid_intervals)."""
+
+    @pytest.mark.parametrize("site", GRID_SITES)
+    @pytest.mark.parametrize("spacing,points", [
+        (1.5, 2), (0.6, 3), (2.5, None), (1e300, None), (math.inf, None)])
+    def test_one_rule(self, workdir, capsys, site, spacing, points):
+        (workdir / "prior03.json").write_text(json.dumps(scenario_to_dict(PRIOR_03)))
+        if points is None:
+            with pytest.raises(ValueError, match="leaves one point"):
+                GRID_SITES[site](spacing, capsys)
+        else:
+            assert GRID_SITES[site](spacing, capsys) == points
 
 
 class TestDeterminism:

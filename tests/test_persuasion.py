@@ -227,9 +227,9 @@ class TestScenarioIO:
 
 # -- property suites ---------------------------------------------------------
 
-def random_binary_scenario(data, k_actions):
+def random_binary_scenario(data, k_actions, entries=st.floats(-5, 5)):
     p = data.draw(st.floats(0.05, 0.95))
-    phi = st.lists(st.lists(st.floats(-5, 5), min_size=k_actions,
+    phi = st.lists(st.lists(entries, min_size=k_actions,
                             max_size=k_actions), min_size=2, max_size=2)
     return Scenario(Distribution([p, 1.0 - p]), tuple(range(k_actions)),
                     data.draw(phi), data.draw(phi))
@@ -243,13 +243,20 @@ def test_argmax_affine_invariance(k_actions, data):
     The shift is drawn relative to the table's spread: a shift much larger
     than the spread rounds the payoff gaps away before the solver sees the
     table (gaps of 7e-40 or 2.2e-16 under a shift of +1), and no tie rule can
-    bring them back.
+    bring them back. The copy a * phi2 + b is exact, so that rounding cannot
+    move a gap across the tie band's edge either (phi2 rows (0, 1), (0, 1e-12)
+    tie in the table but not in a copy shifted by one spread and rounded):
+    entries are multiples of 2^-10, a is a power of two and b a multiple of
+    2^-10.
     """
-    sc = random_binary_scenario(data, k_actions)
-    a = data.draw(st.floats(0.1, 10.0))
+    ticks = st.integers(-5 * 2 ** 10, 5 * 2 ** 10).map(lambda t: t / 2 ** 10)
+    sc = random_binary_scenario(data, k_actions, ticks)
+    a = 2.0 ** data.draw(st.integers(-4, 4))
     c = data.draw(st.floats(-5.0, 5.0))
-    b = c * float(sc.phi2.max() - sc.phi2.min())
-    sc2 = Scenario(sc.prior, sc.actions, sc.phi1, a * sc.phi2 + b)
+    b = round(c * float(sc.phi2.max() - sc.phi2.min()) * 2 ** 10) / 2 ** 10
+    phi2 = a * sc.phi2 + b
+    assert np.array_equal((phi2 - b) / a, sc.phi2)
+    sc2 = Scenario(sc.prior, sc.actions, sc.phi1, phi2)
     grid = np.linspace(0.0, 1.0, 41)
     sel1, _, _ = grid_best_replies(sc, grid)
     sel2, _, _ = grid_best_replies(sc2, grid)

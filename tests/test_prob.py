@@ -1,7 +1,13 @@
+import json
+from dataclasses import replace
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infodesign.coding import coding_config_from_dict
+from infodesign.persuasion import Scenario
 from infodesign.prob import (Distribution, JointDistribution, StochasticMatrix,
                              binary_entropy, compose_markov, conditional,
                              entropy, kl_divergence, l1_distance, marginal,
@@ -49,6 +55,29 @@ class TestDistribution:
     def test_tiny_negative_clipped(self):
         d = Distribution([1.0 + 1e-15, -1e-15])
         assert d.probs[1] == 0.0
+
+
+class TestPayoffTable:
+    """Scenario and CodingConfig check their payoff tables with payoff_table."""
+
+    @pytest.fixture(params=["Scenario", "CodingConfig"])
+    def holder(self, request):
+        if request.param == "Scenario":
+            return Scenario(Distribution([0.5, 0.5]), (0, 1), np.eye(2), np.eye(2))
+        text = resources.files("infodesign").joinpath("data/coding_default.json")
+        return coding_config_from_dict(json.loads(text.read_text()))
+
+    def test_nan_refused_with_the_holders_prefix(self, holder):
+        bad = np.array(holder.phi2)
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match=rf"^{type(holder).__name__}: phi2 "
+                                             r"has non-finite entries$"):
+            replace(holder, phi2=bad)
+
+    def test_tables_read_only(self, holder):
+        for table in (holder.phi1, holder.phi2):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
 
 
 class TestStochasticMatrix:

@@ -2,6 +2,7 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from infodesign import mac, splitting
@@ -121,3 +122,13 @@ def test_default_case_study_surfaces_match_full_grid():
         for a, b in zip((got.labels, got.phi1, got.phi2),
                         reference_surface(sc, 1 / 300, eps)):
             assert_same_array(a, b)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def test_region_without_channel_labels_the_surface(p):
+    """region_scan with eps=None is the square a surface without a channel
+    carries: VALID or INVALID_SPLIT, and no capacity."""
+    region = region_scan(p, None, 0.05)
+    assert region.eps is None and region.capacity is None
+    sc = Scenario(Distribution([p, 1.0 - p]), (0, 1), np.eye(2), np.eye(2))
+    assert_same_array(region.labels, mac.scenario_surface(sc, 0.05).labels)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from infodesign.mac import build_scenario, default_config
 from infodesign.persuasion import Block, solve_equilibrium
@@ -258,6 +258,29 @@ def test_split_round_trip(p, p1, p2):
     back = posteriors_from_signal(p, sig)
     assert back.p1 == pytest.approx(p1, abs=1e-9)
     assert back.p2 == pytest.approx(p2, abs=1e-9)
+
+
+def ulps_from(x, k):
+    """x moved k ulps: toward 1 for k > 0, toward 0 for k < 0."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, 1.0 if k > 0 else 0.0))
+    return x
+
+
+@settings(max_examples=300)
+@given(priors, st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), units, st.booleans())
+@example(0.02, 1, 0.015625, False)
+def test_split_round_trip_near_the_prior(p, k, other, swap):
+    """One posterior within a few ulps of the prior puts 1 - alpha or 1 - beta
+    within a few ulps of 0, and the other posterior must still come back: at
+    p = 0.02, p1 = p + 1 ulp, p2 = 0.015625, computing 1 - beta from beta
+    returned p2 = 0.0160088."""
+    near = ulps_from(p, k)
+    pair = PosteriorPair(other, near) if swap else PosteriorPair(near, other)
+    assume(is_valid_split(p, pair))
+    back = posteriors_from_signal(p, signal_from_posteriors(p, pair))
+    assert back.p1 == pytest.approx(pair.p1, abs=1e-9)
+    assert back.p2 == pytest.approx(pair.p2, abs=1e-9)
 
 
 @given(priors, units, units)
