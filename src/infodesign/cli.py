@@ -2,11 +2,14 @@
 utility surfaces, equilibrium solves, and coordination simulations.
 
 Grids and curves go to CSV (header row, 9 significant digits); reports go to
-JSON. Every run writes a side-car manifest <out>.manifest.json recording the
-resolved parameters, input digests, seed, version, output digests, and wall
-clock. Data outputs are byte-identical across reruns; the manifest is the one
-file that is not (it carries the duration). Each file is written to a temp
-file beside it and moved into place, so a failed run leaves no partial output.
+JSON. The posterior-square CSVs (region, surface) are joined from one text
+fragment per (label, column) behind each row's p1 text, so only the values of
+labelled cells are float-formatted. Every run writes a side-car manifest
+<out>.manifest.json recording the resolved parameters, input digests, seed,
+version, output digests, and wall clock. Data outputs are byte-identical
+across reruns; the manifest is the one file that is not (it carries the
+duration). Each file is written to a temp file beside it and moved into
+place, so a failed run leaves no partial output.
 """
 from __future__ import annotations
 
@@ -143,14 +146,43 @@ def _write_csv(path: str, header, columns) -> int:
     return count
 
 
-_LABEL_NAMES = _text(RegionLabel(i).name for i in range(len(RegionLabel)))
+def _write_square(path: str, header, grid, values=()) -> int:
+    """Write a posterior-square grid row-major, one line a cell (p1, p2, the
+    cell of each value array, the label name), and return the cell count.
 
-
-def _square_columns(grid) -> list:
-    """p1, p2 and label columns of a posterior-square grid, row-major."""
-    n1, n2 = grid.labels.shape
-    return [np.repeat(_text(grid.p1_axis), n2), np.tile(_text(grid.p2_axis), n1),
-            _LABEL_NAMES[grid.labels.ravel()]]
+    A line's text after p1 depends only on its column and label, so one
+    fragment per (label, column) is built first: ",<p2>", a %.9g slot per
+    value (",nan" per value for INVALID_SPLIT) and ",<label>\n". Each block
+    of about CSV_BLOCK_ROWS lines joins its rows' fragments behind each row's
+    p1 text, and one % operation fills in the values of its labelled cells.
+    Raises ValueError, writing nothing, if an INVALID_SPLIT cell holds a
+    value that is not nan.
+    """
+    labels = grid.labels
+    n1, n2 = labels.shape
+    invalid = labels == RegionLabel.INVALID_SPLIT
+    if any(np.any(invalid & ~np.isnan(v)) for v in values):
+        raise ValueError("_write_square: an INVALID_SPLIT cell holds a value")
+    p2 = _text(grid.p2_axis)
+    frags = np.empty((len(RegionLabel), n2), dtype=object)
+    for label in RegionLabel:
+        slot = ",nan" if label == RegionLabel.INVALID_SPLIT else ",%.9g"
+        frags[label] = [f",{q}{slot * len(values)},{label.name}\n" for q in p2]
+    p1 = _text(grid.p1_axis)
+    cols = np.arange(n2)
+    step = max(1, CSV_BLOCK_ROWS // n2)
+    with _replacing(path) as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, n1, step):
+            rows = slice(start, min(start + step, n1))
+            text = "".join(P + P.join(line) for P, line in
+                           zip(p1[rows], frags[labels[rows], cols].tolist()))
+            if values:
+                kept = ~invalid[rows]
+                text %= tuple(np.stack([v[rows][kept] for v in values],
+                                       axis=-1).ravel().tolist())
+            f.write(text)
+    return n1 * n2
 
 
 def _label_counts(grid) -> dict:
@@ -185,8 +217,39 @@ def _load_scenario_arg(spec: str):
     return load_scenario(spec), [spec]
 
 
-@click.group()
-@click.version_option(__version__)
+def _print_and_exit(text):
+    """Callback of an eager flag: print text(ctx) on sys.stdout and exit.
+
+    click prints its own --help and --version through a wrapper it caches
+    per stream, which keeps a redirected sys.stdout alive for the life of
+    the process; these flags name the stream they print on instead.
+    """
+    def callback(ctx, param, value):
+        if value and not ctx.resilient_parsing:
+            click.echo(text(ctx), file=sys.stdout, color=ctx.color)
+            ctx.exit()
+    return callback
+
+
+class _Command(click.Command):
+    """A command whose --help is printed by _print_and_exit."""
+
+    def get_help_option(self, ctx):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _print_and_exit(click.Context.get_help)
+        return option
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
+@click.option("--version", is_flag=True, expose_value=False, is_eager=True,
+              help="Show the version and exit.",
+              callback=_print_and_exit(lambda ctx: f"{ctx.find_root().info_name}, "
+                                                   f"version {__version__}"))
 def cli():
     """Equilibrium signaling and coordination-coding toolkit."""
 
@@ -243,7 +306,7 @@ def cmd_region(p, eps, resolution, out):
     """Feasibility labels over the posterior square."""
     started = time.perf_counter()
     grid = region_scan(p, eps, resolution)
-    count = _write_csv(out, ("p1", "p2", "label"), _square_columns(grid))
+    count = _write_square(out, ("p1", "p2", "label"), grid)
     _write_manifest("region", {"p": p, "eps": eps, "resolution": resolution,
                                "out": out, "capacity": grid.capacity},
                     [], [out], None, started, counters=_label_counts(grid))
@@ -288,9 +351,8 @@ def cmd_surface(scenario, mode, eps, resolution, out):
     if mode != "unconstrained" and eps is None:
         raise click.UsageError(f"--mode {mode} requires --eps")
     surf = scenario_surface(sc, resolution, eps if mode != "unconstrained" else None)
-    p1, p2, labels = _square_columns(surf)
-    count = _write_csv(out, ("p1", "p2", "phi1", "phi2", "label"),
-                       [p1, p2, surf.phi1.ravel(), surf.phi2.ravel(), labels])
+    count = _write_square(out, ("p1", "p2", "phi1", "phi2", "label"), surf,
+                          (surf.phi1, surf.phi2))
     _write_manifest("surface", {"scenario": scenario, "mode": mode, "eps": eps,
                                 "resolution": resolution, "out": out},
                     inputs, [out], None, started, counters=_label_counts(surf))

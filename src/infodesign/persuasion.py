@@ -256,13 +256,13 @@ def grid_best_replies(sc: Scenario, q_grid: np.ndarray):
     index.
     """
     _require_binary(sc, "grid_best_replies")
-    q = np.asarray(q_grid, dtype=float)[:, None]
-    U1 = q * sc.phi1[0][None, :] + (1.0 - q) * sc.phi1[1][None, :]
-    U2 = q * sc.phi2[0][None, :] + (1.0 - q) * sc.phi2[1][None, :]
-    _, sel = _tie_broken(np.hstack((q, 1.0 - q)), U1, sc)
-    take = sel[:, None]
-    V1 = np.take_along_axis(U1, take, axis=1).ravel()
-    V2 = np.take_along_axis(U2, take, axis=1).ravel()
+    q = np.asarray(q_grid, dtype=float)
+    Q = q[:, None]
+    U1 = Q * sc.phi1[0][None, :] + (1.0 - Q) * sc.phi1[1][None, :]
+    _, sel = _tie_broken(np.hstack((Q, 1.0 - Q)), U1, sc)
+    # the selected entries of the (N, K) tables, in the same operations
+    V1 = q * sc.phi1[0][sel] + (1.0 - q) * sc.phi1[1][sel]
+    V2 = q * sc.phi2[0][sel] + (1.0 - q) * sc.phi2[1][sel]
     return sel, V1, V2
 
 

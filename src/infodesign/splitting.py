@@ -9,6 +9,7 @@ information rate must fit under a channel capacity).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -154,16 +155,26 @@ def signal_from_posteriors(p: float, pair: PosteriorPair) -> BinarySignal:
     if not is_valid_split(p, pair):
         raise SplitError(f"prior {p!r} not strictly between posteriors "
                          f"({pair.p1!r}, {pair.p2!r})")
-    p1, p2 = np.float64(pair.p1), np.float64(pair.p2)
-    alpha, beta = required_signal_arrays(p, p1, p2)
-    # the complements in closed form keep full precision near the prior
-    # (nan, like alpha and beta, where a subnormal prior underflows)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        one_minus_alpha = p1 * (p - p2) / (p * (p1 - p2))
-        one_minus_beta = (p1 - p) * (1.0 - p2) / ((1.0 - p) * (p1 - p2))
+    p, p1, p2 = float(p), float(pair.p1), float(pair.p2)
+    # alpha and beta as in required_signal_arrays, and the complements in
+    # closed form, which keep full precision near the prior
+    forms = (_ratio(p2, p1 - p, p, p1 - p2),
+             _ratio(1.0 - p1, p - p2, 1.0 - p, p1 - p2),
+             _ratio(p1, p - p2, p, p1 - p2),
+             _ratio(p1 - p, 1.0 - p2, 1.0 - p, p1 - p2))
     # valid splits give parameters in [0, 1] up to roundoff
-    return BinarySignal(*(float(np.clip(v, 0.0, 1.0)) for v in
-                          (alpha, beta, one_minus_alpha, one_minus_beta)))
+    return BinarySignal(*(float(np.clip(v, 0.0, 1.0)) for v in forms))
+
+
+def _ratio(a: float, b: float, c: float, d: float) -> float:
+    """a * b / (c * d) with c, d nonzero, computed on the factors' mantissas
+    and scaled back by their exponents, so that no intermediate underflows
+    (a subnormal prior times a posterior gap) or overflows. Scaling by a
+    power of two leaves normal-range rounding as it is, so the result has
+    the bits of the plain expression wherever that stays in the normal
+    range."""
+    (ma, ea), (mb, eb), (mc, ec), (md, ed) = map(math.frexp, (a, b, c, d))
+    return math.ldexp(ma * mb / (mc * md), ea + eb - ec - ed)
 
 
 def signal_information_rate(p: float, alpha, beta):

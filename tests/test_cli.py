@@ -9,10 +9,12 @@ import os
 import re
 import shlex
 import stat
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from infodesign import __version__
 from infodesign.cli import (CSV_BLOCK_ROWS, DIGEST_BLOCK_BYTES, _fmt, _text,
-                            _write_csv, _write_json, cli, main)
+                            _write_csv, _write_json, _write_square, cli, main)
 from infodesign.coding import (ExperimentSummary, coding_config_from_dict,
                                run_experiment, single_letter_utilities)
 from infodesign.mac import (best_reply_curve, build_scenario, default_config,
@@ -527,6 +529,63 @@ class TestBlockWriter:
         assert os.listdir(tmp_path) == []
 
 
+class TestSquareWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_cell_writer(self, tmp_path_factory, data):
+        """Every prior, channel and value count, with blocks that end inside
+        the grid: labelled cells print their values through %.9g (nan and
+        inf too), INVALID_SPLIT cells print nan."""
+        resolution = data.draw(st.sampled_from([0.5, 1 / 7, 0.05, 1 / 37, 1 / 64]))
+        n = round(1.0 / resolution)
+        p = data.draw(st.sampled_from([0.0, 1.0, 0.5])
+                      | st.integers(0, n).map(lambda i: i / n) | st.floats(0.0, 1.0))
+        eps = data.draw(st.none() | st.sampled_from([0.0, 0.25, 0.5])
+                        | st.floats(0.0, 0.5))
+        grid = region_scan(p, eps, resolution)
+        labelled = grid.labels != RegionLabel.INVALID_SPLIT
+        values = []
+        for _ in range(data.draw(st.integers(0, 2))):
+            drawn = data.draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+                                       min_size=1, max_size=9))
+            v = np.full(grid.labels.shape, np.nan)
+            v[labelled] = [drawn[i % len(drawn)]
+                           for i in range(np.count_nonzero(labelled))]
+            values.append(v)
+        header = ("p1", "p2", *(f"v{k}" for k in range(len(values))), "label")
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        block = data.draw(st.sampled_from([CSV_BLOCK_ROWS, 1, 24, 100]))
+        with mock.patch("infodesign.cli.CSV_BLOCK_ROWS", block):
+            assert _write_square(str(path), header, grid, values) == (n + 1) ** 2
+        rows = ((p1, p2, *(v[i, j] for v in values),
+                 RegionLabel(int(grid.labels[i, j])).name)
+                for i, p1 in enumerate(grid.p1_axis)
+                for j, p2 in enumerate(grid.p2_axis))
+        assert path.read_bytes() == reference_csv(header, rows).encode()
+
+    def test_value_in_invalid_split_raises(self, tmp_path):
+        grid = region_scan(0.5, 0.25, 0.25)
+        values = np.where(grid.labels == RegionLabel.INVALID_SPLIT, np.nan, 1.0)
+        values[0, 0] = 0.0
+        with pytest.raises(ValueError, match="INVALID_SPLIT"):
+            _write_square(str(tmp_path / "out.csv"), ("p1", "p2", "v", "label"),
+                          grid, (values,))
+        assert os.listdir(tmp_path) == []
+
+    def test_surface_write_peak(self, tmp_path):
+        # the writer that formatted whole columns peaked near 10 MiB here
+        surf = scenario_surface(build_scenario(default_config()), 1 / 500, 0.25)
+        tracemalloc.start()
+        try:
+            _write_square(str(tmp_path / "surface.csv"),
+                          ("p1", "p2", "phi1", "phi2", "label"), surf,
+                          (surf.phi1, surf.phi2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+
 class TestOutputsMatchPerCellOracle:
     def test_region(self, workdir, capsys):
         run_cli(["region", "--p", "0.5", "--eps", "0.25",
@@ -736,7 +795,7 @@ class TestEntryPoint:
     def test_version_flag(self, capsys):
         code, out, _ = run_cli(["--version"], capsys)
         assert code == 0
-        assert __version__ in out
+        assert out.endswith(f", version {__version__}\n")
 
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(["bogus"], capsys)
@@ -744,11 +803,18 @@ class TestEntryPoint:
         assert stderr_error(err)["type"] == "usage"
 
     def test_help_exits_clean(self, capsys):
-        assert run_cli(["--help"], capsys)[0] == 0
+        code, out, _ = run_cli(["--help"], capsys)
+        assert code == 0
+        assert out.startswith("Usage: ") and "--version" in out
+        assert all(name in out for name in cli.commands)
 
-    # one call per stdout line of the CLI; click keeps a wrapper per stream
-    # it picked itself, which holds the stream for the life of the process
+    # one call per stdout line of the CLI, and click's help and version
+    # flags; click keeps a wrapper per stream it picked itself, which holds
+    # the stream for the life of the process
     @pytest.mark.parametrize("args", [
+        pytest.param(["--version"], id="--version"),
+        pytest.param(["--help"], id="--help"),
+        pytest.param(["region", "--help"], id="region --help"),
         ["capacity", "--bsc", "0.25"],
         ["region", "--p", "0.5", "--eps", "0.25", "--resolution", "0.1"],
         ["bestreply", "--scenario", "mac", "--step", "0.1"],

@@ -263,6 +263,31 @@ def test_argmax_affine_invariance(k_actions, data):
     assert np.array_equal(sel1, sel2)
 
 
+def table_best_replies(sc, q_grid):
+    """grid_best_replies through the full (N, K) payoff tables, kept as the
+    bitwise oracle of the selected values."""
+    q = np.asarray(q_grid, dtype=float)[:, None]
+    U1 = q * sc.phi1[0][None, :] + (1.0 - q) * sc.phi1[1][None, :]
+    U2 = q * sc.phi2[0][None, :] + (1.0 - q) * sc.phi2[1][None, :]
+    _, sel = persuasion._tie_broken(np.hstack((q, 1.0 - q)), U1, sc)
+    take = sel[:, None]
+    return (sel, np.take_along_axis(U1, take, axis=1).ravel(),
+            np.take_along_axis(U2, take, axis=1).ravel())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_grid_best_replies_match_tables(k_actions, data):
+    sc = random_binary_scenario(data, k_actions,
+                                st.floats(-1e300, 1e300) | st.floats(-5, 5))
+    grid = np.concatenate([np.linspace(0.0, 1.0, 41),
+                           data.draw(st.lists(st.floats(0.0, 1.0), max_size=9))])
+    got, want = grid_best_replies(sc, grid), table_best_replies(sc, grid)
+    assert np.array_equal(got[0], want[0])
+    for a, b in zip(got[1:], want[1:]):
+        assert a.tobytes() == b.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4), st.data())
 def test_mode_monotonicity_random(k_actions, data):

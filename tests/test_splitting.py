@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from infodesign.mac import build_scenario, default_config
-from infodesign.persuasion import Block, solve_equilibrium
-from infodesign.prob import binary_entropy
+from infodesign.persuasion import Block, Scenario, Unconstrained, solve_equilibrium
+from infodesign.prob import Distribution, binary_entropy
 from infodesign.splitting import (MAX_GRID_CELLS, NO_INFO, BinarySignal,
                                   DegenerateSplitError, PosteriorPair,
                                   RegionLabel, SplitError, block_feasible,
@@ -89,6 +89,22 @@ class TestSignalFromPosteriors:
     def test_revealing_inverts(self):
         sig = signal_from_posteriors(0.5, PosteriorPair(1.0, 0.0))
         assert (sig.alpha, sig.beta) == (0.0, 0.0)
+
+    def test_subnormal_prior_inverts(self):
+        # p * (p1 - p2) underflowed to -0.0, and alpha came out nan
+        sig = signal_from_posteriors(5e-324, PosteriorPair(0.0, 0.5))
+        assert (sig.alpha, sig.beta) == (1.0, 1.0)
+        assert (sig.one_minus_alpha, sig.one_minus_beta) == (0.0, 5e-324)
+
+    def test_solve_at_subnormal_prior(self):
+        # the split (0.5, 0) of prior 5e-324 used to raise in BinarySignal
+        sc = Scenario(Distribution([5e-324, 1.0]), ("act", "pass"),
+                      phi1=[[1.0, 0.0], [1.0, 0.0]],
+                      phi2=[[1.0, 0.0], [-1.0, 0.0]])
+        res = solve_equilibrium(sc, Unconstrained(), 0.5)
+        assert not res.no_info
+        assert (res.posteriors.p1, res.posteriors.p2) == (0.5, 0.0)
+        assert (res.signal.alpha, res.signal.beta) == (0.0, 5e-324)
 
 
 class TestInformationRate:
@@ -281,6 +297,53 @@ def test_split_round_trip_near_the_prior(p, k, other, swap):
     back = posteriors_from_signal(p, signal_from_posteriors(p, pair))
     assert back.p1 == pytest.approx(pair.p1, abs=1e-9)
     assert back.p2 == pytest.approx(pair.p2, abs=1e-9)
+
+
+@st.composite
+def valid_splits(draw, priors):
+    """(p, pair) with p strictly between the posteriors, in either order."""
+    p = draw(priors)
+    lo = draw(st.floats(0.0, p, exclude_max=True))
+    hi = draw(st.floats(p, 1.0, exclude_min=True))
+    return p, PosteriorPair(hi, lo) if draw(st.booleans()) else PosteriorPair(lo, hi)
+
+
+def closed_form_factors(p, p1, p2):
+    """(a, b, c, d) of alpha, beta and their complements, a * b / (c * d)."""
+    return ((p2, p1 - p, p, p1 - p2), (1.0 - p1, p - p2, 1.0 - p, p1 - p2),
+            (p1, p - p2, p, p1 - p2), (p1 - p, 1.0 - p2, 1.0 - p, p1 - p2))
+
+
+@settings(max_examples=300)
+@given(valid_splits(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+                    | st.floats(5e-324, 1e-300)))
+@example((0.5, PosteriorPair(0.0, 0.6415)))
+def test_signal_keeps_the_plain_forms_bits(split):
+    """Where no product or quotient of a closed form leaves the normal range,
+    the signal has the bits of the forms evaluated directly."""
+    p, pair = split
+    tiny = np.finfo(float).tiny
+    want = []
+    for a, b, c, d in closed_form_factors(p, pair.p1, pair.p2):
+        assume(abs(c * d) >= tiny)
+        q = a * b / (c * d)
+        assume(a == 0.0 or b == 0.0 or min(abs(a * b), abs(q)) >= tiny)
+        want.append(float(np.clip(q, 0.0, 1.0)))
+    sig = signal_from_posteriors(p, pair)
+    got = (sig.alpha, sig.beta, sig.one_minus_alpha, sig.one_minus_beta)
+    assert repr(got) == repr(tuple(want))
+
+
+@settings(max_examples=300)
+@given(valid_splits(st.integers(1, 2 ** 52 - 1).map(lambda k: k * 5e-324)
+                    | st.floats(5e-324, 1e-290)))
+@example((5e-324, PosteriorPair(0.0, 0.5)))
+def test_signal_finite_at_subnormal_priors(split):
+    """At a subnormal or tiny prior every valid split inverts, and each
+    parameter and its complement sum to 1 within a few ulps."""
+    sig = signal_from_posteriors(*split)
+    assert abs(sig.alpha + sig.one_minus_alpha - 1.0) <= 8 * 2.0 ** -53
+    assert abs(sig.beta + sig.one_minus_beta - 1.0) <= 8 * 2.0 ** -53
 
 
 @given(priors, units, units)
