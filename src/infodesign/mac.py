@@ -14,9 +14,10 @@ from importlib import resources
 
 import numpy as np
 
-from .persuasion import Scenario, grid_best_replies, split_values
+from .persuasion import Scenario, grid_best_replies
 from .prob import Distribution
-from .splitting import SCAN_BLOCK_CELLS, grid_intervals, region_scan, split_blocks
+from .splitting import (SCAN_BLOCK_CELLS, grid_intervals, region_scan,
+                        split_blocks, split_values)
 
 
 @dataclass(frozen=True)
@@ -145,12 +146,6 @@ def scenario_surface(sc: Scenario, resolution: float = 1.0 / 500,
         vals2[rows, cols] = split_values(p, P1, P2, V2[rows, None], V2[None, cols])
     return UtilitySurface(p1_axis=grid, p2_axis=grid, phi1=vals1, phi2=vals2,
                           labels=region.labels, prior=p, eps=eps)
-
-
-def utility_surface(cfg: MacConfig, resolution: float = 1.0 / 500,
-                    eps: float | None = None) -> UtilitySurface:
-    """Surface for the case-study config; see scenario_surface."""
-    return scenario_surface(build_scenario(cfg), resolution, eps)
 
 
 def config_from_dict(doc: dict) -> MacConfig:

@@ -24,7 +24,8 @@ from .splitting import (FEAS_ATOL, NO_INFO, SCAN_BLOCK_CELLS, BinarySignal,
                         FeasibilityVerdict, PosteriorPair, SplitError,
                         block_feasible, check_eps, grid_intervals,
                         is_valid_split, one_shot_feasible,
-                        signal_from_posteriors, split_blocks, split_masks)
+                        signal_from_posteriors, split_blocks, split_masks,
+                        split_values)
 
 TIE_ATOL = 1e-12  # stray probability mass in_Q2 forgives
 TIE_RTOL = 1e-12  # receiver tie band, as a fraction of the phi2 spread
@@ -218,14 +219,6 @@ def _require_binary(sc: Scenario, who: str) -> float:
         raise ValueError(f"{who}: solver scope is binary state spaces, "
                          f"got {sc.num_states()} states")
     return float(sc.prior.probs[0])
-
-
-def split_values(p: float, p1, p2, v1, v2):
-    """Value lam * v1 + (1 - lam) * v2 of splits (p1, p2) of prior p, where
-    lam = (p2 - p) / (p2 - p1) weighs p1. Broadcasts; nan or inf at p1 = p2."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (p2 - p) / (p2 - p1)
-        return lam * v1 + (1.0 - lam) * v2
 
 
 def sender_value(t: PosteriorPair, p: float, sc: Scenario):

@@ -6,6 +6,14 @@ splits it into two posteriors whose mixture returns p. Feasibility of a
 target split is judged either per-use (both required signal parameters must
 sit inside the channel's attainable band) or per-block (the signal's
 information rate must fit under a channel capacity).
+
+The grid masks of split_masks work in the coordinates each condition
+needs. The per-use mask inverts every cell to (alpha, beta), which is all
+that required_signal_arrays is for. The block mask never inverts: for a
+split of p into (p1, p2) the rate is h(p) - [lam h(p1) + (1 - lam) h(p2)],
+the split_values mix of h, so h is evaluated once per axis point. The scalar
+verdicts one_shot_feasible and block_feasible keep the (alpha, beta) form,
+whose slack bits the solver reports.
 """
 from __future__ import annotations
 
@@ -135,8 +143,8 @@ def is_valid_split(p: float, pair: PosteriorPair) -> bool:
 def required_signal_arrays(p: float, p1, p2):
     """Vectorized inversion: signal parameters that induce posteriors (p1, p2).
 
-    No validity checks; callers mask. Division by zero, or by a tiny prior,
-    yields inf/nan.
+    The per-use mask of split_masks is its one caller. No validity checks;
+    callers mask. Division by zero, or by a tiny prior, yields inf/nan.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
@@ -234,11 +242,27 @@ class RegionGrid:
     capacity: float | None  # None when eps is None
 
 
+def split_values(p: float, p1, p2, v1, v2):
+    """Value lam * v1 + (1 - lam) * v2 of splits (p1, p2) of prior p, where
+    lam = (p2 - p) / (p2 - p1) weighs p1. Broadcasts; nan or inf at p1 = p2.
+
+    The one lambda-mix of per-posterior values: the solver's and the
+    surface's payoffs, and the entropy term of the block mask's rate."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (p2 - p) / (p2 - p1)
+        return lam * v1 + (1.0 - lam) * v2
+
+
 def split_masks(p: float, p1_grid, p2_grid, eps: float | None, cap: float | None):
     """Validity, per-use and block feasibility masks on a posterior grid.
 
     eps=None skips the per-use mask and cap=None the block mask; a skipped
-    mask comes back as None, and with both skipped no signal is inverted.
+    mask comes back as None. The per-use mask inverts each cell to (alpha,
+    beta) and asks both for [eps, 1 - eps] within FEAS_ATOL, four fused
+    comparisons. The block mask asks for the rate h(p) - split_values(p,
+    p1, p2, h(p1), h(p2)) to fit under cap within FEAS_ATOL, with h taken
+    on the grids as given (once per axis point when p1_grid is a column
+    and p2_grid a row); it inverts nothing.
     """
     P1 = np.asarray(p1_grid, dtype=float)
     P2 = np.asarray(p2_grid, dtype=float)
@@ -248,15 +272,15 @@ def split_masks(p: float, p1_grid, p2_grid, eps: float | None, cap: float | None
     if p <= 0.0 or p >= 1.0:
         valid &= False
     one_shot = block = None
-    if eps is not None or cap is not None:
-        alpha, beta = required_signal_arrays(p, P1, P2)
     if eps is not None:
-        margin = np.minimum.reduce([alpha - eps, (1.0 - eps) - alpha,
-                                    beta - eps, (1.0 - eps) - beta])
-        one_shot = valid & (margin >= -FEAS_ATOL)
+        alpha, beta = required_signal_arrays(p, P1, P2)
+        one_shot = (valid & (alpha - eps >= -FEAS_ATOL)
+                    & ((1.0 - eps) - alpha >= -FEAS_ATOL)
+                    & (beta - eps >= -FEAS_ATOL)
+                    & ((1.0 - eps) - beta >= -FEAS_ATOL))
     if cap is not None:
-        rate = signal_information_rate(p, np.clip(alpha, 0.0, 1.0),
-                                       np.clip(beta, 0.0, 1.0))
+        h = binary_entropy_unchecked
+        rate = h(p) - split_values(p, P1, P2, h(P1), h(P2))
         block = valid & (cap - rate >= -FEAS_ATOL)
     return valid, one_shot, block
 

@@ -6,7 +6,7 @@ import pytest
 from infodesign.mac import (GainState, MacConfig, best_reply_curve,
                             build_scenario, config_from_dict, config_to_dict,
                             default_config, load_config, phi1, phi2,
-                            scenario_surface, utility_surface)
+                            scenario_surface)
 from infodesign.persuasion import (Block, OneShot, Unconstrained,
                                    sender_value, solve_equilibrium)
 from infodesign.prob import binary_entropy
@@ -148,11 +148,6 @@ class TestSurface:
         bad = surf.labels == int(RegionLabel.INVALID_SPLIT)
         assert np.isnan(surf.phi1[bad]).all()
         assert np.isfinite(surf.phi1[~bad]).all()
-
-    def test_config_wrapper_matches(self):
-        a = utility_surface(CFG, resolution=0.05)
-        b = scenario_surface(SC, resolution=0.05)
-        assert np.allclose(a.phi1, b.phi1, equal_nan=True)
 
     def test_surface_argmax_matches_solver(self):
         # re-reducing the surface reproduces the unconstrained optimum

@@ -10,10 +10,11 @@ from infodesign.persuasion import (Block, EquilibriumResult, OneShot, Scenario,
                                    Unconstrained, best_reply, grid_best_replies,
                                    in_Q0, in_Q2, receiver_expected_utility,
                                    scenario_from_dict, scenario_to_dict,
-                                   sender_value, solve_equilibrium, split_values)
+                                   sender_value, solve_equilibrium)
 from infodesign.prob import Distribution, StochasticMatrix, binary_entropy
 from infodesign.splitting import (NO_INFO, PosteriorPair, SplitError,
-                                  signal_from_posteriors, split_masks)
+                                  signal_from_posteriors, split_masks,
+                                  split_values)
 
 # classic two-state persuasion: sender wants action "act" always, receiver
 # wants it only in state good (prior tilted toward bad)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infodesign import mac, splitting
-from infodesign.persuasion import Scenario, grid_best_replies, split_values
+from infodesign.persuasion import Scenario, grid_best_replies
 from infodesign.prob import Distribution, binary_entropy
 from infodesign.splitting import (SCAN_BLOCK_CELLS, RegionLabel, region_scan,
-                                  split_blocks, split_masks)
+                                  split_blocks, split_masks, split_values)
 
 BLOCKS = [SCAN_BLOCK_CELLS, 1, 2, 7]
 RESOLUTIONS = (0.5, 0.3, 0.1, 0.05, 1 / 37, 1 / 150)

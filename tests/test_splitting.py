@@ -5,16 +5,20 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from infodesign.mac import build_scenario, default_config
-from infodesign.persuasion import Block, Scenario, Unconstrained, solve_equilibrium
+from infodesign.persuasion import (Block, OneShot, Scenario, Unconstrained,
+                                   solve_equilibrium)
 from infodesign.prob import Distribution, binary_entropy
-from infodesign.splitting import (MAX_GRID_CELLS, NO_INFO, BinarySignal,
+from infodesign.splitting import (FEAS_ATOL, MAX_GRID_CELLS, NO_INFO,
+                                  SCAN_BLOCK_CELLS, BinarySignal,
                                   DegenerateSplitError, PosteriorPair,
                                   RegionLabel, SplitError, block_feasible,
                                   grid_intervals, is_valid_split,
                                   message_weights, one_shot_feasible,
                                   posteriors_from_signal, region_scan,
+                                  required_signal_arrays,
                                   signal_from_posteriors,
-                                  signal_information_rate, split_masks)
+                                  signal_information_rate, split_blocks,
+                                  split_masks, split_values)
 
 CAP_QUARTER = 1.0 - binary_entropy(0.25)  # bsc(0.25)
 
@@ -246,6 +250,86 @@ def test_masks_requested_alone(p, eps, cap, n):
     alone = split_masks(p, P1, P2, None, cap)
     assert np.array_equal(alone[0], valid) and alone[1] is None
     assert np.array_equal(alone[2], block)
+
+
+def oracle_masks(p, P1, P2, eps, cap):
+    """The masks split_masks replaced, kept as its oracle: every cell
+    inverted to (alpha, beta), the one-shot band as the minimum of four
+    margins, and the block rate of the clipped signal, three entropies a
+    cell. Returns (one_shot, block, rate)."""
+    alpha, beta = required_signal_arrays(p, P1, P2)
+    margin = np.minimum.reduce([alpha - eps, (1.0 - eps) - alpha,
+                                beta - eps, (1.0 - eps) - beta])
+    valid = (np.minimum(P1, P2) < p) & (p < np.maximum(P1, P2))
+    rate = signal_information_rate(p, np.clip(alpha, 0.0, 1.0),
+                                   np.clip(beta, 0.0, 1.0))
+    return (valid & (margin >= -FEAS_ATOL), valid & (cap - rate >= -FEAS_ATOL),
+            rate)
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_masks_match_the_oracle(n):
+    """Both masks equal the (alpha, beta) oracle on every scanned cell, at
+    extreme and seeded priors and flips, and the posterior-coordinate rate
+    stays within 1e-13 of the oracle's on the valid cells."""
+    rng = np.random.default_rng(np.random.SeedSequence((2026, 11, n)))
+    axis = np.linspace(0.0, 1.0, n + 1)
+    h = binary_entropy
+    for p in (1e-9, 1.0 - 1e-9, *rng.uniform(0.0, 1.0, 3)):
+        for eps in (0.0, 0.5, *rng.uniform(0.0, 0.5, 2)):
+            cap = 1.0 - h(eps)
+            for rows, cols in split_blocks(p, axis, SCAN_BLOCK_CELLS):
+                P1, P2 = axis[rows, None], axis[None, cols]
+                valid, one_shot, block = split_masks(p, P1, P2, eps, cap)
+                want_one, want_block, want_rate = oracle_masks(p, P1, P2, eps, cap)
+                assert np.array_equal(one_shot, want_one)
+                assert np.array_equal(block, want_block)
+                rate = h(p) - split_values(p, P1, P2, h(P1), h(P2))
+                assert np.abs(rate - want_rate)[valid].max() <= 1e-13
+
+
+def seeded_scenarios(count):
+    """The case study and seeded random binary scenarios of 2-8 actions."""
+    rng = np.random.default_rng(np.random.SeedSequence((2026, 11)))
+    yield build_scenario(default_config())
+    for _ in range(count):
+        k = int(rng.integers(2, 9))
+        p = float(rng.uniform(0.05, 0.95))
+        yield Scenario(Distribution([p, 1.0 - p]), tuple(range(k)),
+                       rng.uniform(-5, 5, (2, k)), rng.uniform(-5, 5, (2, k)))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.25])
+def test_solver_counts_match_the_oracle(eps):
+    """At 1e-3 the solver's one-shot and block optima pass their own
+    verdicts, and its feasible-cell counts are those of the oracle masks."""
+    cap = 1.0 - binary_entropy(eps)
+    grid = np.linspace(0.0, 1.0, 1001)
+    for sc in seeded_scenarios(3):
+        p = float(sc.prior.probs[0])
+        want = [0, 0]
+        for rows, cols in split_blocks(p, grid, SCAN_BLOCK_CELLS):
+            one_shot, block, _ = oracle_masks(p, grid[rows, None],
+                                              grid[None, cols], eps, cap)
+            want[0] += int(one_shot.sum())
+            want[1] += int(block.sum())
+        for mode, cells in ((OneShot(eps), want[0]), (Block(cap), want[1])):
+            res = solve_equilibrium(sc, mode, 1e-3)
+            assert res.feasibility.feasible
+            assert res.cells_feasible == cells
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-310, 2.2e-308, 1e-300])
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.3])
+def test_block_mask_matches_verdicts_at_tiny_priors(p, eps):
+    """At subnormal and tiny priors the block mask agrees with block_feasible
+    on every valid cell: the posterior-coordinate rate never divides by p."""
+    cap = 1.0 - binary_entropy(eps)
+    axis = np.linspace(0.0, 1.0, 41)
+    valid, _, block = split_masks(p, axis[:, None], axis[None, :], None, cap)
+    for i, j in zip(*np.nonzero(valid)):
+        sig = signal_from_posteriors(p, PosteriorPair(axis[i], axis[j]))
+        assert block[i, j] == block_feasible(p, sig, cap).feasible
 
 
 # -- property suites ---------------------------------------------------------
