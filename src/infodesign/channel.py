@@ -22,10 +22,6 @@ class DMC:
     def num_inputs(self) -> int:
         return self.transition.num_inputs
 
-    @property
-    def num_outputs(self) -> int:
-        return self.transition.num_outputs
-
     @classmethod
     def from_rows(cls, rows) -> "DMC":
         return cls(StochasticMatrix(rows))
@@ -36,24 +32,6 @@ def bsc(eps: float) -> DMC:
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"bsc: flip probability {eps!r} outside [0, 1/2]")
     return DMC.from_rows([[1.0 - eps, eps], [eps, 1.0 - eps]])
-
-
-def effective_noise(alpha: float, eps: float):
-    """Flip parameter of a Z-mixed binary stage: (1-alpha) eps + alpha (1-eps)."""
-    a = np.asarray(alpha, dtype=float)
-    if not np.all((a >= 0) & (a <= 1)):
-        raise ValueError(f"effective_noise: alpha {alpha!r} outside [0, 1]")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"effective_noise: eps {eps!r} outside [0, 1]")
-    out = (1.0 - a) * eps + a * (1.0 - eps)
-    return float(out) if out.ndim == 0 else out
-
-
-def concat(signal: StochasticMatrix, ch: DMC) -> StochasticMatrix:
-    """End-to-end kernel of a signaling stage followed by a channel."""
-    if signal.num_outputs != ch.num_inputs:
-        raise ValueError("concat: signal outputs do not match channel inputs")
-    return StochasticMatrix(signal.rows @ ch.transition.rows)
 
 
 @dataclass(frozen=True)
@@ -71,7 +49,13 @@ def capacity(ch: DMC, tol: float = 1e-9, max_iter: int = 100_000) -> CapacityRes
     current output law q. sum r d is a lower bound on capacity and max d an
     upper bound; the loop stops when the bracket closes below tol and raises
     CapacityError (with the last residual) if max_iter sweeps do not get there.
+    A tol that is negative or not finite, or a max_iter below 1, can never
+    succeed and raises ValueError before the first sweep.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"capacity: tol {tol!r} must be finite and >= 0")
+    if max_iter < 1:
+        raise ValueError(f"capacity: max_iter {max_iter!r} must be >= 1")
     T = ch.transition.rows
     m = T.shape[0]
     support = T > 0

@@ -30,8 +30,8 @@ from . import __version__
 from .channel import DMC, CapacityError, bsc, capacity
 from .coding import (load_experiment, run_experiment, single_letter_utilities)
 from .mac import build_scenario, default_config, scenario_surface
-from .persuasion import (Block, OneShot, Scenario, Unconstrained,
-                         grid_best_replies, load_scenario, solve_equilibrium)
+from .persuasion import (Block, OneShot, Unconstrained, grid_best_replies,
+                         load_scenario, solve_equilibrium)
 from .prob import binary_entropy, marginal, mutual_information
 from .splitting import RegionLabel, grid_intervals, region_scan
 

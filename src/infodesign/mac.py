@@ -16,8 +16,7 @@ import numpy as np
 
 from .persuasion import Scenario, grid_best_replies
 from .prob import Distribution
-from .splitting import (SCAN_BLOCK_CELLS, grid_intervals, region_scan,
-                        split_blocks, split_values)
+from .splitting import SCAN_BLOCK_CELLS, region_scan, split_blocks, split_values
 
 
 @dataclass(frozen=True)
@@ -87,24 +86,6 @@ def build_scenario(cfg: MacConfig) -> Scenario:
     t2 = np.array([[phi2(g, v, cfg) for v in cfg.actions] for g in states])
     prior = Distribution((cfg.prior_p, 1.0 - cfg.prior_p))
     return Scenario(prior, cfg.actions, t1, t2)
-
-
-@dataclass(frozen=True)
-class BestReplyCurve:
-    """Receiver best reply swept over the prior: arrays p, action, value."""
-
-    p: np.ndarray
-    action: np.ndarray
-    value: np.ndarray
-
-
-def best_reply_curve(cfg: MacConfig, step: float = 1e-3) -> BestReplyCurve:
-    """The piecewise-constant v*(p) staircase with its expected utility."""
-    sc = build_scenario(cfg)
-    grid = np.linspace(0.0, 1.0, grid_intervals(step, "best_reply_curve", 1) + 1)
-    sel, _, V2 = grid_best_replies(sc, grid)
-    labels = np.array(cfg.actions)[sel]
-    return BestReplyCurve(p=grid, action=labels, value=V2)
 
 
 @dataclass(frozen=True)
@@ -178,11 +159,6 @@ def config_to_dict(cfg: MacConfig) -> dict:
             "gain_b": asdict(cfg.gain_b),
             "a1": cfg.a1, "sigma2": cfg.sigma2,
             "prior_p": cfg.prior_p, "actions": list(cfg.actions)}
-
-
-def load_config(path) -> MacConfig:
-    with open(path) as f:
-        return config_from_dict(json.load(f))
 
 
 def default_config() -> MacConfig:

@@ -64,20 +64,12 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class BestReplySet:
-    """Receiver-optimal actions at one posterior; indices into Scenario.actions."""
-
-    optimal_actions: tuple
-    receiver_value: float
-    selected: int
-
-
-@dataclass(frozen=True)
 class Unconstrained:
     name: ClassVar[str] = "unconstrained"
 
     def mask(self, p: float, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
-        return split_masks(p, P1, P2, None, None)[0]
+        # the solver passes only split_blocks blocks, which hold valid splits
+        return np.ones(np.broadcast_shapes(P1.shape, P2.shape), dtype=bool)
 
     def no_info_verdict(self) -> FeasibilityVerdict:
         return FeasibilityVerdict(True, np.inf, "unconstrained")
@@ -139,14 +131,6 @@ class EquilibriumResult:
     cells_feasible: int  # of those, the cells that passed the mode's mask
 
 
-def receiver_expected_utility(posterior: Distribution, v, sc: Scenario) -> float:
-    """Receiver's expected payoff of action label v under a posterior."""
-    j = sc.action_index(v)
-    if len(posterior) != sc.num_states():
-        raise ValueError("receiver_expected_utility: posterior length mismatch")
-    return float(posterior.probs @ sc.phi2[:, j])
-
-
 def _tie_broken(weights: np.ndarray, U1: np.ndarray, sc: Scenario):
     """(tie mask, selected index) along the last axis: the one tie rule.
 
@@ -165,20 +149,6 @@ def _tie_broken(weights: np.ndarray, U1: np.ndarray, sc: Scenario):
     return tie, np.argmax(np.where(tie, U1, -np.inf), axis=-1)
 
 
-def best_reply(posterior: Distribution, sc: Scenario) -> BestReplySet:
-    """Receiver-optimal action set with deterministic selection.
-
-    The optimal actions are those within a band of the receiver's best
-    expected payoff, relative to the spread of phi2; the selected one is the
-    sender's favorite among them, then the lowest action index.
-    """
-    if len(posterior) != sc.num_states():
-        raise ValueError("best_reply: posterior length mismatch")
-    tie, sel = _tie_broken(posterior.probs, posterior.probs @ sc.phi1, sc)
-    top = float((posterior.probs @ sc.phi2).max())
-    return BestReplySet(tuple(int(i) for i in np.flatnonzero(tie)), top, int(sel))
-
-
 def in_Q0(prior: Distribution, signal: StochasticMatrix, cap: float) -> FeasibilityVerdict:
     """Does the signal's information rate fit under the channel capacity?
 
@@ -195,7 +165,11 @@ def in_Q0(prior: Distribution, signal: StochasticMatrix, cap: float) -> Feasibil
 
 def in_Q2(prior: Distribution, signal: StochasticMatrix,
           response: StochasticMatrix, sc: Scenario) -> bool:
-    """Is the response a best reply at every positive-mass message?"""
+    """Is the response a best reply at every positive-mass message?
+
+    The best replies at a message are the tie set of _tie_broken at its
+    posterior; the response may put at most TIE_ATOL mass outside it.
+    """
     if signal.num_inputs != len(prior) or len(prior) != sc.num_states():
         raise ValueError("in_Q2: prior/signal/scenario dimensions disagree")
     if response.num_inputs != signal.num_outputs:
@@ -203,15 +177,11 @@ def in_Q2(prior: Distribution, signal: StochasticMatrix,
     if response.num_outputs != len(sc.actions):
         raise ValueError("in_Q2: response columns do not match the action set")
     pw = prior.probs @ signal.rows
-    for w in range(signal.num_outputs):
-        if pw[w] <= 0:
-            continue
-        post = Distribution(prior.probs * signal.rows[:, w] / pw[w])
-        opt = best_reply(post, sc).optimal_actions
-        stray = 1.0 - float(response.rows[w][list(opt)].sum())
-        if stray > TIE_ATOL:
-            return False
-    return True
+    live = pw > 0
+    posts = (prior.probs[:, None] * signal.rows[:, live] / pw[live]).T
+    tie, _ = _tie_broken(posts, posts @ sc.phi1, sc)
+    stray = 1.0 - np.where(tie, response.rows[live], 0.0).sum(axis=1)
+    return bool(np.all(stray <= TIE_ATOL))
 
 
 def _require_binary(sc: Scenario, who: str) -> float:
@@ -244,9 +214,9 @@ def grid_best_replies(sc: Scenario, q_grid: np.ndarray):
 
     Returns (selected index, sender value, receiver value) arrays. Shared by
     the solver and the case-study surface generator so their argmax agrees.
-    Ties follow best_reply: within a band of the receiver's best relative to
-    the spread of phi2, then the sender's favorite, then the lowest action
-    index.
+    Ties follow _tie_broken, the rule in_Q2 applies too: within a band of
+    the receiver's best relative to the spread of phi2, then the sender's
+    favorite, then the lowest action index.
     """
     _require_binary(sc, "grid_best_replies")
     q = np.asarray(q_grid, dtype=float)

@@ -6,14 +6,11 @@ outside tolerance instead of renormalizing them.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 SIMPLEX_ATOL = 1e-12
-
-_LOG2 = math.log(2.0)
 
 
 def _validated_mass(values, *, what: str) -> np.ndarray:
@@ -59,19 +56,6 @@ class Distribution:
     def __len__(self) -> int:
         return self.probs.size
 
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.probs > 0)
-
-    @classmethod
-    def uniform(cls, k: int) -> "Distribution":
-        return cls(np.full(k, 1.0 / k))
-
-    @classmethod
-    def point(cls, k: int, i: int) -> "Distribution":
-        v = np.zeros(k)
-        v[i] = 1.0
-        return cls(v)
-
 
 @dataclass(frozen=True)
 class StochasticMatrix:
@@ -108,13 +92,6 @@ class StochasticMatrix:
     @property
     def num_outputs(self) -> int:
         return self.rows.shape[1]
-
-    def row(self, i: int) -> Distribution:
-        return Distribution(self.rows[i])
-
-    @classmethod
-    def identity(cls, k: int) -> "StochasticMatrix":
-        return cls(np.eye(k))
 
 
 @dataclass(frozen=True)

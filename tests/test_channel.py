@@ -1,10 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infodesign.channel import (DMC, CapacityError, bsc, capacity, concat,
-                                effective_noise)
-from infodesign.prob import StochasticMatrix, binary_entropy
+from infodesign.channel import DMC, CapacityError, bsc, capacity
+from infodesign.prob import binary_entropy
 
 
 class TestBsc:
@@ -19,36 +20,6 @@ class TestBsc:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             bsc(-0.01)
-
-
-class TestEffectiveNoise:
-    # a signal (alpha, alpha) through bsc(eps) behaves like one flip
-    # probability: (1-alpha) eps + alpha (1-eps)
-    def test_formula(self):
-        assert effective_noise(0.0, 0.25) == 0.25
-        assert effective_noise(1.0, 0.25) == 0.75
-        assert effective_noise(0.5, 0.25) == 0.5
-
-    def test_array(self):
-        out = effective_noise(np.array([0.0, 1.0]), 0.1)
-        assert np.allclose(out, [0.1, 0.9])
-
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError):
-            effective_noise(1.5, 0.25)
-
-
-class TestConcat:
-    def test_degraded_signal(self):
-        sig = StochasticMatrix([[1.0, 0.0], [0.0, 1.0]])
-        out = concat(sig, bsc(0.25))
-        assert np.allclose(out.rows, bsc(0.25).transition.rows)
-
-    def test_composition_order(self):
-        sig = StochasticMatrix([[0.5, 0.5]])
-        out = concat(sig, bsc(0.0))
-        assert out.rows.shape == (1, 2)
-        assert np.allclose(out.rows, [[0.5, 0.5]])
 
 
 class TestCapacity:
@@ -88,6 +59,20 @@ class TestCapacity:
         ch = DMC.from_rows([[0.9, 0.1], [0.3, 0.7]])
         with pytest.raises(CapacityError):
             capacity(ch, tol=1e-12, max_iter=2)
+
+    @pytest.mark.parametrize("tol,max_iter", [
+        (-1.0, 200_000), (float("nan"), 10), (float("inf"), 10),
+        (-float("inf"), 10), (1e-9, 0), (1e-9, -3)])
+    def test_hopeless_arguments_refused_before_a_sweep(self, tol, max_iter):
+        name = "tol" if max_iter > 0 else "max_iter"
+        with mock.patch("numpy.exp2", side_effect=AssertionError("swept")):
+            with pytest.raises(ValueError, match=rf"^capacity: {name} "):
+                capacity(bsc(0.1), tol=tol, max_iter=max_iter)
+
+    def test_zero_tol_and_one_sweep_accepted(self):
+        # a useless channel closes its bracket exactly in the first sweep
+        res = capacity(bsc(0.5), tol=0.0, max_iter=1)
+        assert (res.capacity, res.iterations, res.residual) == (0.0, 1, 0.0)
 
     def test_closed_form_sweep(self):
         for eps in np.linspace(0.0, 0.5, 21):

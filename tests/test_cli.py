@@ -25,8 +25,7 @@ from infodesign.cli import (CSV_BLOCK_ROWS, DIGEST_BLOCK_BYTES, _fmt, _text,
                             _write_csv, _write_json, _write_square, cli, main)
 from infodesign.coding import (ExperimentSummary, coding_config_from_dict,
                                run_experiment, single_letter_utilities)
-from infodesign.mac import (best_reply_curve, build_scenario, default_config,
-                            scenario_surface)
+from infodesign.mac import build_scenario, default_config, scenario_surface
 from infodesign.persuasion import (Block, OneShot, Scenario, Unconstrained,
                                    grid_best_replies, scenario_to_dict,
                                    sender_value, solve_equilibrium)
@@ -129,6 +128,18 @@ class TestCapacity:
                                 "--tol", "1e-15", "--max-iter", "2"], capsys)
         assert code == 1
         assert stderr_error(err)["type"] == "no_convergence"
+
+    @pytest.mark.parametrize("flags,name", [
+        (["--tol", "-1", "--max-iter", "200000"], "tol"), (["--tol", "nan"], "tol"),
+        (["--max-iter", "0"], "max_iter"), (["--max-iter", "-3"], "max_iter")])
+    def test_hopeless_arguments_are_invalid_input(self, workdir, capsys, flags,
+                                                  name):
+        code, _, err = run_cli(["capacity", "--bsc", "0.1", *flags], capsys)
+        assert code == 1
+        e = stderr_error(err)
+        assert e["type"] == "invalid_input"
+        assert e["message"].startswith(f"capacity: {name} ")
+        assert os.listdir(workdir) == []
 
     def test_bad_matrix_rejected(self, workdir, capsys):
         (workdir / "ch.json").write_text(
@@ -738,7 +749,6 @@ GRID_SITES = {
     "scenario_surface": lambda s, _: scenario_surface(PRIOR_03, s).p1_axis.size,
     "solve_equilibrium": lambda s, _: scan_points(
         solve_equilibrium(PRIOR_03, Unconstrained(), s).cells_scanned),
-    "best_reply_curve": lambda s, _: best_reply_curve(default_config(), s).p.size,
     "cli region": lambda s, c: cli_grid(
         ["region", "--p", "0.3", "--eps", "0.25", "--resolution", str(s)], c,
         lambda out: math.isqrt(int(out.split()[2]))),

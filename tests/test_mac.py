@@ -1,14 +1,12 @@
-import json
-
 import numpy as np
 import pytest
 
-from infodesign.mac import (GainState, MacConfig, best_reply_curve,
-                            build_scenario, config_from_dict, config_to_dict,
-                            default_config, load_config, phi1, phi2,
-                            scenario_surface)
+from infodesign.mac import (GainState, MacConfig, build_scenario,
+                            config_from_dict, config_to_dict, default_config,
+                            phi1, phi2, scenario_surface)
 from infodesign.persuasion import (Block, OneShot, Unconstrained,
-                                   sender_value, solve_equilibrium)
+                                   grid_best_replies, sender_value,
+                                   solve_equilibrium)
 from infodesign.prob import binary_entropy
 from infodesign.splitting import PosteriorPair, RegionLabel
 
@@ -40,11 +38,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="bogus"):
             config_from_dict(doc)
 
-    def test_load_matches_default(self, tmp_path):
-        f = tmp_path / "m.json"
-        f.write_text(json.dumps(config_to_dict(CFG)))
-        assert load_config(f) == CFG
-
 
 class TestUtilities:
     # pinned regression values (natural-log payoff scale)
@@ -73,18 +66,26 @@ class TestUtilities:
 
 
 class TestBestReplyCurve:
+    """The receiver's best reply v*(p) swept over the prior, on a 1e-3 axis."""
+
+    AXIS = np.linspace(0.0, 1.0, 1001)
+
+    def staircase(self):
+        sel, _, value = grid_best_replies(SC, self.AXIS)
+        return np.array(CFG.actions)[sel], value
+
     def test_staircase_monotone(self):
-        curve = best_reply_curve(CFG, 1e-3)
-        assert np.all(np.diff(curve.action) >= 0)
-        assert curve.action[0] == 0.0
-        assert curve.action[-1] == 1.0
+        action, _ = self.staircase()
+        assert np.all(np.diff(action) >= 0)
+        assert action[0] == 0.0
+        assert action[-1] == 1.0
 
     def test_threshold_locations(self):
         # receiver switches 0 -> 0.25 -> 0.5 -> 0.75 -> 1 at these priors
-        curve = best_reply_curve(CFG, 1e-3)
-        jumps = np.flatnonzero(np.diff(curve.action) != 0)
-        lo = curve.p[jumps]
-        hi = curve.p[jumps + 1]
+        action, _ = self.staircase()
+        jumps = np.flatnonzero(np.diff(action) != 0)
+        lo = self.AXIS[jumps]
+        hi = self.AXIS[jumps + 1]
         expected = (0.30327, 0.39510, 0.50619, 0.64145)
         assert len(jumps) == 4
         for left, right, t in zip(lo, hi, expected):
@@ -92,8 +93,8 @@ class TestBestReplyCurve:
 
     def test_value_continuous_at_jumps(self):
         # receiver value is a max of affine functions: continuous
-        curve = best_reply_curve(CFG, 1e-3)
-        dv = np.abs(np.diff(curve.value))
+        _, value = self.staircase()
+        dv = np.abs(np.diff(value))
         assert dv.max() < 1e-2
 
 

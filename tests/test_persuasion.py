@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from infodesign import persuasion
 from infodesign.persuasion import (Block, EquilibriumResult, OneShot, Scenario,
-                                   Unconstrained, best_reply, grid_best_replies,
-                                   in_Q0, in_Q2, receiver_expected_utility,
-                                   scenario_from_dict, scenario_to_dict,
+                                   Unconstrained, grid_best_replies, in_Q0,
+                                   in_Q2, scenario_from_dict, scenario_to_dict,
                                    sender_value, solve_equilibrium)
 from infodesign.prob import Distribution, StochasticMatrix, binary_entropy
 from infodesign.splitting import (NO_INFO, PosteriorPair, SplitError,
@@ -33,33 +32,41 @@ ALIGNED = Scenario(
 )
 
 
+# one message, so its posterior is the prior in_Q2 is given
+POOLING = StochasticMatrix([[1.0], [1.0]])
+
+
+def best_reply_set(q: float, sc: Scenario) -> tuple:
+    """Indices of the actions in_Q2 accepts as a best reply at posterior
+    (q, 1 - q): the receiver's tie set."""
+    k = len(sc.actions)
+    return tuple(i for i in range(k)
+                 if in_Q2(Distribution([q, 1.0 - q]), POOLING,
+                          StochasticMatrix(np.eye(k)[[i]]), sc))
+
+
 class TestBestReply:
     def test_threshold(self):
-        br = best_reply(Distribution([0.6, 0.4]), PROSECUTOR)
-        assert br.selected == 0
-        br = best_reply(Distribution([0.3, 0.7]), PROSECUTOR)
-        assert br.selected == 1
+        sel, _, _ = grid_best_replies(PROSECUTOR, np.array([0.6, 0.3]))
+        assert sel.tolist() == [0, 1]
+        assert best_reply_set(0.6, PROSECUTOR) == (0,)
+        assert best_reply_set(0.3, PROSECUTOR) == (1,)
 
     def test_tie_broken_sender_preferred(self):
         # at posterior 1/2 the receiver is indifferent; sender wants "act"
-        br = best_reply(Distribution([0.5, 0.5]), PROSECUTOR)
-        assert br.optimal_actions == (0, 1)
-        assert br.selected == 0
+        assert best_reply_set(0.5, PROSECUTOR) == (0, 1)
+        assert grid_best_replies(PROSECUTOR, np.array([0.5]))[0].tolist() == [0]
 
     def test_tie_lowest_index_when_sender_indifferent(self):
         sc = Scenario(Distribution([0.5, 0.5]), ("a", "b"),
                       phi1=[[0.0, 0.0], [0.0, 0.0]],
                       phi2=[[1.0, 1.0], [1.0, 1.0]])
-        assert best_reply(Distribution([0.5, 0.5]), sc).selected == 0
+        assert best_reply_set(0.5, sc) == (0, 1)
+        assert grid_best_replies(sc, np.array([0.5]))[0].tolist() == [0]
 
     def test_receiver_value(self):
-        br = best_reply(Distribution([0.6, 0.4]), PROSECUTOR)
-        assert br.receiver_value == pytest.approx(0.2, abs=1e-12)
-
-    def test_expected_utility_by_label(self):
-        got = receiver_expected_utility(Distribution([0.6, 0.4]), "act",
-                                        PROSECUTOR)
-        assert got == pytest.approx(0.2, abs=1e-12)
+        _, _, V2 = grid_best_replies(PROSECUTOR, np.array([0.6]))
+        assert V2[0] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_tie_band_scales_with_receiver_table():
@@ -75,9 +82,8 @@ def test_tie_band_scales_with_receiver_table():
     assert np.array_equal(grid_best_replies(sc, grid)[0], want)
     assert np.array_equal(grid_best_replies(half, grid)[0], want)
     for s in (sc, half):
-        br = best_reply(Distribution([0.2, 0.8]), s)
-        assert br.optimal_actions == (1,)
-        assert br.selected == 1
+        assert best_reply_set(0.2, s) == (1,)
+        assert best_reply_set(0.8, s) == (1, 2)
 
 
 class TestFeasibilityPredicates:
