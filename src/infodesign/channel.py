@@ -1,4 +1,7 @@
-"""Discrete memoryless channels and capacity via alternating maximization."""
+"""Discrete memoryless channels and capacity via alternating maximization.
+
+A channel is a StochasticMatrix T[x, y], the law of output y given input x.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,26 +15,11 @@ class CapacityError(RuntimeError):
     """Capacity iteration failed to reach the requested residual."""
 
 
-@dataclass(frozen=True)
-class DMC:
-    """Channel with row-stochastic transition matrix T[x, y]."""
-
-    transition: StochasticMatrix
-
-    @property
-    def num_inputs(self) -> int:
-        return self.transition.num_inputs
-
-    @classmethod
-    def from_rows(cls, rows) -> "DMC":
-        return cls(StochasticMatrix(rows))
-
-
-def bsc(eps: float) -> DMC:
+def bsc(eps: float) -> StochasticMatrix:
     """Binary symmetric channel with flip probability eps in [0, 1/2]."""
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"bsc: flip probability {eps!r} outside [0, 1/2]")
-    return DMC.from_rows([[1.0 - eps, eps], [eps, 1.0 - eps]])
+    return StochasticMatrix([[1.0 - eps, eps], [eps, 1.0 - eps]])
 
 
 @dataclass(frozen=True)
@@ -42,7 +30,8 @@ class CapacityResult:
     residual: float
 
 
-def capacity(ch: DMC, tol: float = 1e-9, max_iter: int = 100_000) -> CapacityResult:
+def capacity(ch: StochasticMatrix, tol: float = 1e-9,
+             max_iter: int = 100_000) -> CapacityResult:
     """Channel capacity in bits by alternating maximization.
 
     Each sweep computes per-input divergences d(x) = D(T(.|x) || q) against the
@@ -56,7 +45,7 @@ def capacity(ch: DMC, tol: float = 1e-9, max_iter: int = 100_000) -> CapacityRes
         raise ValueError(f"capacity: tol {tol!r} must be finite and >= 0")
     if max_iter < 1:
         raise ValueError(f"capacity: max_iter {max_iter!r} must be >= 1")
-    T = ch.transition.rows
+    T = ch.rows
     m = T.shape[0]
     support = T > 0
     logT = np.where(support, np.log2(np.where(support, T, 1.0)), 0.0)

@@ -27,12 +27,12 @@ import click
 import numpy as np
 
 from . import __version__
-from .channel import DMC, CapacityError, bsc, capacity
+from .channel import CapacityError, bsc, capacity
 from .coding import (load_experiment, run_experiment, single_letter_utilities)
 from .mac import build_scenario, default_config, scenario_surface
 from .persuasion import (Block, OneShot, Unconstrained, grid_best_replies,
                          load_scenario, solve_equilibrium)
-from .prob import binary_entropy, marginal, mutual_information
+from .prob import StochasticMatrix, binary_entropy, marginal, mutual_information
 from .splitting import RegionLabel, grid_intervals, region_scan
 
 CSV_BLOCK_ROWS = 4096
@@ -277,7 +277,7 @@ def cmd_capacity(bsc_eps, matrix_file, tol, max_iter, out):
             doc = json.load(f)
         rows = doc["matrix"] if isinstance(doc, dict) and "matrix" in doc else doc
         try:
-            ch = DMC.from_rows(rows)
+            ch = StochasticMatrix(rows)
         except (ValueError, TypeError) as e:
             raise ValueError(f"channel matrix: {e}") from None
         spec = {"matrix_file": matrix_file}
@@ -431,12 +431,16 @@ def cmd_solve(scenario, mode, eps, cap, resolution, out):
 def cmd_simulate(experiment, trials, seed, out, trials_csv):
     """Monte Carlo coordination run over the configured channel."""
     started = time.perf_counter()
-    cfg = load_experiment(experiment)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
     if trials_csv is None:
         stem = out[:-5] if out.endswith(".json") else out
         trials_csv = stem + "_trials.csv"
+    if os.path.realpath(trials_csv) in {os.path.realpath(out),
+                                        os.path.realpath(out + ".manifest.json")}:
+        raise click.UsageError(f"--trials-csv {trials_csv} would overwrite "
+                               f"--out {out} or its manifest")
+    cfg = load_experiment(experiment)
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=seed)
 
     rate_needed = mutual_information(marginal(cfg.target, ("u", "w")))
     cap = capacity(cfg.channel).capacity

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import DMC, bsc
+from .channel import bsc
 from .prob import (Distribution, JointDistribution, StochasticMatrix,
                    compose_markov, conditional, marginal, payoff_table)
 
@@ -72,7 +72,7 @@ class CodingConfig:
     n: int
     rate: float
     target: JointDistribution
-    channel: DMC
+    channel: StochasticMatrix
     input_dist: Distribution
     phi1: np.ndarray
     phi2: np.ndarray
@@ -152,7 +152,7 @@ class CodingConfig:
     @functools.cached_property
     def target_yx(self) -> np.ndarray:
         """(output, input) channel table the decoder matches."""
-        table = (self.input_dist.probs[:, None] * self.channel.transition.rows).T
+        table = (self.input_dist.probs[:, None] * self.channel.rows).T
         table.flags.writeable = False
         return table
 
@@ -202,16 +202,9 @@ class TrialResult:
     chosen_m: Optional[int]
     decoded_m: Optional[int]
     counts: np.ndarray
-    axes: tuple
     l1_to_target: float
     util1_n: float
     util2_n: float
-
-    @functools.cached_property
-    def empirical(self) -> JointDistribution:
-        """Joint type of the realized (source, word, action) block."""
-        return JointDistribution(self.counts / self.counts.sum(),
-                                 axes=self.axes)
 
 
 def _draw_iid(dist: Distribution, size, rng: np.random.Generator) -> np.ndarray:
@@ -298,11 +291,11 @@ def encode(u_seq: np.ndarray, cb: Codebook, cfg: CodingConfig,
     return int(hits[rng.integers(hits.size)])
 
 
-def transmit(x_seq: np.ndarray, channel: DMC,
+def transmit(x_seq: np.ndarray, channel: StochasticMatrix,
              rng: np.random.Generator) -> np.ndarray:
     """Memoryless channel pass: one conditional draw per symbol."""
     x_seq = np.asarray(x_seq)
-    return _draw_rows(channel.transition.rows, x_seq, rng.random(x_seq.size))
+    return _draw_rows(channel.rows, x_seq, rng.random(x_seq.size))
 
 
 def decode(y_seq: np.ndarray, cb: Codebook, cfg: CodingConfig) -> Optional[int]:
@@ -357,7 +350,7 @@ def run_trial(cfg: CodingConfig, cb: Codebook, rng,
     ok = (m is not None and m_hat == m
           and l1 <= cfg.typicality_radius + TYPE_ATOL)
     return TrialResult(error_event=not ok, chosen_m=m, decoded_m=m_hat,
-                       counts=counts, axes=cfg.target.axes, l1_to_target=l1,
+                       counts=counts, l1_to_target=l1,
                        util1_n=float(cfg.phi1[u, v].mean()),
                        util2_n=float(cfg.phi2[u, v].mean()))
 
@@ -547,7 +540,7 @@ def coding_config_from_dict(doc: dict) -> CodingConfig:
     if isinstance(ch_spec, dict) and set(ch_spec) == {"bsc"}:
         channel = build("channel", lambda s: bsc(float(s["bsc"])))
     elif isinstance(ch_spec, dict) and set(ch_spec) == {"matrix"}:
-        channel = build("channel", lambda s: DMC.from_rows(s["matrix"]))
+        channel = build("channel", lambda s: StochasticMatrix(s["matrix"]))
     else:
         raise ValueError("experiment.channel: expected {\"bsc\": eps} or "
                          "{\"matrix\": rows}")
@@ -562,7 +555,7 @@ def coding_config_from_dict(doc: dict) -> CodingConfig:
 
 
 def coding_config_to_dict(cfg: CodingConfig) -> dict:
-    rows = cfg.channel.transition.rows
+    rows = cfg.channel.rows
     return {"n": cfg.n, "rate": cfg.rate, "eps_typ": cfg.eps_typ,
             "seed": cfg.seed,
             "prior": cfg.prior.probs.tolist(),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .persuasion import Scenario, grid_best_replies
 from .prob import Distribution
-from .splitting import SCAN_BLOCK_CELLS, region_scan, split_blocks, split_values
+from .splitting import region_scan, split_blocks, split_values
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def scenario_surface(sc: Scenario, resolution: float = 1.0 / 500,
     _, V1, V2 = grid_best_replies(sc, grid)
     vals1 = np.full(region.labels.shape, np.nan)
     vals2 = np.full(region.labels.shape, np.nan)
-    for rows, cols in split_blocks(p, grid, SCAN_BLOCK_CELLS):
+    for rows, cols in split_blocks(p, grid):
         P1, P2 = grid[rows, None], grid[None, cols]
         vals1[rows, cols] = split_values(p, P1, P2, V1[rows, None], V1[None, cols])
         vals2[rows, cols] = split_values(p, P1, P2, V2[rows, None], V2[None, cols])

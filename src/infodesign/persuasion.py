@@ -20,7 +20,7 @@ import numpy as np
 
 from .prob import (Distribution, JointDistribution, StochasticMatrix,
                    mutual_information, payoff_table)
-from .splitting import (FEAS_ATOL, NO_INFO, SCAN_BLOCK_CELLS, BinarySignal,
+from .splitting import (FEAS_ATOL, NO_INFO, BinarySignal,
                         FeasibilityVerdict, PosteriorPair, SplitError,
                         block_feasible, check_eps, grid_intervals,
                         is_valid_split, one_shot_feasible,
@@ -55,12 +55,6 @@ class Scenario:
 
     def num_states(self) -> int:
         return len(self.prior)
-
-    def action_index(self, v) -> int:
-        try:
-            return self.actions.index(v)
-        except ValueError:
-            raise ValueError(f"Scenario: unknown action {v!r}") from None
 
 
 @dataclass(frozen=True)
@@ -245,7 +239,7 @@ def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> Equilibri
     sel, V1, V2 = grid_best_replies(sc, grid)
     top, cell = -np.inf, None
     scanned = feasible = 0
-    for rows, cols in split_blocks(p, grid, SCAN_BLOCK_CELLS):
+    for rows, cols in split_blocks(p, grid):
         P1, P2 = grid[rows, None], grid[None, cols]
         mask = mode.mask(p, P1, P2)
         vals = np.where(mask, split_values(p, P1, P2, V1[rows, None], V1[None, cols]),

@@ -59,14 +59,9 @@ class Distribution:
 
 @dataclass(frozen=True)
 class StochasticMatrix:
-    """Row-stochastic matrix; row i is a conditional distribution given input i.
-
-    undefined_rows marks rows that stand in for conditionals with zero
-    conditioning mass (stored as uniform).
-    """
+    """Row-stochastic matrix; row i is a conditional distribution given input i."""
 
     rows: np.ndarray
-    undefined_rows: frozenset = frozenset()
 
     def __post_init__(self):
         arr = np.array(self.rows, dtype=float)
@@ -83,7 +78,6 @@ class StochasticMatrix:
         np.clip(arr, 0.0, None, out=arr)
         arr.flags.writeable = False
         object.__setattr__(self, "rows", arr)
-        object.__setattr__(self, "undefined_rows", frozenset(self.undefined_rows))
 
     @property
     def num_inputs(self) -> int:
@@ -204,16 +198,13 @@ def conditional(joint: JointDistribution, given: str) -> StochasticMatrix:
     """Conditional of the other axis given `given`, for a bivariate joint.
 
     Rows are indexed by the conditioning symbol. Zero-mass rows come back
-    uniform and flagged in undefined_rows.
+    uniform.
     """
     if joint.probs.ndim != 2:
         raise ValueError("conditional: expected a bivariate joint")
     gi = joint.axis_index(given)
     table = joint.probs if gi == 0 else joint.probs.T
     mass = table.sum(axis=1)
-    dead = np.flatnonzero(mass == 0)
-    safe = np.where(mass > 0, mass, 1.0)
-    rows = table / safe[:, None]
-    if dead.size:
-        rows[dead] = 1.0 / table.shape[1]
-    return StochasticMatrix(rows, undefined_rows=frozenset(int(i) for i in dead))
+    rows = table / np.where(mass > 0, mass, 1.0)[:, None]
+    rows[mass == 0] = 1.0 / table.shape[1]
+    return StochasticMatrix(rows)

@@ -8,12 +8,11 @@ sit inside the channel's attainable band) or per-block (the signal's
 information rate must fit under a channel capacity).
 
 The grid masks of split_masks work in the coordinates each condition
-needs. The per-use mask inverts every cell to (alpha, beta), which is all
-that required_signal_arrays is for. The block mask never inverts: for a
-split of p into (p1, p2) the rate is h(p) - [lam h(p1) + (1 - lam) h(p2)],
-the split_values mix of h, so h is evaluated once per axis point. The scalar
-verdicts one_shot_feasible and block_feasible keep the (alpha, beta) form,
-whose slack bits the solver reports.
+needs. The per-use mask inverts every cell to (alpha, beta). The block mask
+never inverts: for a split of p into (p1, p2) the rate is h(p) - [lam h(p1)
++ (1 - lam) h(p2)], the split_values mix of h, so h is evaluated once per
+axis point. The scalar verdicts one_shot_feasible and block_feasible keep
+the (alpha, beta) form, whose slack bits the solver reports.
 """
 from __future__ import annotations
 
@@ -63,27 +62,21 @@ class BinarySignal:
             if getattr(self, "one_minus_" + name) is None:
                 object.__setattr__(self, "one_minus_" + name, 1.0 - v)
 
-    def rows(self) -> np.ndarray:
-        return np.array([[self.one_minus_alpha, self.alpha],
-                         [self.beta, self.one_minus_beta]])
-
 NO_INFO = BinarySignal(0.5, 0.5)
 
 
 @dataclass(frozen=True)
 class PosteriorPair:
-    """Posteriors P(u1 | w1) and P(u1 | w2); undefined marks zero-mass messages."""
+    """Posteriors P(u1 | w1) and P(u1 | w2)."""
 
     p1: float
     p2: float
-    undefined: frozenset = frozenset()
 
     def __post_init__(self):
         for name in ("p1", "p2"):
             v = getattr(self, name)
             if not (np.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"PosteriorPair: {name} = {v!r} outside [0, 1]")
-        object.__setattr__(self, "undefined", frozenset(self.undefined))
 
 
 @dataclass(frozen=True)
@@ -110,16 +103,9 @@ def posteriors_from_signal(p: float, signal: BinarySignal) -> PosteriorPair:
     a, na = signal.alpha, signal.one_minus_alpha
     m1 = p * na + (1.0 - p) * signal.beta
     m2 = p * a + (1.0 - p) * signal.one_minus_beta
-    undefined = set()
-    if m1 > 0:
-        p1 = p * na / m1
-    else:
-        p1, undefined = p, {"w1"}
-    if m2 > 0:
-        p2 = p * a / m2
-    else:
-        p2, undefined = p, undefined | {"w2"}
-    return PosteriorPair(min(p1, 1.0), min(p2, 1.0), frozenset(undefined))
+    p1 = p * na / m1 if m1 > 0 else p
+    p2 = p * a / m2 if m2 > 0 else p
+    return PosteriorPair(min(p1, 1.0), min(p2, 1.0))
 
 
 def message_weights(p: float, signal: BinarySignal) -> tuple:
@@ -140,20 +126,6 @@ def is_valid_split(p: float, pair: PosteriorPair) -> bool:
     return lo < p < hi
 
 
-def required_signal_arrays(p: float, p1, p2):
-    """Vectorized inversion: signal parameters that induce posteriors (p1, p2).
-
-    The per-use mask of split_masks is its one caller. No validity checks;
-    callers mask. Division by zero, or by a tiny prior, yields inf/nan.
-    """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        alpha = p2 * (p1 - p) / (p * (p1 - p2))
-        beta = (1.0 - p1) * (p - p2) / ((1.0 - p) * (p1 - p2))
-    return alpha, beta
-
-
 def signal_from_posteriors(p: float, pair: PosteriorPair) -> BinarySignal:
     """The unique signal inducing a valid split (inversion of the Bayes map)."""
     if pair.p1 == pair.p2:
@@ -164,8 +136,8 @@ def signal_from_posteriors(p: float, pair: PosteriorPair) -> BinarySignal:
         raise SplitError(f"prior {p!r} not strictly between posteriors "
                          f"({pair.p1!r}, {pair.p2!r})")
     p, p1, p2 = float(p), float(pair.p1), float(pair.p2)
-    # alpha and beta as in required_signal_arrays, and the complements in
-    # closed form, which keep full precision near the prior
+    # alpha and beta as in split_masks, and the complements in closed form,
+    # which keep full precision near the prior
     forms = (_ratio(p2, p1 - p, p, p1 - p2),
              _ratio(1.0 - p1, p - p2, 1.0 - p, p1 - p2),
              _ratio(p1, p - p2, p, p1 - p2),
@@ -259,10 +231,13 @@ def split_masks(p: float, p1_grid, p2_grid, eps: float | None, cap: float | None
     eps=None skips the per-use mask and cap=None the block mask; a skipped
     mask comes back as None. The per-use mask inverts each cell to (alpha,
     beta) and asks both for [eps, 1 - eps] within FEAS_ATOL, four fused
-    comparisons. The block mask asks for the rate h(p) - split_values(p,
-    p1, p2, h(p1), h(p2)) to fit under cap within FEAS_ATOL, with h taken
-    on the grids as given (once per axis point when p1_grid is a column
-    and p2_grid a row); it inverts nothing.
+    comparisons. Below a prior of 2**-900, p and p1 - p enter alpha scaled
+    by 2**200, so that p * (p1 - p2) does not underflow; a power-of-two
+    scale is exact, so alpha keeps the bits of the plain form wherever that
+    stays in the normal range. The block mask asks for the rate h(p) -
+    split_values(p, p1, p2, h(p1), h(p2)) to fit under cap within
+    FEAS_ATOL, with h taken on the grids as given (once per axis point when
+    p1_grid is a column and p2_grid a row); it inverts nothing.
     """
     P1 = np.asarray(p1_grid, dtype=float)
     P2 = np.asarray(p2_grid, dtype=float)
@@ -273,7 +248,10 @@ def split_masks(p: float, p1_grid, p2_grid, eps: float | None, cap: float | None
         valid &= False
     one_shot = block = None
     if eps is not None:
-        alpha, beta = required_signal_arrays(p, P1, P2)
+        s = 2.0 ** 200 if p < 2.0 ** -900 else 1.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            alpha = P2 * ((P1 - p) * s) / ((p * s) * (P1 - P2))
+            beta = (1.0 - P1) * (p - P2) / ((1.0 - p) * (P1 - P2))
         one_shot = (valid & (alpha - eps >= -FEAS_ATOL)
                     & ((1.0 - eps) - alpha >= -FEAS_ATOL)
                     & (beta - eps >= -FEAS_ATOL)
@@ -304,14 +282,14 @@ def grid_intervals(spacing: float, who: str, dims: int = 2) -> int:
     return round(inv)
 
 
-def split_blocks(p: float, grid: np.ndarray, block_cells: int):
+def split_blocks(p: float, grid: np.ndarray):
     """Row blocks of the posterior square grid x grid that hold valid splits.
 
     A split is valid only when p lies strictly between p1 and p2, so the
     valid cells form two rectangles: A (p1 < p < p2) and B (p2 < p < p1).
     Yields (rows, cols) slices covering A and then B, each in blocks of
-    whole rows of about block_cells cells, in row-major order; nothing at
-    p = 0 or p = 1.
+    whole rows of about SCAN_BLOCK_CELLS cells, in row-major order; nothing
+    at p = 0 or p = 1.
     """
     n = grid.size
     below = int(np.searchsorted(grid, p, "left"))  # grid[:below] < p
@@ -321,36 +299,35 @@ def split_blocks(p: float, grid: np.ndarray, block_cells: int):
         width = cols.stop - cols.start
         if width == 0:
             continue
-        step = max(1, block_cells // width)
+        step = max(1, SCAN_BLOCK_CELLS // width)
         for r in range(start, stop, step):
             yield slice(r, min(r + step, stop)), cols
-
-
-def split_labels(p: float, P1, P2, eps: float | None):
-    """RegionLabel values of a block of valid splits: VALID with no channel,
-    else ONE_SHOT, BLOCK_ONLY or INFEASIBLE for the channel with flip eps."""
-    if eps is None:
-        return int(RegionLabel.VALID)
-    _, one_shot, block = split_masks(p, P1, P2, eps, 1.0 - binary_entropy(eps))
-    labels = np.where(block, int(RegionLabel.BLOCK_ONLY), int(RegionLabel.INFEASIBLE))
-    labels[one_shot] = int(RegionLabel.ONE_SHOT)
-    return labels
 
 
 def region_scan(p: float, eps: float | None,
                 resolution: float = 1.0 / 500) -> RegionGrid:
     """Label every grid point of the posterior square by channel feasibility.
 
-    eps=None labels the valid splits VALID and leaves capacity None.
+    Valid splits are labelled VALID with no channel (eps=None, capacity
+    None), else ONE_SHOT, BLOCK_ONLY or INFEASIBLE for the channel with
+    flip eps.
     """
     _check_prior(p)
+    cap = None
     if eps is not None:
         check_eps(eps, "region_scan")
+        cap = 1.0 - binary_entropy(eps)
     n = grid_intervals(resolution, "region_scan")
     axis = np.linspace(0.0, 1.0, n + 1)
     labels = np.full((n + 1, n + 1), int(RegionLabel.INVALID_SPLIT), dtype=np.int8)
-    for rows, cols in split_blocks(p, axis, SCAN_BLOCK_CELLS):
-        labels[rows, cols] = split_labels(p, axis[rows, None], axis[None, cols], eps)
+    for rows, cols in split_blocks(p, axis):
+        if eps is None:
+            labels[rows, cols] = int(RegionLabel.VALID)
+            continue
+        _, one_shot, block = split_masks(p, axis[rows, None], axis[None, cols], eps, cap)
+        cells = np.where(block, int(RegionLabel.BLOCK_ONLY), int(RegionLabel.INFEASIBLE))
+        cells[one_shot] = int(RegionLabel.ONE_SHOT)
+        labels[rows, cols] = cells
     labels.flags.writeable = False
     return RegionGrid(p1_axis=axis, p2_axis=axis, labels=labels, prior=p, eps=eps,
-                      capacity=None if eps is None else 1.0 - binary_entropy(eps))
+                      capacity=cap)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infodesign.channel import DMC, CapacityError, bsc, capacity
-from infodesign.prob import binary_entropy
+from infodesign.channel import CapacityError, bsc, capacity
+from infodesign.prob import StochasticMatrix, binary_entropy
 
 
 class TestBsc:
     def test_transition(self):
         ch = bsc(0.25)
-        assert np.allclose(ch.transition.rows, [[0.75, 0.25], [0.25, 0.75]])
+        assert np.allclose(ch.rows, [[0.75, 0.25], [0.25, 0.75]])
 
     def test_rejects_above_half(self):
         with pytest.raises(ValueError):
@@ -40,13 +40,13 @@ class TestCapacity:
         assert capacity(bsc(0.5)).capacity >= 0.0
 
     def test_identity_ternary(self):
-        ch = DMC.from_rows(np.eye(3))
+        ch = StochasticMatrix(np.eye(3))
         assert capacity(ch).capacity == pytest.approx(np.log2(3.0), abs=1e-9)
 
     def test_asymmetric_erasure(self):
         # binary erasure channel, erasure probability e: C = 1 - e
         e = 0.3
-        ch = DMC.from_rows([[1 - e, e, 0.0], [0.0, e, 1 - e]])
+        ch = StochasticMatrix([[1 - e, e, 0.0], [0.0, e, 1 - e]])
         assert capacity(ch).capacity == pytest.approx(1.0 - e, abs=1e-7)
 
     def test_residual_bracket(self):
@@ -56,7 +56,7 @@ class TestCapacity:
 
     def test_non_convergence_raises(self):
         # asymmetric channel so the bracket takes several sweeps to close
-        ch = DMC.from_rows([[0.9, 0.1], [0.3, 0.7]])
+        ch = StochasticMatrix([[0.9, 0.1], [0.3, 0.7]])
         with pytest.raises(CapacityError):
             capacity(ch, tol=1e-12, max_iter=2)
 
@@ -89,7 +89,7 @@ def test_capacity_bounds_random_channels(k_in, k_out, data):
         vals = np.array(data.draw(
             st.lists(st.floats(1e-6, 1.0), min_size=k_out, max_size=k_out)))
         rows.append(vals / vals.sum())
-    res = capacity(DMC.from_rows(np.array(rows)), tol=1e-7)
+    res = capacity(StochasticMatrix(np.array(rows)), tol=1e-7)
     assert -1e-9 <= res.capacity <= np.log2(min(k_in, k_out)) + 1e-6
 
 

@@ -142,11 +142,15 @@ class TestCapacity:
         assert os.listdir(workdir) == []
 
     def test_bad_matrix_rejected(self, workdir, capsys):
-        (workdir / "ch.json").write_text(
-            json.dumps([[0.5, 0.4], [0.3, 0.7]]))
-        code, _, err = run_cli(["capacity", "--matrix", "ch.json"], capsys)
-        assert code == 1
-        assert stderr_error(err)["type"] == "invalid_input"
+        # a row that does not sum to 1, and a 1-d list
+        for rows in ([[0.5, 0.4], [0.3, 0.7]], [0.5, 0.5]):
+            (workdir / "ch.json").write_text(json.dumps(rows))
+            code, _, err = run_cli(["capacity", "--matrix", "ch.json"], capsys)
+            assert code == 1
+            e = stderr_error(err)
+            assert e["type"] == "invalid_input"
+            assert e["message"].startswith("channel matrix: ")
+            assert os.listdir(workdir) == ["ch.json"]
 
     def test_manifest_digests(self, workdir, capsys):
         (workdir / "ch.json").write_text(
@@ -397,6 +401,27 @@ class TestSimulate:
         assert e["type"] == "invalid_input"
         assert "bytes" in e["message"]
         assert sorted(p.name for p in workdir.iterdir()) == ["long.json"]
+
+    def test_bad_channel_matrix(self, workdir, capsys):
+        doc = dict(EXPERIMENT_DOC, channel={"matrix": [[0.5, 0.4], [0.05, 0.95]]})
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        code, _, err = run_cli(["simulate", "--experiment", "bad.json"], capsys)
+        assert code == 1
+        e = stderr_error(err)
+        assert e["type"] == "invalid_input"
+        assert e["message"].startswith("experiment.channel: ")
+        assert os.listdir(workdir) == ["bad.json"]
+
+    @pytest.mark.parametrize("out,trials_csv", [
+        ("a.json", "a.json"), ("a.json", "./a.json"),
+        ("b.json", "b.json.manifest.json")])
+    def test_colliding_outputs_refused(self, workdir, experiment_file, capsys,
+                                       out, trials_csv):
+        code, _, err = run_cli(["simulate", "--experiment", experiment_file,
+                                "--out", out, "--trials-csv", trials_csv], capsys)
+        assert code == 2
+        assert stderr_error(err)["type"] == "usage"
+        assert os.listdir(workdir) == ["exp.json"]
 
     def test_missing_experiment_file(self, workdir, capsys):
         code, _, err = run_cli(["simulate", "--experiment", "nope.json"],

@@ -392,7 +392,7 @@ class TestTrial:
         cb = generate_codebook(cfg)
         for t in range(20):
             r = run_trial(cfg, cb, t)
-            q_uv = marginal(r.empirical, ("u", "v")).probs
+            q_uv = r.counts.sum(axis=1) / cfg.n
             assert abs(r.util1_n - (q_uv * cfg.phi1).sum()) <= 1e-12
             assert abs(r.util2_n - (q_uv * cfg.phi2).sum()) <= 1e-12
 
@@ -467,7 +467,9 @@ class TestExperiment:
         response = np.zeros((2, 5))
         response[0, sc.actions.index(res.receiver_actions[0])] = 1.0
         response[1, sc.actions.index(res.receiver_actions[1])] = 1.0
-        target = compose_markov(sc.prior, StochasticMatrix(res.signal.rows()),
+        sig = res.signal
+        signal = [[sig.one_minus_alpha, sig.alpha], [sig.beta, sig.one_minus_beta]]
+        target = compose_markov(sc.prior, StochasticMatrix(signal),
                                 StochasticMatrix(response))
         rate_needed = mutual_information(marginal(target, ("u", "w")))
         assert rate_needed < 0.25 < capacity(bsc(0.05)).capacity
@@ -666,8 +668,7 @@ class TestConfigIO:
         assert back.n == cfg.n and back.rate == cfg.rate
         assert back.eps_typ == cfg.eps_typ and back.seed == cfg.seed
         assert np.allclose(back.target.probs, cfg.target.probs, atol=1e-15)
-        assert np.allclose(back.channel.transition.rows,
-                           cfg.channel.transition.rows, atol=1e-15)
+        assert np.allclose(back.channel.rows, cfg.channel.rows, atol=1e-15)
         assert np.allclose(back.phi1, cfg.phi1)
 
     def test_missing_field_named(self):
@@ -691,7 +692,7 @@ class TestConfigIO:
         doc = coding_config_to_dict(trend_config(20))
         doc["channel"] = {"bsc": 0.05}
         cfg = coding_config_from_dict(doc)
-        assert cfg.channel.transition.rows[0, 0] == 0.95
+        assert cfg.channel.rows[0, 0] == 0.95
         doc["channel"] = 0.05
         with pytest.raises(ValueError, match="channel"):
             coding_config_from_dict(doc)

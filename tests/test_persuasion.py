@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infodesign import persuasion
+from infodesign import persuasion, splitting
 from infodesign.persuasion import (Block, EquilibriumResult, OneShot, Scenario,
                                    Unconstrained, grid_best_replies, in_Q0,
                                    in_Q2, scenario_from_dict, scenario_to_dict,
@@ -334,7 +334,7 @@ def test_reported_values_follow_reported_actions(k_actions, eps, data):
             assert (res.phi1_star, res.phi2_star) == (V1[0], V2[0])
             continue
         q1, q2 = res.posteriors.p1, res.posteriors.p2
-        a1, a2 = (sc.action_index(v) for v in res.receiver_actions)
+        a1, a2 = (sc.actions.index(v) for v in res.receiver_actions)
         lam = (q2 - p) / (q2 - q1)
         for phi, star in ((sc.phi1, res.phi1_star), (sc.phi2, res.phi2_star)):
             at1 = q1 * phi[0, a1] + (1.0 - q1) * phi[1, a1]
@@ -411,8 +411,8 @@ def test_row_block_scan_matches_full_grid(k_actions, data):
     sc = Scenario(Distribution([p, 1.0 - p]), tuple(range(k_actions)),
                   data.draw(phi), data.draw(phi))
     eps = data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]) | st.floats(0.0, 0.5))
-    block = data.draw(st.sampled_from([persuasion.SCAN_BLOCK_CELLS, 1, 2, 7, 64]))
-    with mock.patch.object(persuasion, "SCAN_BLOCK_CELLS", block):
+    block = data.draw(st.sampled_from([splitting.SCAN_BLOCK_CELLS, 1, 2, 7, 64]))
+    with mock.patch.object(splitting, "SCAN_BLOCK_CELLS", block):
         for mode in (Unconstrained(), OneShot(eps), Block(1.0 - binary_entropy(eps))):
             assert_same_result(solve_equilibrium(sc, mode, resolution),
                                reference_solve(sc, mode, resolution))
@@ -427,7 +427,7 @@ def test_ties_across_block_edges(monkeypatch, block):
     sc = Scenario(Distribution([0.5, 0.5]), ("a", "b", "c"),
                   phi1=[[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]],
                   phi2=[[0.0, 0.6, 1.0], [1.0, 0.6, 0.0]])
-    monkeypatch.setattr(persuasion, "SCAN_BLOCK_CELLS", block)
+    monkeypatch.setattr(splitting, "SCAN_BLOCK_CELLS", block)
     for resolution in (0.05, 1 / 23):
         want = reference_solve(sc, Unconstrained(), resolution)
         assert not want.no_info and want.phi1_star == 1.0

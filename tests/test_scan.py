@@ -65,7 +65,7 @@ def assert_same_array(got, want):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 60), st.sampled_from(BLOCKS), st.data())
-def test_blocks_tile_the_valid_cells(n, block_cells, data):
+def test_blocks_tile_the_valid_cells(n, block, data):
     """The blocks cover each valid cell once: rectangle A (p1 < p < p2)
     first, then B (p2 < p < p1), rows in order, whole rows per block."""
     p = data.draw(priors(n))
@@ -75,10 +75,12 @@ def test_blocks_tile_the_valid_cells(n, block_cells, data):
     want += [(i, j) for i in range(n + 1) for j in range(n + 1)
              if grid[j] < p < grid[i]]
     got = []
-    for rows, cols in split_blocks(p, grid, block_cells):
+    with mock.patch.object(splitting, "SCAN_BLOCK_CELLS", block):
+        blocks = list(split_blocks(p, grid))
+    for rows, cols in blocks:
         height, width = rows.stop - rows.start, cols.stop - cols.start
         assert height >= 1 and width >= 1
-        assert height == 1 or height * width <= block_cells
+        assert height == 1 or height * width <= block
         got += [(i, j) for i in range(rows.start, rows.stop)
                 for j in range(cols.start, cols.stop)]
     assert got == want
@@ -86,10 +88,10 @@ def test_blocks_tile_the_valid_cells(n, block_cells, data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(RESOLUTIONS), st.sampled_from(BLOCKS + [64]), st.data())
-def test_region_scan_matches_full_grid(resolution, block_cells, data):
+def test_region_scan_matches_full_grid(resolution, block, data):
     p = data.draw(priors(round(1.0 / resolution)))
     eps = data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]) | st.floats(0.0, 0.5))
-    with mock.patch.object(splitting, "SCAN_BLOCK_CELLS", block_cells):
+    with mock.patch.object(splitting, "SCAN_BLOCK_CELLS", block):
         got = region_scan(p, eps, resolution)
     assert_same_array(got.labels, reference_region_scan(p, eps, resolution))
     assert got.capacity == 1.0 - binary_entropy(eps)
@@ -98,7 +100,7 @@ def test_region_scan_matches_full_grid(resolution, block_cells, data):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.sampled_from(RESOLUTIONS[1:]),
        st.sampled_from(BLOCKS + [64]), st.data())
-def test_surface_matches_full_grid(k_actions, resolution, block_cells, data):
+def test_surface_matches_full_grid(k_actions, resolution, block, data):
     """Labels and both value arrays equal the full-grid surface bit for bit,
     with and without a channel."""
     p = data.draw(priors(round(1.0 / resolution)))
@@ -108,7 +110,7 @@ def test_surface_matches_full_grid(k_actions, resolution, block_cells, data):
                   data.draw(phi), data.draw(phi))
     eps = data.draw(st.none() | st.sampled_from([0.0, 0.25, 0.5])
                     | st.floats(0.0, 0.5))
-    with mock.patch.object(mac, "SCAN_BLOCK_CELLS", block_cells):
+    with mock.patch.object(splitting, "SCAN_BLOCK_CELLS", block):
         got = mac.scenario_surface(sc, resolution, eps)
     for a, b in zip((got.labels, got.phi1, got.phi2),
                     reference_surface(sc, resolution, eps)):

@@ -9,13 +9,12 @@ from infodesign.persuasion import (Block, OneShot, Scenario, Unconstrained,
                                    solve_equilibrium)
 from infodesign.prob import Distribution, binary_entropy
 from infodesign.splitting import (FEAS_ATOL, MAX_GRID_CELLS, NO_INFO,
-                                  SCAN_BLOCK_CELLS, BinarySignal,
+                                  BinarySignal,
                                   DegenerateSplitError, PosteriorPair,
                                   RegionLabel, SplitError, block_feasible,
                                   grid_intervals, is_valid_split,
                                   message_weights, one_shot_feasible,
                                   posteriors_from_signal, region_scan,
-                                  required_signal_arrays,
                                   signal_from_posteriors,
                                   signal_information_rate, split_blocks,
                                   split_masks, split_values)
@@ -33,7 +32,6 @@ class TestPosteriorsFromSignal:
         pair = posteriors_from_signal(0.5, BinarySignal(1.0, 0.4424))
         assert pair.p1 == pytest.approx(0.0, abs=1e-15)
         assert pair.p2 == pytest.approx(0.6420133538777607, abs=1e-12)
-        assert not pair.undefined
 
     def test_no_info_keeps_prior(self):
         pair = posteriors_from_signal(0.3, NO_INFO)
@@ -42,7 +40,6 @@ class TestPosteriorsFromSignal:
     def test_zero_mass_message_flagged(self):
         # alpha=0, beta=0: message w2 never sent under prior 1
         pair = posteriors_from_signal(1.0, BinarySignal(0.0, 0.0))
-        assert pair.undefined == frozenset({"w2"})
         assert pair.p2 == 1.0
 
     def test_revealing(self):
@@ -257,7 +254,9 @@ def oracle_masks(p, P1, P2, eps, cap):
     inverted to (alpha, beta), the one-shot band as the minimum of four
     margins, and the block rate of the clipped signal, three entropies a
     cell. Returns (one_shot, block, rate)."""
-    alpha, beta = required_signal_arrays(p, P1, P2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha = P2 * (P1 - p) / (p * (P1 - P2))
+        beta = (1.0 - P1) * (p - P2) / ((1.0 - p) * (P1 - P2))
     margin = np.minimum.reduce([alpha - eps, (1.0 - eps) - alpha,
                                 beta - eps, (1.0 - eps) - beta])
     valid = (np.minimum(P1, P2) < p) & (p < np.maximum(P1, P2))
@@ -278,7 +277,7 @@ def test_masks_match_the_oracle(n):
     for p in (1e-9, 1.0 - 1e-9, *rng.uniform(0.0, 1.0, 3)):
         for eps in (0.0, 0.5, *rng.uniform(0.0, 0.5, 2)):
             cap = 1.0 - h(eps)
-            for rows, cols in split_blocks(p, axis, SCAN_BLOCK_CELLS):
+            for rows, cols in split_blocks(p, axis):
                 P1, P2 = axis[rows, None], axis[None, cols]
                 valid, one_shot, block = split_masks(p, P1, P2, eps, cap)
                 want_one, want_block, want_rate = oracle_masks(p, P1, P2, eps, cap)
@@ -308,7 +307,7 @@ def test_solver_counts_match_the_oracle(eps):
     for sc in seeded_scenarios(3):
         p = float(sc.prior.probs[0])
         want = [0, 0]
-        for rows, cols in split_blocks(p, grid, SCAN_BLOCK_CELLS):
+        for rows, cols in split_blocks(p, grid):
             one_shot, block, _ = oracle_masks(p, grid[rows, None],
                                               grid[None, cols], eps, cap)
             want[0] += int(one_shot.sum())
@@ -330,6 +329,23 @@ def test_block_mask_matches_verdicts_at_tiny_priors(p, eps):
     for i, j in zip(*np.nonzero(valid)):
         sig = signal_from_posteriors(p, PosteriorPair(axis[i], axis[j]))
         assert block[i, j] == block_feasible(p, sig, cap).feasible
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-310, 2.2e-308, 1e-300])
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.3])
+def test_one_shot_mask_matches_verdicts_at_tiny_priors(p, eps):
+    """At subnormal and tiny priors the one-shot mask agrees with
+    one_shot_feasible on every valid cell: p * (p1 - p2) does not underflow
+    to a nan alpha."""
+    axis = np.linspace(0.0, 1.0, 41)
+    valid, one_shot, _ = split_masks(p, axis[:, None], axis[None, :], eps, None)
+    for i, j in zip(*np.nonzero(valid)):
+        pair = PosteriorPair(axis[i], axis[j])
+        assert one_shot[i, j] == one_shot_feasible(p, pair, eps).feasible
+
+
+def test_region_labels_one_shot_at_a_subnormal_prior():
+    assert region_scan(5e-324, 0.0, 0.25).labels[0, 1] == RegionLabel.ONE_SHOT
 
 
 # -- property suites ---------------------------------------------------------
