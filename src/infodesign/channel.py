@@ -4,6 +4,7 @@ A channel is a StochasticMatrix T[x, y], the law of output y given input x.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,15 @@ class CapacityResult:
     residual: float
 
 
+def _divergences(T: np.ndarray, logT: np.ndarray, logq: np.ndarray,
+                 terms: np.ndarray, d: np.ndarray) -> float:
+    """Fill d(x) = sum_y T[x, y] (logT[x, y] - logq[y]) in place; return max d."""
+    np.subtract(logT, logq, terms)
+    np.multiply(terms, T, terms)
+    np.add.reduce(terms, 1, None, d)
+    return float(np.maximum.reduce(d))
+
+
 def capacity(ch: StochasticMatrix, tol: float = 1e-9,
              max_iter: int = 100_000) -> CapacityResult:
     """Channel capacity in bits by alternating maximization.
@@ -40,31 +50,48 @@ def capacity(ch: StochasticMatrix, tol: float = 1e-9,
     CapacityError (with the last residual) if max_iter sweeps do not get there.
     A tol that is negative or not finite, or a max_iter below 1, can never
     succeed and raises ValueError before the first sweep.
+
+    A sweep is one fixed sequence of operations on buffers allocated once:
+    q = r T, log2 q, the divergences d, their max and r . d, then
+    r <- r 2^(d - max d) / sum. Where some q[y] is 0 (no input reaches y, or
+    each one that does has lost all its mass), log2 q[y] = -inf makes max d
+    non-finite; only on such a sweep are log2 q and d computed again, with
+    log2 q[y] taken as 0.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"capacity: tol {tol!r} must be finite and >= 0")
     if max_iter < 1:
         raise ValueError(f"capacity: max_iter {max_iter!r} must be >= 1")
     T = ch.rows
-    m = T.shape[0]
+    m, k = T.shape
     support = T > 0
     logT = np.where(support, np.log2(np.where(support, T, 1.0)), 0.0)
     r = np.full(m, 1.0 / m)
+    q, logq, terms, d = np.empty(k), np.empty(k), np.empty((m, k)), np.empty(m)
+    # bound once: on a few-entry channel a sweep's cost is call overhead
+    matmul, log2, exp2 = np.matmul, np.log2, np.exp2
+    subtract, multiply, divide = np.subtract, np.multiply, np.divide
+    add_reduce, isfinite = np.add.reduce, math.isfinite
     residual = np.inf
-    for it in range(1, max_iter + 1):
-        q = r @ T
-        # q[y] > 0 wherever some T[x, y] > 0 since r stays strictly positive
-        logq = np.log2(np.where(q > 0, q, 1.0))
-        d = ((logT - logq[None, :]) * T).sum(axis=1)
-        upper = float(d.max())
-        lower = float(r @ d)
-        residual = upper - lower
-        if residual <= tol:
-            return CapacityResult(capacity=max(lower, 0.0),
-                                  optimal_input=Distribution(r),
-                                  iterations=it,
-                                  residual=residual)
-        r = r * np.exp2(d - upper)
-        r = r / r.sum()
+    # log2(0) and inf * 0 are expected on a sweep with some q[y] = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            matmul(r, T, q)
+            log2(q, logq)
+            upper = _divergences(T, logT, logq, terms, d)
+            if not isfinite(upper):
+                log2(np.where(q > 0, q, 1.0), logq)
+                upper = _divergences(T, logT, logq, terms, d)
+            lower = float(r.dot(d))
+            residual = upper - lower
+            if residual <= tol:
+                return CapacityResult(capacity=max(lower, 0.0),
+                                      optimal_input=Distribution(r),
+                                      iterations=it,
+                                      residual=residual)
+            subtract(d, upper, d)
+            exp2(d, d)
+            multiply(r, d, r)
+            divide(r, add_reduce(r), r)
     raise CapacityError(f"capacity: residual {residual!r} above tol {tol!r} "
                         f"after {max_iter} iterations")

@@ -210,6 +210,19 @@ def _write_manifest(subcommand: str, parameters: dict, inputs: dict,
     return manifest_path
 
 
+def _refuse_overwrites(inputs, outputs) -> None:
+    """Usage error, raised before anything is computed or written, when an
+    output, or the manifest written beside the first, resolves (symlinks
+    followed) to an input file or to another output."""
+    claimed = {os.path.realpath(p): f"input {p}" for p in inputs}
+    for role, path in [*(("output", p) for p in outputs),
+                       ("manifest", outputs[0] + ".manifest.json")]:
+        real = os.path.realpath(path)
+        if real in claimed:
+            raise click.UsageError(f"{role} {path} would overwrite {claimed[real]}")
+        claimed[real] = f"{role} {path}"
+
+
 def _load_scenario_arg(spec: str):
     """Scenario path, or the literal 'mac' for the bundled case study."""
     if spec == "mac":
@@ -268,10 +281,11 @@ def cmd_capacity(bsc_eps, matrix_file, tol, max_iter, out):
     started = time.perf_counter()
     if (bsc_eps is None) == (matrix_file is None):
         raise click.UsageError("pass exactly one of --bsc or --matrix")
+    inputs = [] if matrix_file is None else [matrix_file]
+    _refuse_overwrites(inputs, [out])
     if bsc_eps is not None:
         ch = bsc(bsc_eps)
         spec = {"bsc": bsc_eps}
-        inputs = []
     else:
         with open(matrix_file) as f:
             doc = json.load(f)
@@ -281,7 +295,6 @@ def cmd_capacity(bsc_eps, matrix_file, tol, max_iter, out):
         except (ValueError, TypeError) as e:
             raise ValueError(f"channel matrix: {e}") from None
         spec = {"matrix_file": matrix_file}
-        inputs = [matrix_file]
     res = capacity(ch, tol=tol, max_iter=max_iter)
     report = {"capacity": res.capacity,
               "optimal_input": res.optimal_input.probs,
@@ -323,6 +336,7 @@ def cmd_bestreply(scenario, step, out):
     """Receiver best reply and value swept over the prior."""
     started = time.perf_counter()
     sc, inputs = _load_scenario_arg(scenario)
+    _refuse_overwrites(inputs, [out])
     grid = np.linspace(0.0, 1.0, grid_intervals(step, "bestreply", 1) + 1)
     sel, _, v2 = grid_best_replies(sc, grid)
     count = _write_csv(out, ("p", "v_star", "receiver_value"),
@@ -348,6 +362,7 @@ def cmd_surface(scenario, mode, eps, resolution, out):
     """Split values over the posterior square, labeled by feasibility."""
     started = time.perf_counter()
     sc, inputs = _load_scenario_arg(scenario)
+    _refuse_overwrites(inputs, [out])
     if mode != "unconstrained" and eps is None:
         raise click.UsageError(f"--mode {mode} requires --eps")
     surf = scenario_surface(sc, resolution, eps if mode != "unconstrained" else None)
@@ -389,6 +404,7 @@ def cmd_solve(scenario, mode, eps, cap, resolution, out):
     """Sender-optimal split under the chosen feasibility mode."""
     started = time.perf_counter()
     sc, inputs = _load_scenario_arg(scenario)
+    _refuse_overwrites(inputs, [out])
     mode_obj = _parse_mode(mode, eps, cap)
     res = solve_equilibrium(sc, mode_obj, resolution)
     report = {
@@ -434,10 +450,7 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
     if trials_csv is None:
         stem = out[:-5] if out.endswith(".json") else out
         trials_csv = stem + "_trials.csv"
-    if os.path.realpath(trials_csv) in {os.path.realpath(out),
-                                        os.path.realpath(out + ".manifest.json")}:
-        raise click.UsageError(f"--trials-csv {trials_csv} would overwrite "
-                               f"--out {out} or its manifest")
+    _refuse_overwrites([experiment], [out, trials_csv])
     cfg = load_experiment(experiment)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)

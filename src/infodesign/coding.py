@@ -36,6 +36,9 @@ TYPE_ATOL = 1e-12
 # float32 holds every integer up to 2^24 exactly, so a count table in float32
 # sums 0/1 products exactly for blocks up to this length
 FLOAT32_EXACT = 2 ** 24
+# (source block, codeword) pairs the belief audit scores per kernel call: its
+# float64 count array is 8 B x |U| x |W| a pair, 2 MiB at binary alphabets
+AUDIT_CHUNK_PAIRS = 2 ** 16
 
 # stream tags under the config seed
 _CODEBOOK, _SOURCE, _CHANNEL, _ACTIONS, _ENCODER = range(5)
@@ -235,34 +238,42 @@ def _indicator_tables(words: np.ndarray) -> np.ndarray:
     return tables
 
 
-def _pair_type_l1(seq: np.ndarray, tables: np.ndarray,
+def _pair_type_l1(seqs: np.ndarray, tables: np.ndarray,
                   target: np.ndarray) -> np.ndarray:
-    """L1 distance from each (seq, words[m]) joint type to the target table.
+    """L1 distance from each (seq, words[m]) joint type to the target table,
+    for one sequence (n,) -> (M,) or a stack of them (S, n) -> (S, M).
 
     tables are the words' indicator tables (`_indicator_tables`). One matrix
-    product against the sequence's n x ka one-hot matrix counts every joint
+    product against the sequences' one-hot matrices counts every joint
     symbol; the counts are exact integers, and the distances are summed in
-    (a, b) order, so the result is the same bits as counting pair by pair."""
-    n = seq.size
+    (a, b) order, so the result is the same bits as counting pair by pair,
+    and a row of a stack the same bits as that sequence alone."""
+    seqs = np.asarray(seqs)
+    n = seqs.shape[-1]
     ka, kb = target.shape
     top, m = tables.shape[:2]
-    onehot = np.equal.outer(seq, np.arange(ka)).astype(tables.dtype)
+    onehot = np.equal.outer(seqs.reshape(-1, n), np.arange(ka)).astype(tables.dtype)
+    s = onehot.shape[0]
     k = min(top, kb)
-    counts = np.zeros((ka, kb, m))
+    counts = np.zeros((ka, kb, s, m))
     counts[:, :k] = (tables[:k].reshape(-1, n) @ onehot
-                     ).reshape(k, m, ka).transpose(2, 0, 1)
+                     ).reshape(s, k, m, ka).transpose(3, 1, 0, 2)
     if top < kb:
+        # the top symbol's counts: each source symbol's count less the other
+        # word symbols' (at top = 0, counts[:, 0] is that zero column itself)
         last = counts[:, top]
-        last += onehot.sum(axis=0)[:, None]
-        for b in range(top):
+        np.subtract(np.add.reduce(onehot, 1).T[:, :, None], counts[:, 0],
+                    out=last)
+        for b in range(1, top):
             last -= counts[:, b]
     counts /= n
-    counts -= target[:, :, None]
+    counts -= target[:, :, None, None]
     np.abs(counts, out=counts)
-    dist = np.zeros(m)
-    for row in counts.reshape(ka * kb, m):
+    rows = counts.reshape(ka * kb, s, m)
+    dist = rows[0].copy()
+    for row in rows[1:]:
         dist += row
-    return dist
+    return dist.reshape(seqs.shape[:-1] + (m,))
 
 
 def generate_codebook(cfg: CodingConfig) -> Codebook:
@@ -282,7 +293,7 @@ def encode(u_seq: np.ndarray, cb: Codebook, cfg: CodingConfig,
 
     Uniform choice among qualifiers (seeded); None means no cover exists.
     """
-    dist = _pair_type_l1(np.asarray(u_seq), cb.w_tables, cfg.target_uw)
+    dist = _pair_type_l1(u_seq, cb.w_tables, cfg.target_uw)
     hits = np.flatnonzero(dist <= cfg.typicality_radius + TYPE_ATOL)
     if hits.size == 0:
         return None
@@ -301,7 +312,7 @@ def transmit(x_seq: np.ndarray, channel: StochasticMatrix,
 def decode(y_seq: np.ndarray, cb: Codebook, cfg: CodingConfig) -> Optional[int]:
     """Unique-typicality decoding: the one codeword whose channel word pairs
     typically with the received block, or None when zero or several do."""
-    dist = _pair_type_l1(np.asarray(y_seq), cb.x_tables, cfg.target_yx)
+    dist = _pair_type_l1(y_seq, cb.x_tables, cfg.target_yx)
     hits = np.flatnonzero(dist <= cfg.typicality_radius + TYPE_ATOL)
     if hits.size == 1:
         return int(hits[0])
@@ -484,10 +495,12 @@ def posterior_belief_audit(cfg: CodingConfig, cb: Codebook,
     weights = prior.probs[0] ** (n - ones) * prior.probs[1] ** ones
 
     bits = blocks.astype(np.float64)
-    dist = np.empty(((1 << n), cb.size))
-    for s, block in enumerate(blocks):
-        dist[s] = _pair_type_l1(block, cb.w_tables, cfg.target_uw)
-    typical = dist <= cfg.typicality_radius + TYPE_ATOL
+    typical = np.empty(((1 << n), cb.size), dtype=bool)
+    step = max(1, AUDIT_CHUNK_PAIRS // cb.size)
+    for s in range(0, 1 << n, step):
+        dist = _pair_type_l1(blocks[s:s + step], cb.w_tables, cfg.target_uw)
+        np.less_equal(dist, cfg.typicality_radius + TYPE_ATOL,
+                      out=typical[s:s + step])
     cover = typical.sum(axis=1)
     inv_cover = np.divide(1.0, cover, out=np.zeros(cover.shape), where=cover > 0)
 

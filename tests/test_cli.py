@@ -447,6 +447,52 @@ class TestSimulate:
         assert experiment_file in manifest["inputs"]
 
 
+class TestOutputNamesInput:
+    """An output, or the manifest beside it, that resolves to the input file
+    is refused with a usage error before anything is computed or written."""
+
+    DOCS = {"capacity": {"matrix": [[0.9, 0.1], [0.2, 0.8]]},
+            "solve": None, "surface": None, "bestreply": None,
+            "simulate": EXPERIMENT_DOC}
+
+    @pytest.mark.parametrize("name,argv", [
+        ("in.json", ["capacity", "--matrix", "in.json", "--out", "in.json"]),
+        ("in.json", ["capacity", "--matrix", "in.json", "--out", "link.json"]),
+        ("in.json", ["solve", "--scenario", "in.json", "--mode",
+                     "unconstrained", "--out", "./in.json"]),
+        ("in.json", ["surface", "--scenario", "in.json", "--out", "in.json"]),
+        ("in.json", ["bestreply", "--scenario", "in.json", "--out", "link.json"]),
+        ("in.json", ["simulate", "--experiment", "in.json", "--out", "in.json"]),
+        ("in.json", ["simulate", "--experiment", "in.json",
+                     "--trials-csv", "in.json"]),
+        ("in.manifest.json", ["simulate", "--experiment", "in.manifest.json",
+                              "--out", "in"])],
+        ids=["capacity", "capacity_symlink", "solve", "surface",
+             "bestreply_symlink", "simulate_out", "simulate_trials_csv",
+             "simulate_manifest"])
+    def test_refused(self, workdir, capsys, name, argv):
+        doc = self.DOCS[argv[0]] or scenario_to_dict(build_scenario(default_config()))
+        (workdir / name).write_text(json.dumps(doc))
+        (workdir / "link.json").symlink_to(name)
+        before = (workdir / name).read_bytes()
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        e = stderr_error(err)
+        assert e["type"] == "usage"
+        assert e["message"].endswith(f"would overwrite input {name}")
+        assert sorted(os.listdir(workdir)) == sorted(["link.json", name])
+        assert (workdir / name).read_bytes() == before
+
+    def test_distinct_paths_accepted(self, workdir, capsys):
+        (workdir / "in.json").write_text(json.dumps(self.DOCS["capacity"]))
+        code, _, _ = run_cli(["capacity", "--matrix", "in.json", "--out",
+                              "in.json.out"], capsys)
+        assert code == 0
+        manifest = json.loads((workdir / "in.json.out.manifest.json").read_text())
+        assert manifest["inputs"] == {
+            "in.json": hashlib.sha256((workdir / "in.json").read_bytes()).hexdigest()}
+
+
 class TestCaseStudy:
     """The power-allocation case study: one solve per feasibility mode."""
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from infodesign import coding
 from infodesign.channel import bsc, capacity
 from infodesign.coding import (MEMORY_CAP_BYTES, MEMORY_CAP_WORDS, TYPE_ATOL,
                                Codebook, CodingConfig, _pair_type_l1,
@@ -301,6 +302,18 @@ class TestTypeScan:
         got = _pair_type_l1(seq, Codebook(words, words).w_tables, target)
         assert np.array_equal(got, pair_type_l1_oracle(seq, words, target))
 
+    @given(case=scan_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_stack_rows_match_single_sequences(self, case):
+        seq, words, target = case
+        stack = np.stack([seq, seq[::-1], np.roll(seq, 1), np.zeros_like(seq)])
+        tables = Codebook(words, words).w_tables
+        got = _pair_type_l1(stack, tables, target)
+        assert got.shape == (4, words.shape[0])
+        for row, one in zip(got, stack):
+            assert np.array_equal(row, _pair_type_l1(one, tables, target))
+            assert np.array_equal(row, pair_type_l1_oracle(one, words, target))
+
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 5), (7, 1)])
     def test_smallest_blocks_and_codebooks(self, n, m):
         rng = np.random.default_rng(n * 10 + m)
@@ -581,9 +594,7 @@ class TestAudit:
         words, target, pick = case
         blocks = all_words(words.shape[1])
         want = audit_distance_oracle(blocks, words, target)
-        tables = Codebook(words, words).w_tables
-        got = np.array([_pair_type_l1(block, tables, target)
-                        for block in blocks])
+        got = _pair_type_l1(blocks, Codebook(words, words).w_tables, target)
         # at most eight terms below 2 summed in another order: a few ulps
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
         radius = want.ravel()[pick] + TYPE_ATOL
@@ -645,6 +656,17 @@ class TestAudit:
         assert audit.successes == 198
         assert audit.mean_l1_belief < audit.ceiling
 
+
+    def test_chunk_boundaries_do_not_move_the_audit(self, monkeypatch):
+        cfg = CodingConfig(n=10, rate=0.3, target=TREND_TARGET,
+                           channel=bsc(0.05), input_dist=UNIFORM,
+                           phi1=EYE, phi2=EYE, seed=0, eps_typ=0.35)
+        cb = generate_codebook(cfg)
+        whole = posterior_belief_audit(cfg, cb, 60)
+        # chunks of 7 blocks, which do not divide the 2^10 blocks
+        monkeypatch.setattr(coding, "AUDIT_CHUNK_PAIRS", 7 * cb.size + 1)
+        assert posterior_belief_audit(cfg, cb, 60) == whole
+        assert whole.successes > 0 and whole.mean_l1_belief > 0
 
 class TestStreams:
     def test_same_key_same_draws(self):
