@@ -146,9 +146,9 @@ def _write_csv(path: str, header, columns) -> int:
     return count
 
 
-def _write_square(path: str, header, grid, values=()) -> int:
+def _write_square(path: str, header, grid) -> int:
     """Write a posterior-square grid row-major, one line a cell (p1, p2, the
-    cell of each value array, the label name), and return the cell count.
+    cell of each of grid.values, the label name), and return the cell count.
 
     A line's text after p1 depends only on its column and label, so one
     fragment per (label, column) is built first: ",<p2>", a %.9g slot per
@@ -158,7 +158,7 @@ def _write_square(path: str, header, grid, values=()) -> int:
     Raises ValueError, writing nothing, if an INVALID_SPLIT cell holds a
     value that is not nan.
     """
-    labels = grid.labels
+    labels, values = grid.labels, grid.values
     n1, n2 = labels.shape
     invalid = labels == RegionLabel.INVALID_SPLIT
     if any(np.any(invalid & ~np.isnan(v)) for v in values):
@@ -366,8 +366,7 @@ def cmd_surface(scenario, mode, eps, resolution, out):
     if mode != "unconstrained" and eps is None:
         raise click.UsageError(f"--mode {mode} requires --eps")
     surf = scenario_surface(sc, resolution, eps if mode != "unconstrained" else None)
-    count = _write_square(out, ("p1", "p2", "phi1", "phi2", "label"), surf,
-                          (surf.phi1, surf.phi2))
+    count = _write_square(out, ("p1", "p2", "phi1", "phi2", "label"), surf)
     _write_manifest("surface", {"scenario": scenario, "mode": mode, "eps": eps,
                                 "resolution": resolution, "out": out},
                     inputs, [out], None, started, counters=_label_counts(surf))

@@ -28,7 +28,8 @@ import numpy as np
 
 from .channel import bsc
 from .prob import (Distribution, JointDistribution, StochasticMatrix,
-                   compose_markov, conditional, marginal, payoff_table)
+                   checked_fields, compose_markov, conditional, marginal,
+                   payoff_table)
 
 MEMORY_CAP_WORDS = 2 ** 24
 MEMORY_CAP_BYTES = 2 ** 33
@@ -83,13 +84,16 @@ class CodingConfig:
     eps_typ: float = 0.15
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        # n and seed: bool (JSON true, false) subclasses int but is refused
+        if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
+                or self.n < 1):
             raise ValueError(f"CodingConfig: n = {self.n!r} must be an integer >= 1")
         if not (np.isfinite(self.rate) and self.rate >= 0):
             raise ValueError(f"CodingConfig: rate = {self.rate!r} must be >= 0")
         if not 0.0 < self.eps_typ < 1.0:
             raise ValueError(f"CodingConfig: eps_typ = {self.eps_typ!r} outside (0, 1)")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
             raise ValueError(f"CodingConfig: seed = {self.seed!r} must be a "
                              f"nonnegative integer")
         if self.target.probs.ndim != 3:
@@ -340,20 +344,18 @@ def _trial_pipeline(cfg: CodingConfig, cb: Codebook, streams: TrialStreams):
     return u_seq, m, m_hat, w_seq
 
 
-def run_trial(cfg: CodingConfig, cb: Codebook, rng,
+def run_trial(cfg: CodingConfig, cb: Codebook, t: int,
               response: StochasticMatrix | None = None) -> TrialResult:
-    """One encode-transmit-decode-act round.
+    """One encode-transmit-decode-act round on the streams of trial t.
 
-    rng is a trial index (streams derived from cfg.seed) or a TrialStreams.
     A non-default response only redirects the action draws; the error event
     and empirical statistics are computed for whatever actions came out.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = trial_streams(cfg.seed, int(rng))
+    streams = trial_streams(cfg.seed, int(t))
     if response is None:
         response = cfg.response
-    u_seq, m, m_hat, w_seq = _trial_pipeline(cfg, cb, rng)
-    v_seq = generate_actions(w_seq, response, rng.actions)
+    u_seq, m, m_hat, w_seq = _trial_pipeline(cfg, cb, streams)
+    v_seq = generate_actions(w_seq, response, streams.actions)
     u, w, v = (seq.astype(np.intp) for seq in (u_seq, w_seq, v_seq))
     counts = np.zeros(cfg.target.probs.shape)
     np.add.at(counts, (u, w, v), 1.0)
@@ -527,17 +529,9 @@ def posterior_belief_audit(cfg: CodingConfig, cb: Codebook,
 
 def coding_config_from_dict(doc: dict) -> CodingConfig:
     """Build a CodingConfig from the experiment JSON schema."""
-    if not isinstance(doc, dict):
-        raise ValueError("experiment: expected a JSON object")
-    fields = ("n", "rate", "eps_typ", "seed", "prior", "signal", "response",
-              "channel", "input_dist", "phi1", "phi2")
-    required = tuple(k for k in fields if k != "eps_typ")
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise ValueError(f"experiment: missing field {missing[0]!r}")
-    extra = [k for k in doc if k not in fields]
-    if extra:
-        raise ValueError(f"experiment: unknown field {extra[0]!r}")
+    checked_fields(doc, "experiment",
+                   ("n", "rate", "seed", "prior", "signal", "response",
+                    "channel", "input_dist", "phi1", "phi2"), ("eps_typ",))
 
     def build(field, fn):
         try:
@@ -565,18 +559,6 @@ def coding_config_from_dict(doc: dict) -> CodingConfig:
                             phi1=doc["phi1"], phi2=doc["phi2"], seed=doc["seed"])
     except (ValueError, TypeError) as e:
         raise ValueError(f"experiment: {e}") from None
-
-
-def coding_config_to_dict(cfg: CodingConfig) -> dict:
-    rows = cfg.channel.rows
-    return {"n": cfg.n, "rate": cfg.rate, "eps_typ": cfg.eps_typ,
-            "seed": cfg.seed,
-            "prior": cfg.prior.probs.tolist(),
-            "signal": cfg.signal.rows.tolist(),
-            "response": cfg.response.rows.tolist(),
-            "channel": {"matrix": rows.tolist()},
-            "input_dist": cfg.input_dist.probs.tolist(),
-            "phi1": cfg.phi1.tolist(), "phi2": cfg.phi2.tolist()}
 
 
 def load_experiment(path) -> CodingConfig:

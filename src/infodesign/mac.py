@@ -9,14 +9,14 @@ values pinned in the tests are on that scale.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
 from .persuasion import Scenario, grid_best_replies
-from .prob import Distribution
-from .splitting import region_scan, split_blocks, split_values
+from .prob import Distribution, checked_fields
+from .splitting import RegionGrid, region_scan, split_blocks, split_values
 
 
 @dataclass(frozen=True)
@@ -88,32 +88,14 @@ def build_scenario(cfg: MacConfig) -> Scenario:
     return Scenario(prior, cfg.actions, t1, t2)
 
 
-@dataclass(frozen=True)
-class UtilitySurface:
-    """Split values on the posterior square; nan where no signal exists.
-
-    labels uses RegionLabel: channel regions when eps was given, else
-    VALID / INVALID_SPLIT only.
-    """
-
-    p1_axis: np.ndarray
-    p2_axis: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
-    labels: np.ndarray
-    prior: float
-    eps: float | None
-
-
 def scenario_surface(sc: Scenario, resolution: float = 1.0 / 500,
-                     eps: float | None = None) -> UtilitySurface:
-    """Expected (phi1, phi2) of every posterior pair on a grid.
-
-    The axis and the labels are region_scan's square, and the values are
-    filled over the same scan of the valid splits (split_blocks) with the
-    same vectorized best-reply path as the equilibrium solver, so
-    restricting the surface to a feasibility label and taking the argmax
-    reproduces the solver's answer at equal resolution.
+                     eps: float | None = None) -> RegionGrid:
+    """region_scan's square with values (phi1, phi2), the expected payoffs of
+    each posterior pair (nan where no signal exists). They are filled over
+    the same scan of the valid splits (split_blocks) with the same
+    vectorized best-reply path as the equilibrium solver, so restricting the
+    surface to a feasibility label and taking the argmax reproduces the
+    solver's answer at equal resolution.
     """
     p = float(sc.prior.probs[0])
     region = region_scan(p, eps, resolution)
@@ -125,21 +107,14 @@ def scenario_surface(sc: Scenario, resolution: float = 1.0 / 500,
         P1, P2 = grid[rows, None], grid[None, cols]
         vals1[rows, cols] = split_values(p, P1, P2, V1[rows, None], V1[None, cols])
         vals2[rows, cols] = split_values(p, P1, P2, V2[rows, None], V2[None, cols])
-    return UtilitySurface(p1_axis=grid, p2_axis=grid, phi1=vals1, phi2=vals2,
-                          labels=region.labels, prior=p, eps=eps)
+    return replace(region, values=(vals1, vals2))
 
 
 def config_from_dict(doc: dict) -> MacConfig:
-    if not isinstance(doc, dict):
-        raise ValueError("mac config: expected a JSON object")
-    known = {"gain_a", "gain_b", "a1", "sigma2", "prior_p", "actions"}
-    extra = [k for k in doc if k not in known]
-    if extra:
-        raise ValueError(f"mac config: unknown field {extra[0]!r}")
+    optional = ("a1", "sigma2", "prior_p", "actions")
+    checked_fields(doc, "mac config", ("gain_a", "gain_b"), optional)
     gains = {}
     for key in ("gain_a", "gain_b"):
-        if key not in doc:
-            raise ValueError(f"mac config: missing field {key!r}")
         cell = doc[key]
         if not isinstance(cell, dict):
             raise ValueError(f"mac config.{key}: expected an object of gains")
@@ -147,18 +122,11 @@ def config_from_dict(doc: dict) -> MacConfig:
             gains[key] = GainState(**cell)
         except (TypeError, ValueError) as e:
             raise ValueError(f"mac config.{key}: {e}") from None
-    kwargs = {k: doc[k] for k in ("a1", "sigma2", "prior_p", "actions") if k in doc}
+    kwargs = {k: doc[k] for k in optional if k in doc}
     try:
         return MacConfig(gain_a=gains["gain_a"], gain_b=gains["gain_b"], **kwargs)
     except (TypeError, ValueError) as e:
         raise ValueError(f"mac config: {e}") from None
-
-
-def config_to_dict(cfg: MacConfig) -> dict:
-    return {"gain_a": asdict(cfg.gain_a),
-            "gain_b": asdict(cfg.gain_b),
-            "a1": cfg.a1, "sigma2": cfg.sigma2,
-            "prior_p": cfg.prior_p, "actions": list(cfg.actions)}
 
 
 def default_config() -> MacConfig:

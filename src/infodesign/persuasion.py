@@ -13,13 +13,15 @@ sender's favor, then by lowest action index, so runs are reproducible.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .prob import (Distribution, JointDistribution, StochasticMatrix,
-                   mutual_information, payoff_table)
+                   checked_fields, mutual_information, payoff_table)
 from .splitting import (FEAS_ATOL, NO_INFO, BinarySignal,
                         FeasibilityVerdict, PosteriorPair, SplitError,
                         block_feasible, check_eps, grid_intervals,
@@ -35,7 +37,8 @@ TIE_RTOL = 1e-12  # receiver tie band, as a fraction of the phi2 spread
 class Scenario:
     """Persuasion game: prior over states, ordered actions, payoff tables.
 
-    phi1 is the sender's table, phi2 the receiver's; both |U| x |V|.
+    phi1 is the sender's table, phi2 the receiver's; both |U| x |V|. Action
+    labels are distinct finite numbers or strings that print as one CSV cell.
     """
 
     prior: Distribution
@@ -47,14 +50,22 @@ class Scenario:
         actions = tuple(self.actions)
         if not actions:
             raise ValueError("Scenario: empty action set")
+        for k, v in enumerate(actions):
+            if isinstance(v, str):
+                ok = not any(c in v for c in ',"\r\n')
+            else:
+                ok = (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                      and math.isfinite(v))
+            if not ok:
+                raise ValueError(f"Scenario: action label {v!r} is neither a finite "
+                                 f"number nor a string free of ',', '\"', CR and LF")
+            if v in actions[:k]:
+                raise ValueError(f"Scenario: duplicate action label {v!r}")
         want = (len(self.prior), len(actions))
         for name in ("phi1", "phi2"):
             object.__setattr__(self, name, payoff_table(getattr(self, name), want,
                                                         f"Scenario: {name}"))
         object.__setattr__(self, "actions", actions)
-
-    def num_states(self) -> int:
-        return len(self.prior)
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,6 @@ class EquilibriumResult:
     receiver_actions: tuple
     phi1_star: float
     phi2_star: float
-    mode: object
     feasibility: FeasibilityVerdict
     no_info: bool
     cells_scanned: int  # grid cells the solver scanned
@@ -164,7 +174,7 @@ def in_Q2(prior: Distribution, signal: StochasticMatrix,
     The best replies at a message are the tie set of _tie_broken at its
     posterior; the response may put at most TIE_ATOL mass outside it.
     """
-    if signal.num_inputs != len(prior) or len(prior) != sc.num_states():
+    if signal.num_inputs != len(prior) or len(prior) != len(sc.prior):
         raise ValueError("in_Q2: prior/signal/scenario dimensions disagree")
     if response.num_inputs != signal.num_outputs:
         raise ValueError("in_Q2: response rows do not match signal outputs")
@@ -179,9 +189,9 @@ def in_Q2(prior: Distribution, signal: StochasticMatrix,
 
 
 def _require_binary(sc: Scenario, who: str) -> float:
-    if sc.num_states() != 2:
+    if len(sc.prior) != 2:
         raise ValueError(f"{who}: solver scope is binary state spaces, "
-                         f"got {sc.num_states()} states")
+                         f"got {len(sc.prior)} states")
     return float(sc.prior.probs[0])
 
 
@@ -258,7 +268,7 @@ def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> Equilibri
             posteriors=PosteriorPair(p, p), signal=NO_INFO,
             message_weights=Distribution((0.5, 0.5)),
             receiver_actions=(sc.actions[no_sel[0]], sc.actions[no_sel[0]]),
-            phi1_star=float(no1[0]), phi2_star=float(no2[0]), mode=mode,
+            phi1_star=float(no1[0]), phi2_star=float(no2[0]),
             feasibility=mode.no_info_verdict(), no_info=True,
             cells_scanned=scanned, cells_feasible=feasible)
 
@@ -273,20 +283,13 @@ def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> Equilibri
         receiver_actions=(sc.actions[sel[i]], sc.actions[sel[j]]),
         phi1_star=float(split_values(p, pair.p1, pair.p2, V1[i], V1[j])),
         phi2_star=float(split_values(p, pair.p1, pair.p2, V2[i], V2[j])),
-        mode=mode, feasibility=mode.split_verdict(p, pair), no_info=False,
+        feasibility=mode.split_verdict(p, pair), no_info=False,
         cells_scanned=scanned, cells_feasible=feasible)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from a plain dict (the scenario JSON schema)."""
-    if not isinstance(doc, dict):
-        raise ValueError("scenario: expected a JSON object")
-    missing = [k for k in ("prior", "actions", "phi1", "phi2") if k not in doc]
-    if missing:
-        raise ValueError(f"scenario: missing field {missing[0]!r}")
-    extra = [k for k in doc if k not in ("prior", "actions", "phi1", "phi2")]
-    if extra:
-        raise ValueError(f"scenario: unknown field {extra[0]!r}")
+    checked_fields(doc, "scenario", ("prior", "actions", "phi1", "phi2"))
     try:
         prior = Distribution(doc["prior"])
     except (ValueError, TypeError) as e:
@@ -298,13 +301,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         return Scenario(prior, tuple(actions), doc["phi1"], doc["phi2"])
     except (ValueError, TypeError) as e:
         raise ValueError(f"scenario: {e}") from None
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    return {"prior": sc.prior.probs.tolist(),
-            "actions": list(sc.actions),
-            "phi1": sc.phi1.tolist(),
-            "phi2": sc.phi2.tolist()}
 
 
 def load_scenario(path) -> Scenario:

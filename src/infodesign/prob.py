@@ -41,6 +41,19 @@ def payoff_table(values, shape: tuple, what: str) -> np.ndarray:
     return arr
 
 
+def checked_fields(doc, what: str, required, optional=()) -> None:
+    """ValueError unless doc is a dict with every required field and no field
+    outside required and optional; a missing field is reported first."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what}: expected a JSON object")
+    for k in required:
+        if k not in doc:
+            raise ValueError(f"{what}: missing field {k!r}")
+    for k in doc:
+        if k not in required and k not in optional:
+            raise ValueError(f"{what}: unknown field {k!r}")
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability vector over a finite alphabet."""

@@ -39,10 +39,6 @@ class SplitError(ValueError):
     """Posterior pair not realizable from the prior by any binary signal."""
 
 
-class DegenerateSplitError(SplitError):
-    """Posterior pair with p1 == p2 (no information revealed)."""
-
-
 @dataclass(frozen=True)
 class BinarySignal:
     """Binary signaling kernel: row u1 = (1-alpha, alpha), row u2 = (beta, 1-beta).
@@ -129,7 +125,7 @@ def is_valid_split(p: float, pair: PosteriorPair) -> bool:
 def signal_from_posteriors(p: float, pair: PosteriorPair) -> BinarySignal:
     """The unique signal inducing a valid split (inversion of the Bayes map)."""
     if pair.p1 == pair.p2:
-        raise DegenerateSplitError(
+        raise SplitError(
             f"posterior pair ({pair.p1!r}, {pair.p2!r}) is degenerate; "
             f"no unique signal exists")
     if not is_valid_split(p, pair):
@@ -209,9 +205,8 @@ class RegionGrid:
     p1_axis: np.ndarray
     p2_axis: np.ndarray
     labels: np.ndarray  # RegionLabel values, shape (len(p1_axis), len(p2_axis))
-    prior: float
-    eps: float | None
-    capacity: float | None  # None when eps is None
+    capacity: float | None  # None when scanned without a channel
+    values: tuple = ()  # per-cell value arrays, nan on INVALID_SPLIT cells
 
 
 def split_values(p: float, p1, p2, v1, v2):
@@ -329,5 +324,4 @@ def region_scan(p: float, eps: float | None,
         cells[one_shot] = int(RegionLabel.ONE_SHOT)
         labels[rows, cols] = cells
     labels.flags.writeable = False
-    return RegionGrid(p1_axis=axis, p2_axis=axis, labels=labels, prior=p, eps=eps,
-                      capacity=cap)
+    return RegionGrid(p1_axis=axis, p2_axis=axis, labels=labels, capacity=cap)

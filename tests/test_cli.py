@@ -27,8 +27,8 @@ from infodesign.coding import (ExperimentSummary, coding_config_from_dict,
                                run_experiment, single_letter_utilities)
 from infodesign.mac import build_scenario, default_config, scenario_surface
 from infodesign.persuasion import (Block, OneShot, Scenario, Unconstrained,
-                                   grid_best_replies, scenario_to_dict,
-                                   sender_value, solve_equilibrium)
+                                   grid_best_replies, sender_value,
+                                   solve_equilibrium)
 from infodesign.prob import Distribution, binary_entropy
 from infodesign.splitting import PosteriorPair, RegionLabel, region_scan
 
@@ -49,6 +49,12 @@ def read_csv(path):
 
 def stderr_error(err):
     return json.loads(err)["error"]
+
+
+def scenario_doc(sc) -> dict:
+    """The scenario JSON document of sc."""
+    return {"prior": sc.prior.probs.tolist(), "actions": list(sc.actions),
+            "phi1": sc.phi1.tolist(), "phi2": sc.phi2.tolist()}
 
 
 def reference_csv(header, rows) -> str:
@@ -213,6 +219,31 @@ class TestBestReply:
         actions = [float(r[1]) for r in rows]
         assert actions[0] == 0.0 and actions[-1] == 1.0
         assert all(b >= a for a, b in zip(actions, actions[1:]))
+
+    @pytest.mark.parametrize("command", ["bestreply", "solve"])
+    @pytest.mark.parametrize("actions,why", [
+        (["stay, quiet", "go"], "is neither"),
+        (["go\nnow", "stay"], "is neither"),
+        ([[1, 2], {"a": 1}], "is neither"),
+        (["go", "go"], "duplicate action label")],
+        ids=["comma", "newline", "non_scalar", "duplicate"])
+    def test_bad_action_labels_refused(self, workdir, capsys, actions, why,
+                                       command):
+        """A label that would not print as one CSV cell, or a repeated one,
+        is refused before anything is written."""
+        (workdir / "sc.json").write_text(json.dumps(
+            {"prior": [0.5, 0.5], "actions": actions,
+             "phi1": [[1, 0], [0, 1]], "phi2": [[0, 1], [1, 0]]}))
+        extra = {"bestreply": ["--step", "0.25"],
+                 "solve": ["--mode", "unconstrained"]}[command]
+        code, out, err = run_cli([command, "--scenario", "sc.json", *extra],
+                                 capsys)
+        assert code == 1 and out == ""
+        e = stderr_error(err)
+        assert e["type"] == "invalid_input"
+        assert e["message"].startswith("scenario: Scenario: ")
+        assert why in e["message"]
+        assert os.listdir(workdir) == ["sc.json"]
 
     def test_bad_step_rejected(self, workdir, capsys):
         code, _, err = run_cli(["bestreply", "--scenario", "mac",
@@ -402,6 +433,18 @@ class TestSimulate:
         assert "bytes" in e["message"]
         assert sorted(p.name for p in workdir.iterdir()) == ["long.json"]
 
+    @pytest.mark.parametrize("field,value", [("n", True), ("seed", False)])
+    def test_bool_is_not_an_integer(self, workdir, capsys, field, value):
+        (workdir / "bool.json").write_text(
+            json.dumps(dict(EXPERIMENT_DOC, **{field: value})))
+        code, out, err = run_cli(["simulate", "--experiment", "bool.json"],
+                                 capsys)
+        assert code == 1 and out == ""
+        e = stderr_error(err)
+        assert e["type"] == "invalid_input"
+        assert e["message"].startswith(f"experiment: CodingConfig: {field} = {value}")
+        assert os.listdir(workdir) == ["bool.json"]
+
     def test_bad_channel_matrix(self, workdir, capsys):
         doc = dict(EXPERIMENT_DOC, channel={"matrix": [[0.5, 0.4], [0.05, 0.95]]})
         (workdir / "bad.json").write_text(json.dumps(doc))
@@ -471,7 +514,7 @@ class TestOutputNamesInput:
              "bestreply_symlink", "simulate_out", "simulate_trials_csv",
              "simulate_manifest"])
     def test_refused(self, workdir, capsys, name, argv):
-        doc = self.DOCS[argv[0]] or scenario_to_dict(build_scenario(default_config()))
+        doc = self.DOCS[argv[0]] or scenario_doc(build_scenario(default_config()))
         (workdir / name).write_text(json.dumps(doc))
         (workdir / "link.json").symlink_to(name)
         before = (workdir / name).read_bytes()
@@ -638,7 +681,8 @@ class TestSquareWriter:
         path = tmp_path_factory.mktemp("csv") / "out.csv"
         block = data.draw(st.sampled_from([CSV_BLOCK_ROWS, 1, 24, 100]))
         with mock.patch("infodesign.cli.CSV_BLOCK_ROWS", block):
-            assert _write_square(str(path), header, grid, values) == (n + 1) ** 2
+            assert _write_square(str(path), header,
+                                 replace(grid, values=tuple(values))) == (n + 1) ** 2
         rows = ((p1, p2, *(v[i, j] for v in values),
                  RegionLabel(int(grid.labels[i, j])).name)
                 for i, p1 in enumerate(grid.p1_axis)
@@ -651,7 +695,7 @@ class TestSquareWriter:
         values[0, 0] = 0.0
         with pytest.raises(ValueError, match="INVALID_SPLIT"):
             _write_square(str(tmp_path / "out.csv"), ("p1", "p2", "v", "label"),
-                          grid, (values,))
+                          replace(grid, values=(values,)))
         assert os.listdir(tmp_path) == []
 
     def test_surface_write_peak(self, tmp_path):
@@ -660,8 +704,7 @@ class TestSquareWriter:
         tracemalloc.start()
         try:
             _write_square(str(tmp_path / "surface.csv"),
-                          ("p1", "p2", "phi1", "phi2", "label"), surf,
-                          (surf.phi1, surf.phi2))
+                          ("p1", "p2", "phi1", "phi2", "label"), surf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -687,7 +730,7 @@ class TestOutputsMatchPerCellOracle:
                 "--resolution", "0.05"]
         run_cli(args + ([] if eps is None else ["--eps", str(eps)]), capsys)
         s = scenario_surface(build_scenario(default_config()), 0.05, eps)
-        rows = ((p1, p2, s.phi1[i, j], s.phi2[i, j],
+        rows = ((p1, p2, *(v[i, j] for v in s.values),
                  RegionLabel(int(s.labels[i, j])).name)
                 for i, p1 in enumerate(s.p1_axis)
                 for j, p2 in enumerate(s.p2_axis))
@@ -843,7 +886,7 @@ class TestGridRule:
     @pytest.mark.parametrize("spacing,points", [
         (1.5, 2), (0.6, 3), (2.5, None), (1e300, None), (math.inf, None)])
     def test_one_rule(self, workdir, capsys, site, spacing, points):
-        (workdir / "prior03.json").write_text(json.dumps(scenario_to_dict(PRIOR_03)))
+        (workdir / "prior03.json").write_text(json.dumps(scenario_doc(PRIOR_03)))
         if points is None:
             with pytest.raises(ValueError, match="leaves one point"):
                 GRID_SITES[site](spacing, capsys)

@@ -1,10 +1,14 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every public name it defines has a caller."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "infodesign"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "infodesign"
+# Public names kept without a caller, each with the reason it stays.
+UNCALLED = {"in_Q0": "ROADMAP item 4", "in_Q2": "ROADMAP item 4"}
 
 
 def unused_imports(source: str) -> list:
@@ -34,3 +38,57 @@ def test_finds_an_unused_import():
               "import a.b\n"
               "print(loads, a.b)\n")
     assert unused_imports(source) == [(2, "os"), (2, "system"), (3, "dumps")]
+
+
+def names_in(source: str, strings: bool = False) -> set:
+    """Names source reads (as a name or an attribute) or imports, and with
+    strings=True every string constant too (bench/spans.py names the
+    functions it traces in strings)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def uncalled(package: dict, outside: list) -> list:
+    """Public top-level defs and classes of the package (module name ->
+    source) that carry no decorator, that no package module reads, that no
+    outside source names and that UNCALLED does not list."""
+    called = set().union(*(names_in(src) for src in package.values()),
+                         *(names_in(src, strings=True) for src in outside))
+    return sorted(f"{module}.{node.name}"
+                  for module, source in package.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and not node.decorator_list
+                  and node.name not in called and node.name not in UNCALLED)
+
+
+def test_every_public_name_has_a_caller():
+    package = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    outside = [p.read_text() for p in [ROOT / "tests" / "test_acceptance.py",
+                                       *sorted((ROOT / "bench").glob("*.py"))]]
+    assert uncalled(package, outside) == []
+
+
+def test_finds_an_uncalled_name():
+    package = {"a": ("import click\n"
+                     "def used(): pass\n"
+                     "def traced(): pass\n"
+                     "def by_gate(): pass\n"
+                     "def orphan(): pass\n"
+                     "def _private(): pass\n"
+                     "class Orphan: pass\n"
+                     "def in_Q0(): pass\n"
+                     "@click.command()\n"
+                     "def command(): pass\n"),
+               "b": "from .a import used\nused()\n"}
+    outside = ["TRACED = ['traced']\n", "from a import by_gate\n"]
+    assert uncalled(package, outside) == ["a.Orphan", "a.orphan"]

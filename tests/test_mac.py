@@ -1,9 +1,12 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from infodesign.mac import (GainState, MacConfig, build_scenario,
-                            config_from_dict, config_to_dict, default_config,
-                            phi1, phi2, scenario_surface)
+                            config_from_dict, default_config, phi1, phi2,
+                            scenario_surface)
 from infodesign.persuasion import (Block, OneShot, Unconstrained,
                                    grid_best_replies, sender_value,
                                    solve_equilibrium)
@@ -13,6 +16,11 @@ from infodesign.splitting import PosteriorPair, RegionLabel
 CFG = default_config()
 SC = build_scenario(CFG)
 CAP_QUARTER = 1.0 - binary_entropy(0.25)
+
+
+def default_doc():
+    return json.loads(resources.files("infodesign").joinpath(
+        "data/mac_default.json").read_text())
 
 
 class TestConfig:
@@ -28,14 +36,17 @@ class TestConfig:
             GainState(-0.1, 1.0, 1.0, 1.0)
 
     def test_round_trip(self):
-        doc = config_to_dict(CFG)
-        back = config_from_dict(doc)
-        assert back == CFG
+        doc = {"gain_a": {"g11": 1.0, "g12": 2.0, "g21": 0.5, "g22": 0.0},
+               "gain_b": {"g11": 0.25, "g12": 0.0, "g21": 3.0, "g22": 1.5},
+               "a1": 0.3, "sigma2": 2.0, "prior_p": 0.25, "actions": [0, 1]}
+        assert config_from_dict(json.loads(json.dumps(doc))) == MacConfig(
+            GainState(1.0, 2.0, 0.5, 0.0), GainState(0.25, 0.0, 3.0, 1.5),
+            a1=0.3, sigma2=2.0, prior_p=0.25, actions=(0.0, 1.0))
 
     def test_unknown_field_rejected(self):
-        doc = config_to_dict(CFG)
+        doc = default_doc()
         doc["bogus"] = 1
-        with pytest.raises(ValueError, match="bogus"):
+        with pytest.raises(ValueError, match="unknown field 'bogus'"):
             config_from_dict(doc)
 
 
@@ -147,15 +158,16 @@ class TestSurface:
     def test_invalid_cells_are_nan(self):
         surf = scenario_surface(SC, resolution=0.02)
         bad = surf.labels == int(RegionLabel.INVALID_SPLIT)
-        assert np.isnan(surf.phi1[bad]).all()
-        assert np.isfinite(surf.phi1[~bad]).all()
+        for values in surf.values:
+            assert np.isnan(values[bad]).all()
+            assert np.isfinite(values[~bad]).all()
 
     def test_surface_argmax_matches_solver(self):
         # re-reducing the surface reproduces the unconstrained optimum
         surf = scenario_surface(SC, resolution=1e-3)
         res = solve_equilibrium(SC, Unconstrained(), 1e-3)
-        flat = np.nanargmax(surf.phi1)
+        flat = np.nanargmax(surf.values[0])
         i, j = divmod(int(flat), surf.p2_axis.size)
-        assert surf.phi1[i, j] == pytest.approx(res.phi1_star, abs=1e-12)
+        assert surf.values[0][i, j] == pytest.approx(res.phi1_star, abs=1e-12)
         assert surf.p1_axis[i] == res.posteriors.p1
         assert surf.p2_axis[j] == res.posteriors.p2

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from infodesign import persuasion, splitting
 from infodesign.persuasion import (Block, EquilibriumResult, OneShot, Scenario,
                                    Unconstrained, grid_best_replies, in_Q0,
-                                   in_Q2, scenario_from_dict, scenario_to_dict,
-                                   sender_value, solve_equilibrium)
+                                   in_Q2, scenario_from_dict, sender_value,
+                                   solve_equilibrium)
 from infodesign.prob import Distribution, StochasticMatrix, binary_entropy
 from infodesign.splitting import (NO_INFO, PosteriorPair, SplitError,
                                   signal_from_posteriors, split_masks,
@@ -209,11 +209,13 @@ class TestModes:
 
 class TestScenarioIO:
     def test_round_trip(self):
-        doc = scenario_to_dict(PROSECUTOR)
+        doc = {"prior": [0.3, 0.7], "actions": ["act", "pass"],
+               "phi1": [[1.0, 0.0], [1.0, 0.0]], "phi2": [[1.0, 0.0], [-1.0, 0.0]]}
         sc = scenario_from_dict(doc)
         assert sc.actions == PROSECUTOR.actions
         assert np.array_equal(sc.phi1, PROSECUTOR.phi1)
-        assert np.allclose(sc.prior.probs, PROSECUTOR.prior.probs)
+        assert np.array_equal(sc.phi2, PROSECUTOR.phi2)
+        assert np.array_equal(sc.prior.probs, PROSECUTOR.prior.probs)
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="phi2"):
@@ -221,10 +223,26 @@ class TestScenarioIO:
                                 "phi1": [[0, 0], [0, 0]]})
 
     def test_unknown_field(self):
-        doc = scenario_to_dict(ALIGNED)
-        doc["extra"] = 1
-        with pytest.raises(ValueError, match="extra"):
+        doc = {"prior": [0.4, 0.6], "actions": [0, 1], "phi1": [[1, 0], [0, 1]],
+               "phi2": [[1, 0], [0, 1]], "extra": 1}
+        with pytest.raises(ValueError, match="scenario: unknown field 'extra'"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("actions,why", [
+        (("stay, quiet", "go"), "neither"), (("go\nnow", "stay"), "neither"),
+        (('say "hi"', "go"), "neither"), (("go\r", "stay"), "neither"),
+        (([1, 2], {"a": 1}), "neither"), ((True, 0), "neither"),
+        ((float("nan"), 0), "neither"), ((0.5, None), "neither"),
+        (("go", "go"), "duplicate"), ((1, 1.0), "duplicate")])
+    def test_action_labels_refused(self, actions, why):
+        with pytest.raises(ValueError, match=f"^Scenario: .*{why}"):
+            Scenario(Distribution([0.5, 0.5]), actions, np.eye(2), np.eye(2))
+
+    def test_action_labels_accepted(self):
+        labels = ("", "a b", "a'b", -3, 2.5, np.float32(0.25), np.int64(7))
+        sc = Scenario(Distribution([0.5, 0.5]), labels, np.ones((2, 7)),
+                      np.ones((2, 7)))
+        assert sc.actions == labels
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -360,7 +378,7 @@ def reference_solve(sc, mode, resolution):
         posteriors=PosteriorPair(p, p), signal=NO_INFO,
         message_weights=Distribution((0.5, 0.5)),
         receiver_actions=(sc.actions[no_sel[0]], sc.actions[no_sel[0]]),
-        phi1_star=float(no1[0]), phi2_star=float(no2[0]), mode=mode,
+        phi1_star=float(no1[0]), phi2_star=float(no2[0]),
         feasibility=mode.no_info_verdict(), no_info=True, **counts)
     if not mask.any():
         return best
@@ -377,8 +395,7 @@ def reference_solve(sc, mode, resolution):
         receiver_actions=(sc.actions[sel[i]], sc.actions[sel[j]]),
         phi1_star=float(split_values(p, pair.p1, pair.p2, V1[i], V1[j])),
         phi2_star=float(split_values(p, pair.p1, pair.p2, V2[i], V2[j])),
-        mode=mode, feasibility=mode.split_verdict(p, pair), no_info=False,
-        **counts)
+        feasibility=mode.split_verdict(p, pair), no_info=False, **counts)
 
 
 def assert_same_result(got, want):

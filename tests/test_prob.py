@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infodesign.coding import coding_config_from_dict
-from infodesign.persuasion import Scenario
+from infodesign.mac import config_from_dict
+from infodesign.persuasion import Scenario, scenario_from_dict
 from infodesign.prob import (Distribution, JointDistribution, StochasticMatrix,
                              binary_entropy, compose_markov, conditional,
                              entropy, kl_divergence, l1_distance, marginal,
@@ -77,6 +78,32 @@ class TestPayoffTable:
         for table in (holder.phi1, holder.phi2):
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
+
+
+def packaged(name):
+    return json.loads(resources.files("infodesign").joinpath(name).read_text())
+
+
+class TestCheckedFields:
+    """The scenario, mac config and experiment loaders share checked_fields:
+    an object, then the first missing field, then the first unknown one."""
+
+    @pytest.mark.parametrize("what,load,doc", [
+        ("scenario", scenario_from_dict,
+         {"prior": [0.5, 0.5], "actions": [0, 1], "phi1": np.eye(2).tolist(),
+          "phi2": np.eye(2).tolist()}),
+        ("mac config", config_from_dict, packaged("data/mac_default.json")),
+        ("experiment", coding_config_from_dict,
+         packaged("data/coding_default.json"))], ids=["scenario", "mac", "experiment"])
+    def test_messages_and_order(self, what, load, doc):
+        load(doc)
+        with pytest.raises(ValueError, match=f"^{what}: expected a JSON object$"):
+            load([doc])
+        first = next(iter(doc))
+        with pytest.raises(ValueError, match=f"^{what}: missing field '{first}'$"):
+            load({**{k: v for k, v in doc.items() if k != first}, "bogus": 1})
+        with pytest.raises(ValueError, match=f"^{what}: unknown field 'bogus'$"):
+            load({**doc, "bogus": 1})
 
 
 class TestStochasticMatrix:

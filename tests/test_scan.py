@@ -112,8 +112,8 @@ def test_surface_matches_full_grid(k_actions, resolution, block, data):
                     | st.floats(0.0, 0.5))
     with mock.patch.object(splitting, "SCAN_BLOCK_CELLS", block):
         got = mac.scenario_surface(sc, resolution, eps)
-    for a, b in zip((got.labels, got.phi1, got.phi2),
-                    reference_surface(sc, resolution, eps)):
+    for a, b in zip((got.labels, *got.values),
+                    reference_surface(sc, resolution, eps), strict=True):
         assert_same_array(a, b)
 
 
@@ -121,8 +121,8 @@ def test_default_case_study_surfaces_match_full_grid():
     sc = mac.build_scenario(mac.default_config())
     for eps in (None, 0.25):
         got = mac.scenario_surface(sc, 1 / 300, eps)
-        for a, b in zip((got.labels, got.phi1, got.phi2),
-                        reference_surface(sc, 1 / 300, eps)):
+        for a, b in zip((got.labels, *got.values),
+                        reference_surface(sc, 1 / 300, eps), strict=True):
             assert_same_array(a, b)
 
 
@@ -131,6 +131,6 @@ def test_region_without_channel_labels_the_surface(p):
     """region_scan with eps=None is the square a surface without a channel
     carries: VALID or INVALID_SPLIT, and no capacity."""
     region = region_scan(p, None, 0.05)
-    assert region.eps is None and region.capacity is None
+    assert region.capacity is None and region.values == ()
     sc = Scenario(Distribution([p, 1.0 - p]), (0, 1), np.eye(2), np.eye(2))
     assert_same_array(region.labels, mac.scenario_surface(sc, 0.05).labels)

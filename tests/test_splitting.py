@@ -9,8 +9,7 @@ from infodesign.persuasion import (Block, OneShot, Scenario, Unconstrained,
                                    solve_equilibrium)
 from infodesign.prob import Distribution, binary_entropy
 from infodesign.splitting import (FEAS_ATOL, MAX_GRID_CELLS, NO_INFO,
-                                  BinarySignal,
-                                  DegenerateSplitError, PosteriorPair,
+                                  BinarySignal, PosteriorPair,
                                   RegionLabel, SplitError, block_feasible,
                                   grid_intervals, is_valid_split,
                                   message_weights, one_shot_feasible,
@@ -80,7 +79,7 @@ class TestSignalFromPosteriors:
         assert sig.beta == pytest.approx(0.4424, abs=2e-3)
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateSplitError):
+        with pytest.raises(SplitError, match=r"\(0\.5, 0\.5\) is degenerate"):
             signal_from_posteriors(0.5, PosteriorPair(0.5, 0.5))
 
     def test_non_straddle_raises(self):
