@@ -30,24 +30,13 @@ from . import __version__
 from .channel import CapacityError, bsc, capacity
 from .coding import (load_experiment, run_experiment, single_letter_utilities)
 from .mac import build_scenario, default_config, scenario_surface
-from .persuasion import (Block, OneShot, Unconstrained, grid_best_replies,
-                         load_scenario, solve_equilibrium)
+from .persuasion import (Block, OneShot, Unconstrained, csv_cell,
+                         grid_best_replies, load_scenario, solve_equilibrium)
 from .prob import StochasticMatrix, binary_entropy, marginal, mutual_information
 from .splitting import RegionLabel, grid_intervals, region_scan
 
 CSV_BLOCK_ROWS = 4096
 DIGEST_BLOCK_BYTES = 1 << 20
-
-
-def _fmt(x) -> str:
-    """9-significant-digit cell formatting for CSV."""
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer, np.bool_)):
-        return str(int(x))
-    return format(float(x), ".9g")
 
 
 def _jsonable(x):
@@ -79,27 +68,44 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
+class _HashingWriter:
+    """Text sink over a binary file: each write goes out as UTF-8 and into a
+    SHA-256 of every byte written, so the digest needs no re-read."""
+
+    def __init__(self, f):
+        self._f = f
+        self._sha = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        data = text.encode()
+        self._sha.update(data)
+        self._f.write(data)
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
 @contextlib.contextmanager
 def _replacing(path: str):
-    """Text file to write in place of path: a temp file in the directory of
-    the file path names (symlinks resolved), moved onto it with the old file's
-    permission bits when the block completes and removed if it raises. An
-    existing target that is not a regular file (a FIFO, a device) is written
-    in place."""
+    """_HashingWriter to write in place of path: into a temp file in the
+    directory of the file path names (symlinks resolved), moved onto it with
+    the old file's permission bits when the block completes and removed if
+    it raises. An existing target that is not a regular file (a FIFO, a
+    device) is written in place, and never read back."""
     real = os.path.realpath(path)
     try:
         old = os.stat(real)
     except FileNotFoundError:
         old = None
     if old is not None and not stat.S_ISREG(old.st_mode):
-        with open(path, "w") as f:
-            yield f
+        with open(path, "wb") as f:
+            yield _HashingWriter(f)
         return
     head, tail = os.path.split(real)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as f:
-            yield f
+        with open(tmp, "wb") as f:
+            yield _HashingWriter(f)
         if old is not None:
             os.chmod(tmp, stat.S_IMODE(old.st_mode))
         os.replace(tmp, real)
@@ -109,23 +115,27 @@ def _replacing(path: str):
         raise
 
 
-def _write_json(path: str, doc: dict) -> None:
+def _write_json(path: str, doc: dict) -> str:
+    """Write doc as indented JSON and return the file's SHA-256."""
+    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
     with _replacing(path) as f:
-        json.dump(_jsonable(doc), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)
+    return f.hexdigest()
 
 
 def _text(values) -> np.ndarray:
-    """Cells formatted one by one with _fmt, as an array to index."""
-    return np.array([_fmt(v) for v in values], dtype=object)
+    """Cells formatted one by one with csv_cell, as an array to index."""
+    return np.array([csv_cell(v) for v in values], dtype=object)
 
 
-def _write_csv(path: str, header, columns) -> int:
-    """Write equal-length columns under header and return the row count.
+def _write_csv(path: str, header, columns) -> tuple:
+    """Write equal-length columns under header; return the row count and
+    the file's SHA-256.
 
-    Float columns are formatted with %.9g, which prints exactly what _fmt
-    does; every other column must already be text (see _text). Rows go out
-    CSV_BLOCK_ROWS at a time, one % operation on a repeated row template each.
+    Float columns are formatted with %.9g, which prints exactly what
+    csv_cell does; every other column must already be text (see _text). Rows
+    go out CSV_BLOCK_ROWS at a time, one % operation on a repeated row
+    template each.
     """
     columns = [np.asarray(c) for c in columns]
     for c in columns:
@@ -143,12 +153,13 @@ def _write_csv(path: str, header, columns) -> int:
             for k, c in enumerate(columns):
                 cells[k::width] = c[start:stop].tolist()
             f.write(row * (stop - start) % tuple(cells))
-    return count
+    return count, f.hexdigest()
 
 
-def _write_square(path: str, header, grid) -> int:
+def _write_square(path: str, header, grid) -> tuple:
     """Write a posterior-square grid row-major, one line a cell (p1, p2, the
-    cell of each of grid.values, the label name), and return the cell count.
+    cell of each of grid.values, the label name); return the cell count and
+    the file's SHA-256.
 
     A line's text after p1 depends only on its column and label, so one
     fragment per (label, column) is built first: ",<p2>", a %.9g slot per
@@ -182,7 +193,7 @@ def _write_square(path: str, header, grid) -> int:
                 text %= tuple(np.stack([v[rows][kept] for v in values],
                                        axis=-1).ravel().tolist())
             f.write(text)
-    return n1 * n2
+    return n1 * n2, f.hexdigest()
 
 
 def _label_counts(grid) -> dict:
@@ -192,9 +203,10 @@ def _label_counts(grid) -> dict:
 
 
 def _write_manifest(subcommand: str, parameters: dict, inputs: dict,
-                    outputs, seed, started: float, counters=None) -> str:
-    first = outputs[0]
-    manifest_path = first + ".manifest.json"
+                    outputs: dict, seed, started: float, counters=None) -> str:
+    """Write the manifest beside the first of outputs, a dict of each output
+    path to the digest its writer returned; inputs are read to digest them."""
+    manifest_path = next(iter(outputs)) + ".manifest.json"
     doc = {
         "subcommand": subcommand,
         "parameters": parameters,
@@ -202,7 +214,7 @@ def _write_manifest(subcommand: str, parameters: dict, inputs: dict,
         "seed": seed,
         "version": __version__,
         "duration_s": time.perf_counter() - started,
-        "outputs": {p: _digest(p) for p in outputs},
+        "outputs": outputs,
     }
     if counters is not None:
         doc["counters"] = counters
@@ -302,10 +314,10 @@ def cmd_capacity(bsc_eps, matrix_file, tol, max_iter, out):
               "residual": res.residual,
               "channel": spec,
               "manifest": out + ".manifest.json"}
-    _write_json(out, report)
+    digest = _write_json(out, report)
     _write_manifest("capacity", {"channel": spec, "tol": tol,
                                  "max_iter": max_iter, "out": out},
-                    inputs, [out], None, started)
+                    inputs, {out: digest}, None, started)
     click.echo(json.dumps(_jsonable(report), sort_keys=True), file=sys.stdout)
 
 
@@ -319,10 +331,10 @@ def cmd_region(p, eps, resolution, out):
     """Feasibility labels over the posterior square."""
     started = time.perf_counter()
     grid = region_scan(p, eps, resolution)
-    count = _write_square(out, ("p1", "p2", "label"), grid)
+    count, digest = _write_square(out, ("p1", "p2", "label"), grid)
     _write_manifest("region", {"p": p, "eps": eps, "resolution": resolution,
                                "out": out, "capacity": grid.capacity},
-                    [], [out], None, started, counters=_label_counts(grid))
+                    [], {out: digest}, None, started, counters=_label_counts(grid))
     click.echo(f"wrote {out}: {count} cells", file=sys.stdout)
 
 
@@ -339,10 +351,10 @@ def cmd_bestreply(scenario, step, out):
     _refuse_overwrites(inputs, [out])
     grid = np.linspace(0.0, 1.0, grid_intervals(step, "bestreply", 1) + 1)
     sel, _, v2 = grid_best_replies(sc, grid)
-    count = _write_csv(out, ("p", "v_star", "receiver_value"),
-                       [grid, _text(sc.actions)[sel], v2])
+    count, digest = _write_csv(out, ("p", "v_star", "receiver_value"),
+                               [grid, _text(sc.actions)[sel], v2])
     _write_manifest("bestreply", {"scenario": scenario, "step": step, "out": out},
-                    inputs, [out], None, started)
+                    inputs, {out: digest}, None, started)
     click.echo(f"wrote {out}: {count} grid points", file=sys.stdout)
 
 
@@ -366,10 +378,11 @@ def cmd_surface(scenario, mode, eps, resolution, out):
     if mode != "unconstrained" and eps is None:
         raise click.UsageError(f"--mode {mode} requires --eps")
     surf = scenario_surface(sc, resolution, eps if mode != "unconstrained" else None)
-    count = _write_square(out, ("p1", "p2", "phi1", "phi2", "label"), surf)
+    count, digest = _write_square(out, ("p1", "p2", "phi1", "phi2", "label"), surf)
     _write_manifest("surface", {"scenario": scenario, "mode": mode, "eps": eps,
                                 "resolution": resolution, "out": out},
-                    inputs, [out], None, started, counters=_label_counts(surf))
+                    inputs, {out: digest}, None, started,
+                    counters=_label_counts(surf))
     click.echo(f"wrote {out}: {count} cells", file=sys.stdout)
 
 
@@ -422,11 +435,11 @@ def cmd_solve(scenario, mode, eps, cap, resolution, out):
                         "mode": res.feasibility.mode},
         "manifest": out + ".manifest.json",
     }
-    _write_json(out, report)
+    digest = _write_json(out, report)
     _write_manifest("solve", {"scenario": scenario, "mode": mode, "eps": eps,
                               "cap": getattr(mode_obj, "capacity", None),
                               "resolution": resolution, "out": out},
-                    inputs, [out], None, started,
+                    inputs, {out: digest}, None, started,
                     counters={"cells_scanned": res.cells_scanned,
                               "cells_feasible": res.cells_feasible})
     click.echo(json.dumps(_jsonable(report), sort_keys=True), file=sys.stdout)
@@ -482,9 +495,9 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
         "trials_csv": trials_csv,
         "manifest": out + ".manifest.json",
     }
-    _write_json(out, report)
+    digest = _write_json(out, report)
     results = summary.results
-    _write_csv(trials_csv,
+    _, trials_digest = _write_csv(trials_csv,
                ("trial", "error", "chosen_m", "decoded_m",
                 "l1_to_target", "util1", "util2"),
                [_text(range(len(results))),
@@ -496,7 +509,8 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
                 np.array([r.util2_n for r in results], dtype=float)])
     _write_manifest("simulate", {"experiment": experiment, "trials": trials,
                                  "out": out, "trials_csv": trials_csv},
-                    [experiment], [out, trials_csv], cfg.seed, started)
+                    [experiment], {out: digest, trials_csv: trials_digest},
+                    cfg.seed, started)
     click.echo(json.dumps(_jsonable({k: report[k] for k in
                                      ("error_rate", "mean_l1", "mean_util1",
                                       "mean_util2", "trials")}), sort_keys=True),

@@ -208,7 +208,6 @@ class TrialResult:
     error_event: bool
     chosen_m: Optional[int]
     decoded_m: Optional[int]
-    counts: np.ndarray
     l1_to_target: float
     util1_n: float
     util2_n: float
@@ -363,7 +362,7 @@ def run_trial(cfg: CodingConfig, cb: Codebook, t: int,
     ok = (m is not None and m_hat == m
           and l1 <= cfg.typicality_radius + TYPE_ATOL)
     return TrialResult(error_event=not ok, chosen_m=m, decoded_m=m_hat,
-                       counts=counts, l1_to_target=l1,
+                       l1_to_target=l1,
                        util1_n=float(cfg.phi1[u, v].mean()),
                        util2_n=float(cfg.phi2[u, v].mean()))
 

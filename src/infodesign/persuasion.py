@@ -24,13 +24,25 @@ from .prob import (Distribution, JointDistribution, StochasticMatrix,
                    checked_fields, mutual_information, payoff_table)
 from .splitting import (FEAS_ATOL, NO_INFO, BinarySignal,
                         FeasibilityVerdict, PosteriorPair, SplitError,
-                        block_feasible, check_eps, grid_intervals,
+                        block_feasible, check_eps, grid_intervals, in_runs,
                         is_valid_split, one_shot_feasible,
                         signal_from_posteriors, split_blocks, split_masks,
-                        split_values)
+                        split_runs, split_values)
 
 TIE_ATOL = 1e-12  # stray probability mass in_Q2 forgives
 TIE_RTOL = 1e-12  # receiver tie band, as a fraction of the phi2 spread
+
+
+def csv_cell(x) -> str:
+    """The text of x in a CSV cell: 9 significant digits for a float, str
+    for an integer, a string as it is, and None as the empty cell."""
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer, np.bool_)):
+        return str(int(x))
+    return format(float(x), ".9g")
 
 
 @dataclass(frozen=True)
@@ -38,7 +50,8 @@ class Scenario:
     """Persuasion game: prior over states, ordered actions, payoff tables.
 
     phi1 is the sender's table, phi2 the receiver's; both |U| x |V|. Action
-    labels are distinct finite numbers or strings that print as one CSV cell.
+    labels are distinct finite numbers or strings that print as one CSV
+    cell, and no two print alike (csv_cell).
     """
 
     prior: Distribution
@@ -50,6 +63,7 @@ class Scenario:
         actions = tuple(self.actions)
         if not actions:
             raise ValueError("Scenario: empty action set")
+        printed = {}
         for k, v in enumerate(actions):
             if isinstance(v, str):
                 ok = not any(c in v for c in ',"\r\n')
@@ -61,6 +75,11 @@ class Scenario:
                                  f"number nor a string free of ',', '\"', CR and LF")
             if v in actions[:k]:
                 raise ValueError(f"Scenario: duplicate action label {v!r}")
+            text = csv_cell(v)
+            if text in printed:
+                raise ValueError(f"Scenario: action labels {printed[text]!r} and "
+                                 f"{v!r} both print as {text!r}")
+            printed[text] = v
         want = (len(self.prior), len(actions))
         for name in ("phi1", "phi2"):
             object.__setattr__(self, name, payoff_table(getattr(self, name), want,
@@ -72,9 +91,8 @@ class Scenario:
 class Unconstrained:
     name: ClassVar[str] = "unconstrained"
 
-    def mask(self, p: float, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
-        # the solver passes only split_blocks blocks, which hold valid splits
-        return np.ones(np.broadcast_shapes(P1.shape, P2.shape), dtype=bool)
+    def runs(self, p: float, grid: np.ndarray) -> tuple:
+        return split_runs(p, grid)
 
     def no_info_verdict(self) -> FeasibilityVerdict:
         return FeasibilityVerdict(True, np.inf, "unconstrained")
@@ -91,8 +109,10 @@ class OneShot:
     def __post_init__(self):
         check_eps(self.eps, "OneShot")
 
-    def mask(self, p: float, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
-        return split_masks(p, P1, P2, self.eps, None)[1]
+    def runs(self, p: float, grid: np.ndarray) -> tuple:
+        def mask(P1, P2):
+            return split_masks(p, P1, P2, self.eps, None)[1]
+        return split_runs(p, grid, mask, self.eps)
 
     def no_info_verdict(self) -> FeasibilityVerdict:
         # canonical signal (1/2, 1/2) sits mid-band
@@ -111,8 +131,10 @@ class Block:
         if not (np.isfinite(self.capacity) and self.capacity >= 0):
             raise ValueError(f"Block: capacity {self.capacity!r} must be >= 0")
 
-    def mask(self, p: float, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
-        return split_masks(p, P1, P2, None, self.capacity)[2]
+    def runs(self, p: float, grid: np.ndarray) -> tuple:
+        def mask(P1, P2):
+            return split_masks(p, P1, P2, None, self.capacity)[2]
+        return split_runs(p, grid, mask)
 
     def no_info_verdict(self) -> FeasibilityVerdict:
         return FeasibilityVerdict(True, self.capacity, "block")
@@ -132,7 +154,7 @@ class EquilibriumResult:
     feasibility: FeasibilityVerdict
     no_info: bool
     cells_scanned: int  # grid cells the solver scanned
-    cells_feasible: int  # of those, the cells that passed the mode's mask
+    cells_feasible: int  # of those, the cells in the mode's runs
 
 
 def _tie_broken(weights: np.ndarray, U1: np.ndarray, sc: Scenario):
@@ -237,30 +259,37 @@ def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> Equilibri
     """Sender-optimal split by grid search over posterior pairs.
 
     The solver scans the valid cells in the row blocks of split_blocks,
-    about SCAN_BLOCK_CELLS cells each, and keeps the cells passing the
-    mode's feasibility mask; memory is O(n) plus one block. The blocks come
-    in row-major order, and a block's maximum replaces the running best only
-    if strictly greater, so argmax ties break to the lowest p1, then lowest
-    p2 (the row-major first maximum of the whole grid). The no-information
-    point always competes and wins ties.
+    about SCAN_BLOCK_CELLS cells each, and keeps the cells in the mode's
+    feasible runs (split_runs), evaluating the split values only on the
+    columns a block's runs span; memory is O(n) plus one block. The blocks
+    come in row-major order, and a block's maximum replaces the running best
+    only if strictly greater, so argmax ties break to the lowest p1, then
+    lowest p2 (the row-major first maximum of the whole grid). The
+    no-information point always competes and wins ties.
     """
     p = _require_binary(sc, "solve_equilibrium")
     grid = np.linspace(0.0, 1.0, grid_intervals(resolution, "solve_equilibrium") + 1)
     sel, V1, V2 = grid_best_replies(sc, grid)
+    runs = mode.runs(p, grid)
     top, cell = -np.inf, None
     scanned = feasible = 0
     for rows, cols in split_blocks(p, grid):
-        P1, P2 = grid[rows, None], grid[None, cols]
-        mask = mode.mask(p, P1, P2)
-        vals = np.where(mask, split_values(p, P1, P2, V1[rows, None], V1[None, cols]),
-                        -np.inf)
+        start, stop = runs[0][rows], runs[1][rows]
+        scanned += (rows.stop - rows.start) * (cols.stop - cols.start)
+        feasible += int((stop - start).sum())
+        live = stop > start
+        if not live.any():
+            continue
+        window = slice(int(start[live].min()), int(stop[live].max()))
+        P1, P2 = grid[rows, None], grid[None, window]
+        vals = split_values(p, P1, P2, V1[rows, None], V1[None, window])
+        if not ((start == window.start) & (stop == window.stop)).all():
+            vals[~in_runs(runs, rows, window)] = -np.inf
         flat = int(np.argmax(vals))
-        scanned += mask.size
-        feasible += int(np.count_nonzero(mask))
         if vals.flat[flat] > top:
             top = float(vals.flat[flat])
-            i, j = divmod(flat, mask.shape[1])
-            cell = (rows.start + i, cols.start + j)
+            i, j = divmod(flat, vals.shape[1])
+            cell = (rows.start + i, window.start + j)
 
     no_sel, no1, no2 = grid_best_replies(sc, np.array([p]))
     if not top > float(no1[0]):

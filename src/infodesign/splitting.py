@@ -11,8 +11,11 @@ The grid masks of split_masks work in the coordinates each condition
 needs. The per-use mask inverts every cell to (alpha, beta). The block mask
 never inverts: for a split of p into (p1, p2) the rate is h(p) - [lam h(p1)
 + (1 - lam) h(p2)], the split_values mix of h, so h is evaluated once per
-axis point. The scalar verdicts one_shot_feasible and block_feasible keep
-the (alpha, beta) form, whose slack bits the solver reports.
+axis point. The scans never evaluate them on the whole square: split_runs
+finds each row's cells of a mask as one run of columns by bisection,
+probing O(n log n) cells. The scalar verdicts one_shot_feasible and
+block_feasible keep the (alpha, beta) form, whose slack bits the solver
+reports.
 """
 from __future__ import annotations
 
@@ -220,19 +223,37 @@ def split_values(p: float, p1, p2, v1, v2):
         return lam * v1 + (1.0 - lam) * v2
 
 
+def _band_sides(p: float, P1, P2, eps: float):
+    """The per-use band test of split_masks in two halves, (reached, kept):
+    alpha <= 1 - eps and beta >= eps, and alpha >= eps and beta <= 1 - eps,
+    each within FEAS_ATOL, on every cell. Along a row walked out from the
+    prior alpha falls from 1 and beta rises from 0, so reached turns true
+    once and kept turns false once.
+
+    Below a prior of 2**-900, p and p1 - p enter alpha scaled by 2**200, so
+    that p * (p1 - p2) does not underflow; a power-of-two scale is exact, so
+    alpha keeps the bits of the plain form wherever that stays in the normal
+    range.
+    """
+    s = 2.0 ** 200 if p < 2.0 ** -900 else 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha = P2 * ((P1 - p) * s) / ((p * s) * (P1 - P2))
+        beta = (1.0 - P1) * (p - P2) / ((1.0 - p) * (P1 - P2))
+    reached = ((1.0 - eps) - alpha >= -FEAS_ATOL) & (beta - eps >= -FEAS_ATOL)
+    kept = (alpha - eps >= -FEAS_ATOL) & ((1.0 - eps) - beta >= -FEAS_ATOL)
+    return reached, kept
+
+
 def split_masks(p: float, p1_grid, p2_grid, eps: float | None, cap: float | None):
     """Validity, per-use and block feasibility masks on a posterior grid.
 
     eps=None skips the per-use mask and cap=None the block mask; a skipped
     mask comes back as None. The per-use mask inverts each cell to (alpha,
-    beta) and asks both for [eps, 1 - eps] within FEAS_ATOL, four fused
-    comparisons. Below a prior of 2**-900, p and p1 - p enter alpha scaled
-    by 2**200, so that p * (p1 - p2) does not underflow; a power-of-two
-    scale is exact, so alpha keeps the bits of the plain form wherever that
-    stays in the normal range. The block mask asks for the rate h(p) -
-    split_values(p, p1, p2, h(p1), h(p2)) to fit under cap within
-    FEAS_ATOL, with h taken on the grids as given (once per axis point when
-    p1_grid is a column and p2_grid a row); it inverts nothing.
+    beta) and asks both for [eps, 1 - eps] within FEAS_ATOL (_band_sides).
+    The block mask asks for the rate h(p) - split_values(p, p1, p2, h(p1),
+    h(p2)) to fit under cap within FEAS_ATOL, with h taken on the grids as
+    given (once per axis point when p1_grid is a column and p2_grid a row);
+    it inverts nothing.
     """
     P1 = np.asarray(p1_grid, dtype=float)
     P2 = np.asarray(p2_grid, dtype=float)
@@ -243,19 +264,69 @@ def split_masks(p: float, p1_grid, p2_grid, eps: float | None, cap: float | None
         valid &= False
     one_shot = block = None
     if eps is not None:
-        s = 2.0 ** 200 if p < 2.0 ** -900 else 1.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            alpha = P2 * ((P1 - p) * s) / ((p * s) * (P1 - P2))
-            beta = (1.0 - P1) * (p - P2) / ((1.0 - p) * (P1 - P2))
-        one_shot = (valid & (alpha - eps >= -FEAS_ATOL)
-                    & ((1.0 - eps) - alpha >= -FEAS_ATOL)
-                    & (beta - eps >= -FEAS_ATOL)
-                    & ((1.0 - eps) - beta >= -FEAS_ATOL))
+        reached, kept = _band_sides(p, P1, P2, eps)
+        one_shot = valid & reached & kept
     if cap is not None:
         h = binary_entropy_unchecked
         rate = h(p) - split_values(p, P1, P2, h(P1), h(P2))
         block = valid & (cap - rate >= -FEAS_ATOL)
     return valid, one_shot, block
+
+
+def split_runs(p: float, grid: np.ndarray, holds=None, eps: float | None = None):
+    """One run of columns a row of the posterior square grid x grid: a pair
+    (start, stop) of int arrays over the rows, a row's cells being the
+    columns [start, stop). The run holds the valid cells that pass holds, a
+    mask function of probe (p1, p2) vectors, one of split_masks' masks (None
+    passes every valid cell).
+
+    A row of rectangle A (p1 < p < p2) or B (p2 < p < p1) is walked out from
+    the prior: A's columns rightwards, B's leftwards. Along the walk alpha
+    falls, beta rises and the rate rises (a mean-preserving spread), so the
+    block mask holds on a prefix of the walk. The one-shot mask at eps holds
+    from where _band_sides' reached half turns true to where kept turns
+    false: give it with that eps, and each run starts at the first reached
+    cell. Each edge is a bisection over walk positions that covers every row
+    at once, one probe cell a row: about log2(n) steps of O(n) cells in
+    place of O(n**2).
+    """
+    n = grid.size
+    below = int(np.searchsorted(grid, p, "left"))  # grid[:below] < p
+    above = int(np.searchsorted(grid, p, "right"))  # grid[above:] > p
+    rows = np.arange(n)
+    in_a = rows < below
+    # walk position k of row i is column origin[i] + step[i] * k, k < width[i]
+    width = np.where(in_a, n - above, np.where(rows >= above, below, 0))
+    step = np.where(in_a, 1, -1)
+    origin = np.where(in_a, above, below - 1)
+
+    def first_failing(test, first):
+        """Per row, the first walk position from first on at which test (a
+        mask function of probe vectors) fails, else width; test must hold
+        and then fail along each row."""
+        lo, hi = first.copy(), width.copy()
+        live = np.flatnonzero(lo < hi)
+        while live.size:
+            mid = (lo[live] + hi[live]) // 2
+            ok = test(grid[live], grid[origin[live] + step[live] * mid])
+            lo[live[ok]] = mid[ok] + 1
+            hi[live[~ok]] = mid[~ok]
+            live = live[lo[live] < hi[live]]
+        return lo
+
+    start = np.zeros(n, dtype=width.dtype)
+    if eps is not None:
+        start = first_failing(lambda P1, P2: ~_band_sides(p, P1, P2, eps)[0], start)
+    stop = width if holds is None else first_failing(holds, start)
+    a, b = origin + step * start, origin + step * stop
+    return np.where(in_a, a, b + 1), np.where(in_a, b, a + 1)
+
+
+def in_runs(run, rows: slice, cols: slice) -> np.ndarray:
+    """Mask of the block rows x cols of the square: the cells inside each
+    row's run of split_runs."""
+    col = np.arange(cols.start, cols.stop)
+    return (run[0][rows, None] <= col) & (col < run[1][rows, None])
 
 
 def grid_intervals(spacing: float, who: str, dims: int = 2) -> int:
@@ -305,7 +376,7 @@ def region_scan(p: float, eps: float | None,
 
     Valid splits are labelled VALID with no channel (eps=None, capacity
     None), else ONE_SHOT, BLOCK_ONLY or INFEASIBLE for the channel with
-    flip eps.
+    flip eps, from the runs of split_runs.
     """
     _check_prior(p)
     cap = None
@@ -315,13 +386,17 @@ def region_scan(p: float, eps: float | None,
     n = grid_intervals(resolution, "region_scan")
     axis = np.linspace(0.0, 1.0, n + 1)
     labels = np.full((n + 1, n + 1), int(RegionLabel.INVALID_SPLIT), dtype=np.int8)
+    if eps is not None:
+        one_shot = split_runs(
+            p, axis, lambda P1, P2: split_masks(p, P1, P2, eps, None)[1], eps)
+        block = split_runs(p, axis, lambda P1, P2: split_masks(p, P1, P2, None, cap)[2])
     for rows, cols in split_blocks(p, axis):
         if eps is None:
             labels[rows, cols] = int(RegionLabel.VALID)
             continue
-        _, one_shot, block = split_masks(p, axis[rows, None], axis[None, cols], eps, cap)
-        cells = np.where(block, int(RegionLabel.BLOCK_ONLY), int(RegionLabel.INFEASIBLE))
-        cells[one_shot] = int(RegionLabel.ONE_SHOT)
+        cells = np.where(in_runs(block, rows, cols), int(RegionLabel.BLOCK_ONLY),
+                         int(RegionLabel.INFEASIBLE))
+        cells[in_runs(one_shot, rows, cols)] = int(RegionLabel.ONE_SHOT)
         labels[rows, cols] = cells
     labels.flags.writeable = False
     return RegionGrid(p1_axis=axis, p2_axis=axis, labels=labels, capacity=cap)

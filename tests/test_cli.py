@@ -9,6 +9,9 @@ import os
 import re
 import shlex
 import stat
+import subprocess
+import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -21,18 +24,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infodesign import __version__
-from infodesign.cli import (CSV_BLOCK_ROWS, DIGEST_BLOCK_BYTES, _fmt, _text,
+from infodesign.cli import (CSV_BLOCK_ROWS, DIGEST_BLOCK_BYTES, _text,
                             _write_csv, _write_json, _write_square, cli, main)
 from infodesign.coding import (ExperimentSummary, coding_config_from_dict,
                                run_experiment, single_letter_utilities)
 from infodesign.mac import build_scenario, default_config, scenario_surface
 from infodesign.persuasion import (Block, OneShot, Scenario, Unconstrained,
-                                   grid_best_replies, sender_value,
+                                   csv_cell, grid_best_replies, sender_value,
                                    solve_equilibrium)
 from infodesign.prob import Distribution, binary_entropy
 from infodesign.splitting import PosteriorPair, RegionLabel, region_scan
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run_cli(args, capsys):
@@ -60,7 +64,7 @@ def scenario_doc(sc) -> dict:
 def reference_csv(header, rows) -> str:
     """The per-cell writer the block writer replaced, kept as its oracle."""
     return ",".join(header) + "\n" + "".join(
-        ",".join(_fmt(c) for c in row) + "\n" for row in rows)
+        ",".join(csv_cell(c) for c in row) + "\n" for row in rows)
 
 
 EXPERIMENT_DOC = {
@@ -225,12 +229,16 @@ class TestBestReply:
         (["stay, quiet", "go"], "is neither"),
         (["go\nnow", "stay"], "is neither"),
         ([[1, 2], {"a": 1}], "is neither"),
-        (["go", "go"], "duplicate action label")],
-        ids=["comma", "newline", "non_scalar", "duplicate"])
+        (["go", "go"], "duplicate action label"),
+        ([1, "1"], "both print as '1'"),
+        ([0.1234567891, 0.1234567892], "both print as '0.123456789'")],
+        ids=["comma", "newline", "non_scalar", "duplicate", "int_and_string",
+             "nine_digits"])
     def test_bad_action_labels_refused(self, workdir, capsys, actions, why,
                                        command):
-        """A label that would not print as one CSV cell, or a repeated one,
-        is refused before anything is written."""
+        """A label that would not print as one CSV cell, a repeated one, or
+        one that prints as another does, is refused before anything is
+        written."""
         (workdir / "sc.json").write_text(json.dumps(
             {"prior": [0.5, 0.5], "actions": actions,
              "phi1": [[1, 0], [0, 1]], "phi2": [[0, 1], [1, 0]]}))
@@ -640,12 +648,14 @@ class TestBlockWriter:
                         | printable)
         header = ("f", "b", "i", "m", "s")
         path = tmp_path_factory.mktemp("csv") / "out.csv"
-        got = _write_csv(str(path), header, [floats, _text(bools), _text(ints),
-                                             _text(optional), _text(labels)])
+        got, digest = _write_csv(str(path), header,
+                                 [floats, _text(bools), _text(ints),
+                                  _text(optional), _text(labels)])
         assert got == count
         expected = reference_csv(header, zip(floats, bools, ints, optional,
                                              labels))
         assert path.read_bytes() == expected.encode()
+        assert digest == hashlib.sha256(expected.encode()).hexdigest()
 
     def test_rejects_unformatted_columns(self, tmp_path):
         with pytest.raises(TypeError):
@@ -681,13 +691,16 @@ class TestSquareWriter:
         path = tmp_path_factory.mktemp("csv") / "out.csv"
         block = data.draw(st.sampled_from([CSV_BLOCK_ROWS, 1, 24, 100]))
         with mock.patch("infodesign.cli.CSV_BLOCK_ROWS", block):
-            assert _write_square(str(path), header,
-                                 replace(grid, values=tuple(values))) == (n + 1) ** 2
+            count, digest = _write_square(str(path), header,
+                                          replace(grid, values=tuple(values)))
+        assert count == (n + 1) ** 2
         rows = ((p1, p2, *(v[i, j] for v in values),
                  RegionLabel(int(grid.labels[i, j])).name)
                 for i, p1 in enumerate(grid.p1_axis)
                 for j, p2 in enumerate(grid.p2_axis))
-        assert path.read_bytes() == reference_csv(header, rows).encode()
+        expected = reference_csv(header, rows).encode()
+        assert path.read_bytes() == expected
+        assert digest == hashlib.sha256(expected).hexdigest()
 
     def test_value_in_invalid_split_raises(self, tmp_path):
         grid = region_scan(0.5, 0.25, 0.25)
@@ -807,6 +820,32 @@ class TestAtomicOutputs:
         assert json.loads(sent) == {"a": 1}
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_fifo_output_is_digested_as_written(self, workdir):
+        """A run whose --out is a FIFO writes the data once and exits: the
+        manifest's digest is that of the bytes the reader got, with no
+        re-read of the FIFO (which would wait for a writer for ever)."""
+        fifo = workdir / "region.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "infodesign.cli", "region", "--p", "0.5",
+                 "--eps", "0.25", "--resolution", "0.25", "--out", "region.csv"],
+                cwd=workdir, env=env, capture_output=True, text=True, timeout=60)
+        finally:
+            if reader.is_alive():  # no writer came: let the reader see EOF
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert proc.returncode == 0, proc.stderr
+        assert got[0].count(b"\n") == 26
+        manifest = json.loads((workdir / "region.csv.manifest.json").read_text())
+        assert manifest["outputs"]["region.csv"] == hashlib.sha256(got[0]).hexdigest()
 
 
 class TestGridCap:

@@ -409,11 +409,17 @@ class TestTrial:
         assert seen_error and seen_success
 
     def test_utilities_match_empirical_joint(self):
+        # q(u, v) rebuilt from the sequences of a replay of trial t
         cfg = trend_config(20)
         cb = generate_codebook(cfg)
         for t in range(20):
             r = run_trial(cfg, cb, t)
-            q_uv = r.counts.sum(axis=1) / cfg.n
+            streams = trial_streams(cfg.seed, t)
+            u_seq, _, _, w_seq = _trial_pipeline(cfg, cb, streams)
+            v_seq = generate_actions(w_seq, cfg.response, streams.actions)
+            q_uv = np.zeros(cfg.phi1.shape)
+            np.add.at(q_uv, (u_seq.astype(np.intp), v_seq.astype(np.intp)), 1.0)
+            q_uv /= cfg.n
             assert abs(r.util1_n - (q_uv * cfg.phi1).sum()) <= 1e-12
             assert abs(r.util2_n - (q_uv * cfg.phi2).sum()) <= 1e-12
 

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every public name it defines has a caller."""
+"""Every name a module of the package imports is used in that module, every
+import sits at module level, and every public name it defines has a
+caller."""
 import ast
 from pathlib import Path
 
@@ -38,6 +39,36 @@ def test_finds_an_unused_import():
               "import a.b\n"
               "print(loads, a.b)\n")
     assert unused_imports(source) == [(2, "os"), (2, "system"), (3, "dumps")]
+
+
+def nested_imports(source: str) -> list:
+    """Lines of the import statements of source inside a function body."""
+    return sorted({inner.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    """bench/spans.py wraps the traced names of the package modules loaded
+    when a trace starts and puts back only those: a module first imported
+    inside a traced call would keep the wrappers."""
+    assert nested_imports(path.read_text()) == []
+
+
+def test_finds_a_nested_import():
+    source = ("import os\n"
+              "if os.name:\n"
+              "    import sys\n"
+              "def f():\n"
+              "    from json import dumps\n"
+              "    def g():\n"
+              "        import re\n"
+              "class C:\n"
+              "    async def m(self):\n"
+              "        import a.b\n")
+    assert nested_imports(source) == [5, 7, 10]
 
 
 def names_in(source: str, strings: bool = False) -> set:

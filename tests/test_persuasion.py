@@ -415,10 +415,13 @@ RESOLUTIONS = (0.5, 0.3, 0.1, 0.05, 1 / 37, 1 / 150, 1 / 401, 1 / 450)
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 8), st.data())
 def test_row_block_scan_matches_full_grid(k_actions, data):
-    """The row-block scan returns what the full-grid argmax returned, in
-    every field: integer payoffs make ties common, the prior is drawn on a
-    grid point, at 0 and at 1, and the block is the default or a few cells."""
-    resolution = data.draw(st.sampled_from(RESOLUTIONS))
+    """The row-block scan over the mode's runs returns what the full-grid
+    argmax over its mask returned, in every field: integer payoffs make ties
+    common, the prior is drawn on a grid point, at 0 and at 1, the
+    resolution and the capacity at random, and the block is the default or
+    a few cells."""
+    resolution = data.draw(st.sampled_from(RESOLUTIONS)
+                           | st.integers(1, 450).map(lambda k: 1.0 / k))
     n = round(1.0 / resolution)
     p = data.draw(st.one_of(st.sampled_from([0.0, 1.0, 0.5]),
                             st.integers(0, n).map(lambda i: i / n),
@@ -428,9 +431,10 @@ def test_row_block_scan_matches_full_grid(k_actions, data):
     sc = Scenario(Distribution([p, 1.0 - p]), tuple(range(k_actions)),
                   data.draw(phi), data.draw(phi))
     eps = data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]) | st.floats(0.0, 0.5))
+    cap = data.draw(st.just(1.0 - binary_entropy(eps)) | st.floats(0.0, 1.2))
     block = data.draw(st.sampled_from([splitting.SCAN_BLOCK_CELLS, 1, 2, 7, 64]))
     with mock.patch.object(splitting, "SCAN_BLOCK_CELLS", block):
-        for mode in (Unconstrained(), OneShot(eps), Block(1.0 - binary_entropy(eps))):
+        for mode in (Unconstrained(), OneShot(eps), Block(cap)):
             assert_same_result(solve_equilibrium(sc, mode, resolution),
                                reference_solve(sc, mode, resolution))
 

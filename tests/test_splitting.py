@@ -11,12 +11,12 @@ from infodesign.prob import Distribution, binary_entropy
 from infodesign.splitting import (FEAS_ATOL, MAX_GRID_CELLS, NO_INFO,
                                   BinarySignal, PosteriorPair,
                                   RegionLabel, SplitError, block_feasible,
-                                  grid_intervals, is_valid_split,
+                                  grid_intervals, in_runs, is_valid_split,
                                   message_weights, one_shot_feasible,
                                   posteriors_from_signal, region_scan,
                                   signal_from_posteriors,
                                   signal_information_rate, split_blocks,
-                                  split_masks, split_values)
+                                  split_masks, split_runs, split_values)
 
 CAP_QUARTER = 1.0 - binary_entropy(0.25)  # bsc(0.25)
 
@@ -246,6 +246,29 @@ def test_masks_requested_alone(p, eps, cap, n):
     alone = split_masks(p, P1, P2, None, cap)
     assert np.array_equal(alone[0], valid) and alone[1] is None
     assert np.array_equal(alone[2], block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.0, 1.0, 0.5, 5e-324, 1e-310, 1e-300, 1.0 - 2.0 ** -53])
+       | st.floats(0.0, 1e-300) | units,
+       st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5),
+       st.sampled_from([0.0]) | st.floats(0.0, 1.2), st.integers(1, 400))
+@example(0.5, 0.25, CAP_QUARTER, 500)
+@example(1e-9, 0.1, 0.5, 1000)
+def test_runs_match_the_masks(p, eps, cap, n):
+    """The runs of split_runs hold exactly the cells each mask of
+    split_masks passes on the whole square, cell for cell."""
+    grid = np.linspace(0.0, 1.0, n + 1)
+    every = slice(0, n + 1)
+    valid, one_shot, block = split_masks(p, grid[:, None], grid[None, :], eps, cap)
+    for mask, run in (
+            (valid, split_runs(p, grid)),
+            (one_shot, split_runs(p, grid, lambda P1, P2: split_masks(
+                p, P1, P2, eps, None)[1], eps)),
+            (block, split_runs(p, grid, lambda P1, P2: split_masks(
+                p, P1, P2, None, cap)[2]))):
+        assert (run[0] <= run[1]).all()
+        assert np.array_equal(in_runs(run, every, every), mask)
 
 
 def oracle_masks(p, P1, P2, eps, cap):
