@@ -4,12 +4,14 @@ utility surfaces, equilibrium solves, and coordination simulations.
 Grids and curves go to CSV (header row, 9 significant digits); reports go to
 JSON. The posterior-square CSVs (region, surface) are joined from one text
 fragment per (label, column) behind each row's p1 text, so only the values of
-labelled cells are float-formatted. Every run writes a side-car manifest
-<out>.manifest.json recording the resolved parameters, input digests, seed,
-version, output digests, and wall clock. Data outputs are byte-identical
-across reruns; the manifest is the one file that is not (it carries the
-duration). Each file is written to a temp file beside it and moved into
-place, so a failed run leaves no partial output.
+labelled cells are float-formatted. Every subcommand runs in one frame, _Run,
+which digests each input from the bytes it parses and each output as it is
+written, and writes a side-car manifest <out>.manifest.json recording the
+resolved parameters, input digests, seed, version, output digests, and wall
+clock. Data outputs are byte-identical across reruns; the manifest is the one
+file that is not (it carries the duration). Every file of a run goes to a temp
+file beside its target, and all are moved into place together when the run
+completes, so a failed run leaves no output at all.
 """
 from __future__ import annotations
 
@@ -28,15 +30,16 @@ import numpy as np
 
 from . import __version__
 from .channel import CapacityError, bsc, capacity
-from .coding import (load_experiment, run_experiment, single_letter_utilities)
+from .coding import (coding_config_from_dict, run_experiment,
+                     single_letter_utilities)
 from .mac import build_scenario, default_config, scenario_surface
 from .persuasion import (Block, OneShot, Unconstrained, csv_cell,
-                         grid_best_replies, load_scenario, solve_equilibrium)
-from .prob import StochasticMatrix, binary_entropy, marginal, mutual_information
+                         grid_best_replies, scenario_from_dict, solve_equilibrium)
+from .prob import (StochasticMatrix, binary_entropy, checked_fields, marginal,
+                   mutual_information)
 from .splitting import RegionLabel, grid_intervals, region_scan
 
 CSV_BLOCK_ROWS = 4096
-DIGEST_BLOCK_BYTES = 1 << 20
 
 
 def _jsonable(x):
@@ -60,67 +63,22 @@ def _jsonable(x):
     return x
 
 
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        while block := f.read(DIGEST_BLOCK_BYTES):
-            h.update(block)
-    return h.hexdigest()
-
-
 class _HashingWriter:
-    """Text sink over a binary file: each write goes out as UTF-8 and into a
-    SHA-256 of every byte written, so the digest needs no re-read."""
+    """Text sink over a binary file: each write goes out as UTF-8 and into
+    sha, a SHA-256 of every byte written, so the digest needs no re-read."""
 
     def __init__(self, f):
-        self._f = f
-        self._sha = hashlib.sha256()
+        self.f, self.sha = f, hashlib.sha256()
 
     def write(self, text: str) -> None:
         data = text.encode()
-        self._sha.update(data)
-        self._f.write(data)
-
-    def hexdigest(self) -> str:
-        return self._sha.hexdigest()
+        self.sha.update(data)
+        self.f.write(data)
 
 
-@contextlib.contextmanager
-def _replacing(path: str):
-    """_HashingWriter to write in place of path: into a temp file in the
-    directory of the file path names (symlinks resolved), moved onto it with
-    the old file's permission bits when the block completes and removed if
-    it raises. An existing target that is not a regular file (a FIFO, a
-    device) is written in place, and never read back."""
-    real = os.path.realpath(path)
-    try:
-        old = os.stat(real)
-    except FileNotFoundError:
-        old = None
-    if old is not None and not stat.S_ISREG(old.st_mode):
-        with open(path, "wb") as f:
-            yield _HashingWriter(f)
-        return
-    head, tail = os.path.split(real)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            yield _HashingWriter(f)
-        if old is not None:
-            os.chmod(tmp, stat.S_IMODE(old.st_mode))
-        os.replace(tmp, real)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
-def _write_json(path: str, doc: dict) -> str:
-    """Write doc as indented JSON and return the file's SHA-256."""
-    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
-    with _replacing(path) as f:
-        f.write(text)
-    return f.hexdigest()
+def _write_json(f, doc: dict) -> None:
+    """Write doc to the text sink f as indented, key-sorted JSON."""
+    f.write(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n")
 
 
 def _text(values) -> np.ndarray:
@@ -128,9 +86,9 @@ def _text(values) -> np.ndarray:
     return np.array([csv_cell(v) for v in values], dtype=object)
 
 
-def _write_csv(path: str, header, columns) -> tuple:
-    """Write equal-length columns under header; return the row count and
-    the file's SHA-256.
+def _write_csv(f, header, columns) -> int:
+    """Write equal-length columns under header to the text sink f; return
+    the row count.
 
     Float columns are formatted with %.9g, which prints exactly what
     csv_cell does; every other column must already be text (see _text). Rows
@@ -145,21 +103,20 @@ def _write_csv(path: str, header, columns) -> tuple:
                    for c in columns) + "\n"
     count = len(columns[0])
     width = len(columns)
-    with _replacing(path) as f:
-        f.write(",".join(header) + "\n")
-        for start in range(0, count, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, count)
-            cells = [None] * ((stop - start) * width)
-            for k, c in enumerate(columns):
-                cells[k::width] = c[start:stop].tolist()
-            f.write(row * (stop - start) % tuple(cells))
-    return count, f.hexdigest()
+    f.write(",".join(header) + "\n")
+    for start in range(0, count, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, count)
+        cells = [None] * ((stop - start) * width)
+        for k, c in enumerate(columns):
+            cells[k::width] = c[start:stop].tolist()
+        f.write(row * (stop - start) % tuple(cells))
+    return count
 
 
-def _write_square(path: str, header, grid) -> tuple:
-    """Write a posterior-square grid row-major, one line a cell (p1, p2, the
-    cell of each of grid.values, the label name); return the cell count and
-    the file's SHA-256.
+def _write_square(f, header, grid) -> int:
+    """Write a posterior-square grid row-major to the text sink f, one line
+    a cell (p1, p2, the cell of each of grid.values, the label name); return
+    the cell count.
 
     A line's text after p1 depends only on its column and label, so one
     fragment per (label, column) is built first: ",<p2>", a %.9g slot per
@@ -182,44 +139,23 @@ def _write_square(path: str, header, grid) -> tuple:
     p1 = _text(grid.p1_axis)
     cols = np.arange(n2)
     step = max(1, CSV_BLOCK_ROWS // n2)
-    with _replacing(path) as f:
-        f.write(",".join(header) + "\n")
-        for start in range(0, n1, step):
-            rows = slice(start, min(start + step, n1))
-            text = "".join(P + P.join(line) for P, line in
-                           zip(p1[rows], frags[labels[rows], cols].tolist()))
-            if values:
-                kept = ~invalid[rows]
-                text %= tuple(np.stack([v[rows][kept] for v in values],
-                                       axis=-1).ravel().tolist())
-            f.write(text)
-    return n1 * n2, f.hexdigest()
+    f.write(",".join(header) + "\n")
+    for start in range(0, n1, step):
+        rows = slice(start, min(start + step, n1))
+        text = "".join(P + P.join(line) for P, line in
+                       zip(p1[rows], frags[labels[rows], cols].tolist()))
+        if values:
+            kept = ~invalid[rows]
+            text %= tuple(np.stack([v[rows][kept] for v in values],
+                                   axis=-1).ravel().tolist())
+        f.write(text)
+    return n1 * n2
 
 
 def _label_counts(grid) -> dict:
     """Cells per RegionLabel name of a posterior-square grid."""
     counts = np.bincount(grid.labels.ravel(), minlength=len(RegionLabel))
     return {label.name: int(counts[label]) for label in RegionLabel}
-
-
-def _write_manifest(subcommand: str, parameters: dict, inputs: dict,
-                    outputs: dict, seed, started: float, counters=None) -> str:
-    """Write the manifest beside the first of outputs, a dict of each output
-    path to the digest its writer returned; inputs are read to digest them."""
-    manifest_path = next(iter(outputs)) + ".manifest.json"
-    doc = {
-        "subcommand": subcommand,
-        "parameters": parameters,
-        "inputs": {p: _digest(p) for p in inputs},
-        "seed": seed,
-        "version": __version__,
-        "duration_s": time.perf_counter() - started,
-        "outputs": outputs,
-    }
-    if counters is not None:
-        doc["counters"] = counters
-    _write_json(manifest_path, doc)
-    return manifest_path
 
 
 def _refuse_overwrites(inputs, outputs) -> None:
@@ -235,11 +171,83 @@ def _refuse_overwrites(inputs, outputs) -> None:
         claimed[real] = f"{role} {path}"
 
 
-def _load_scenario_arg(spec: str):
-    """Scenario path, or the literal 'mac' for the bundled case study."""
+class _Run:
+    """The frame of one subcommand run, as a context manager.
+
+    Making one takes the start time and refuses colliding paths
+    (_refuse_overwrites). read(path) reads an input once and returns the
+    JSON parsed from the bytes it digests. write(path, writer, *args)
+    streams writer(sink, *args) through a _HashingWriter into a temp file
+    beside path's target (symlinks resolved) and returns what writer does;
+    a target that exists and is not a regular file (a FIFO, a device) is
+    written in place. The body may set seed and counters and add to
+    parameters. A clean exit writes the manifest beside the first output,
+    then moves every temp file onto its target with the old file's
+    permission bits, the manifest last; an exception removes them all.
+    """
+
+    def __init__(self, subcommand: str, inputs, outputs, parameters: dict):
+        self.started = time.perf_counter()
+        _refuse_overwrites(inputs, outputs)
+        self.subcommand, self.parameters = subcommand, parameters
+        self.manifest = outputs[0] + ".manifest.json"
+        self.seed = self.counters = None
+        self.inputs, self.outputs, self._moves = {}, {}, []
+
+    def __enter__(self):
+        return self
+
+    def read(self, path: str):
+        with open(path, "rb") as f:
+            data = f.read()
+        self.inputs[path] = hashlib.sha256(data).hexdigest()
+        return json.loads(data)
+
+    def write(self, path: str, writer, *args):
+        dest = target = os.path.realpath(path)
+        old = os.stat(target) if os.path.exists(target) else None
+        if old is None or stat.S_ISREG(old.st_mode):
+            head, tail = os.path.split(target)
+            dest = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+            self._moves.append((dest, target, old))
+        with open(dest, "wb") as f:
+            sink = _HashingWriter(f)
+            result = writer(sink, *args)
+        self.outputs[path] = sink.sha.hexdigest()
+        return result
+
+    def __exit__(self, kind, value, tb):
+        try:
+            if kind is None:
+                doc = {"subcommand": self.subcommand,
+                       "parameters": self.parameters, "inputs": self.inputs,
+                       "seed": self.seed, "version": __version__,
+                       "duration_s": time.perf_counter() - self.started,
+                       "outputs": dict(self.outputs)}
+                if self.counters is not None:
+                    doc["counters"] = self.counters
+                self.write(self.manifest, _write_json, doc)
+                for tmp, target, old in self._moves:
+                    if old is not None:
+                        os.chmod(tmp, stat.S_IMODE(old.st_mode))
+                    os.replace(tmp, target)
+        finally:
+            for tmp, _, _ in self._moves:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(tmp)
+
+
+def _scenario_files(spec: str) -> list:
+    """The input files of a --scenario value: none for the literal 'mac'."""
+    return [] if spec == "mac" else [spec]
+
+
+def _scenario(run: _Run, spec: str):
+    """The scenario of a --scenario value: the bundled case study for the
+    literal 'mac', else the file read through run."""
     if spec == "mac":
-        return build_scenario(default_config()), []
-    return load_scenario(spec), [spec]
+        return build_scenario(default_config())
+    return scenario_from_dict(run.read(spec))
 
 
 def _print_and_exit(text):
@@ -290,34 +298,31 @@ def cli():
               show_default=True)
 def cmd_capacity(bsc_eps, matrix_file, tol, max_iter, out):
     """Channel capacity with the optimal input distribution."""
-    started = time.perf_counter()
     if (bsc_eps is None) == (matrix_file is None):
         raise click.UsageError("pass exactly one of --bsc or --matrix")
     inputs = [] if matrix_file is None else [matrix_file]
-    _refuse_overwrites(inputs, [out])
-    if bsc_eps is not None:
-        ch = bsc(bsc_eps)
-        spec = {"bsc": bsc_eps}
-    else:
-        with open(matrix_file) as f:
-            doc = json.load(f)
-        rows = doc["matrix"] if isinstance(doc, dict) and "matrix" in doc else doc
-        try:
-            ch = StochasticMatrix(rows)
-        except (ValueError, TypeError) as e:
-            raise ValueError(f"channel matrix: {e}") from None
-        spec = {"matrix_file": matrix_file}
-    res = capacity(ch, tol=tol, max_iter=max_iter)
-    report = {"capacity": res.capacity,
-              "optimal_input": res.optimal_input.probs,
-              "iterations": res.iterations,
-              "residual": res.residual,
-              "channel": spec,
-              "manifest": out + ".manifest.json"}
-    digest = _write_json(out, report)
-    _write_manifest("capacity", {"channel": spec, "tol": tol,
-                                 "max_iter": max_iter, "out": out},
-                    inputs, {out: digest}, None, started)
+    spec = {"matrix_file": matrix_file} if inputs else {"bsc": bsc_eps}
+    with _Run("capacity", inputs, [out], {"channel": spec, "tol": tol,
+                                          "max_iter": max_iter, "out": out}) as run:
+        if matrix_file is None:
+            ch = bsc(bsc_eps)
+        else:
+            rows = run.read(matrix_file)
+            if isinstance(rows, dict):
+                checked_fields(rows, "channel matrix", ["matrix"])
+                rows = rows["matrix"]
+            try:
+                ch = StochasticMatrix(rows)
+            except (ValueError, TypeError) as e:
+                raise ValueError(f"channel matrix: {e}") from None
+        res = capacity(ch, tol=tol, max_iter=max_iter)
+        report = {"capacity": res.capacity,
+                  "optimal_input": res.optimal_input.probs,
+                  "iterations": res.iterations,
+                  "residual": res.residual,
+                  "channel": spec,
+                  "manifest": run.manifest}
+        run.write(out, _write_json, report)
     click.echo(json.dumps(_jsonable(report), sort_keys=True), file=sys.stdout)
 
 
@@ -329,12 +334,12 @@ def cmd_capacity(bsc_eps, matrix_file, tol, max_iter, out):
               show_default=True)
 def cmd_region(p, eps, resolution, out):
     """Feasibility labels over the posterior square."""
-    started = time.perf_counter()
-    grid = region_scan(p, eps, resolution)
-    count, digest = _write_square(out, ("p1", "p2", "label"), grid)
-    _write_manifest("region", {"p": p, "eps": eps, "resolution": resolution,
-                               "out": out, "capacity": grid.capacity},
-                    [], {out: digest}, None, started, counters=_label_counts(grid))
+    with _Run("region", [], [out], {"p": p, "eps": eps, "resolution": resolution,
+                                    "out": out}) as run:
+        grid = region_scan(p, eps, resolution)
+        run.parameters["capacity"] = grid.capacity
+        run.counters = _label_counts(grid)
+        count = run.write(out, _write_square, ("p1", "p2", "label"), grid)
     click.echo(f"wrote {out}: {count} cells", file=sys.stdout)
 
 
@@ -346,15 +351,13 @@ def cmd_region(p, eps, resolution, out):
               show_default=True)
 def cmd_bestreply(scenario, step, out):
     """Receiver best reply and value swept over the prior."""
-    started = time.perf_counter()
-    sc, inputs = _load_scenario_arg(scenario)
-    _refuse_overwrites(inputs, [out])
-    grid = np.linspace(0.0, 1.0, grid_intervals(step, "bestreply", 1) + 1)
-    sel, _, v2 = grid_best_replies(sc, grid)
-    count, digest = _write_csv(out, ("p", "v_star", "receiver_value"),
-                               [grid, _text(sc.actions)[sel], v2])
-    _write_manifest("bestreply", {"scenario": scenario, "step": step, "out": out},
-                    inputs, {out: digest}, None, started)
+    with _Run("bestreply", _scenario_files(scenario), [out],
+              {"scenario": scenario, "step": step, "out": out}) as run:
+        sc = _scenario(run, scenario)
+        grid = np.linspace(0.0, 1.0, grid_intervals(step, "bestreply", 1) + 1)
+        sel, _, v2 = grid_best_replies(sc, grid)
+        count = run.write(out, _write_csv, ("p", "v_star", "receiver_value"),
+                          [grid, _text(sc.actions)[sel], v2])
     click.echo(f"wrote {out}: {count} grid points", file=sys.stdout)
 
 
@@ -372,17 +375,17 @@ def cmd_bestreply(scenario, step, out):
               show_default=True)
 def cmd_surface(scenario, mode, eps, resolution, out):
     """Split values over the posterior square, labeled by feasibility."""
-    started = time.perf_counter()
-    sc, inputs = _load_scenario_arg(scenario)
-    _refuse_overwrites(inputs, [out])
     if mode != "unconstrained" and eps is None:
         raise click.UsageError(f"--mode {mode} requires --eps")
-    surf = scenario_surface(sc, resolution, eps if mode != "unconstrained" else None)
-    count, digest = _write_square(out, ("p1", "p2", "phi1", "phi2", "label"), surf)
-    _write_manifest("surface", {"scenario": scenario, "mode": mode, "eps": eps,
-                                "resolution": resolution, "out": out},
-                    inputs, {out: digest}, None, started,
-                    counters=_label_counts(surf))
+    with _Run("surface", _scenario_files(scenario), [out],
+              {"scenario": scenario, "mode": mode, "eps": eps,
+               "resolution": resolution, "out": out}) as run:
+        sc = _scenario(run, scenario)
+        surf = scenario_surface(sc, resolution,
+                                eps if mode != "unconstrained" else None)
+        run.counters = _label_counts(surf)
+        count = run.write(out, _write_square,
+                          ("p1", "p2", "phi1", "phi2", "label"), surf)
     click.echo(f"wrote {out}: {count} cells", file=sys.stdout)
 
 
@@ -414,34 +417,30 @@ def _parse_mode(mode: str, eps, cap):
               show_default=True)
 def cmd_solve(scenario, mode, eps, cap, resolution, out):
     """Sender-optimal split under the chosen feasibility mode."""
-    started = time.perf_counter()
-    sc, inputs = _load_scenario_arg(scenario)
-    _refuse_overwrites(inputs, [out])
     mode_obj = _parse_mode(mode, eps, cap)
-    res = solve_equilibrium(sc, mode_obj, resolution)
-    report = {
-        "mode": mode,
-        "parameters": {"eps": eps, "cap": getattr(mode_obj, "capacity", None),
-                       "resolution": resolution},
-        "phi1_star": res.phi1_star,
-        "phi2_star": res.phi2_star,
-        "posteriors": {"p1": res.posteriors.p1, "p2": res.posteriors.p2},
-        "signal": {"alpha": res.signal.alpha, "beta": res.signal.beta},
-        "message_weights": res.message_weights.probs,
-        "receiver_actions": list(res.receiver_actions),
-        "no_info": res.no_info,
-        "feasibility": {"feasible": res.feasibility.feasible,
-                        "slack": res.feasibility.slack,
-                        "mode": res.feasibility.mode},
-        "manifest": out + ".manifest.json",
-    }
-    digest = _write_json(out, report)
-    _write_manifest("solve", {"scenario": scenario, "mode": mode, "eps": eps,
-                              "cap": getattr(mode_obj, "capacity", None),
-                              "resolution": resolution, "out": out},
-                    inputs, {out: digest}, None, started,
-                    counters={"cells_scanned": res.cells_scanned,
-                              "cells_feasible": res.cells_feasible})
+    cap = getattr(mode_obj, "capacity", None)
+    with _Run("solve", _scenario_files(scenario), [out],
+              {"scenario": scenario, "mode": mode, "eps": eps, "cap": cap,
+               "resolution": resolution, "out": out}) as run:
+        res = solve_equilibrium(_scenario(run, scenario), mode_obj, resolution)
+        run.counters = {"cells_scanned": res.cells_scanned,
+                        "cells_feasible": res.cells_feasible}
+        report = {
+            "mode": mode,
+            "parameters": {"eps": eps, "cap": cap, "resolution": resolution},
+            "phi1_star": res.phi1_star,
+            "phi2_star": res.phi2_star,
+            "posteriors": {"p1": res.posteriors.p1, "p2": res.posteriors.p2},
+            "signal": {"alpha": res.signal.alpha, "beta": res.signal.beta},
+            "message_weights": res.message_weights.probs,
+            "receiver_actions": list(res.receiver_actions),
+            "no_info": res.no_info,
+            "feasibility": {"feasible": res.feasibility.feasible,
+                            "slack": res.feasibility.slack,
+                            "mode": res.feasibility.mode},
+            "manifest": run.manifest,
+        }
+        run.write(out, _write_json, report)
     click.echo(json.dumps(_jsonable(report), sort_keys=True), file=sys.stdout)
 
 
@@ -458,59 +457,57 @@ def cmd_solve(scenario, mode, eps, cap, resolution, out):
               help="Per-trial CSV path [default: <out stem>_trials.csv].")
 def cmd_simulate(experiment, trials, seed, out, trials_csv):
     """Monte Carlo coordination run over the configured channel."""
-    started = time.perf_counter()
     if trials_csv is None:
         stem = out[:-5] if out.endswith(".json") else out
         trials_csv = stem + "_trials.csv"
-    _refuse_overwrites([experiment], [out, trials_csv])
-    cfg = load_experiment(experiment)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
+    with _Run("simulate", [experiment], [out, trials_csv],
+              {"experiment": experiment, "trials": trials, "out": out,
+               "trials_csv": trials_csv}) as run:
+        cfg = coding_config_from_dict(run.read(experiment))
+        if seed is not None:
+            cfg = dataclasses.replace(cfg, seed=seed)
+        run.seed = cfg.seed
 
-    rate_needed = mutual_information(marginal(cfg.target, ("u", "w")))
-    cap = capacity(cfg.channel).capacity
-    if cfg.rate <= rate_needed:
-        raise ValueError(
-            f"experiment.rate: covering requirement violated; rate {cfg.rate} "
-            f"must exceed the signal's information rate {rate_needed:.6f} bits")
-    if cfg.rate >= cap:
-        raise ValueError(
-            f"experiment.rate: packing requirement violated; rate {cfg.rate} "
-            f"must stay below the channel capacity {cap:.6f} bits")
+        rate_needed = mutual_information(marginal(cfg.target, ("u", "w")))
+        cap = capacity(cfg.channel).capacity
+        if cfg.rate <= rate_needed:
+            raise ValueError(
+                f"experiment.rate: covering requirement violated; rate {cfg.rate} "
+                f"must exceed the signal's information rate {rate_needed:.6f} bits")
+        if cfg.rate >= cap:
+            raise ValueError(
+                f"experiment.rate: packing requirement violated; rate {cfg.rate} "
+                f"must stay below the channel capacity {cap:.6f} bits")
 
-    summary = run_experiment(cfg, trials)
-    phi1_sl, phi2_sl = single_letter_utilities(cfg)
-    report = {
-        "experiment": experiment,
-        "rate": cfg.rate,
-        "eps_typ": cfg.eps_typ,
-        "seed": cfg.seed,
-        "codebook_size": cfg.codebook_size,
-        "typicality_radius": cfg.typicality_radius,
-        "signal_information_rate": rate_needed,
-        "channel_capacity": cap,
-        **{f.name: getattr(summary, f.name) for f in dataclasses.fields(summary)
-           if f.name != "results"},
-        "single_letter": {"phi1": phi1_sl, "phi2": phi2_sl},
-        "trials_csv": trials_csv,
-        "manifest": out + ".manifest.json",
-    }
-    digest = _write_json(out, report)
-    results = summary.results
-    _, trials_digest = _write_csv(trials_csv,
-               ("trial", "error", "chosen_m", "decoded_m",
-                "l1_to_target", "util1", "util2"),
-               [_text(range(len(results))),
-                _text(r.error_event for r in results),
-                _text(r.chosen_m for r in results),
-                _text(r.decoded_m for r in results),
-                np.array([r.l1_to_target for r in results], dtype=float),
-                np.array([r.util1_n for r in results], dtype=float),
-                np.array([r.util2_n for r in results], dtype=float)])
-    _write_manifest("simulate", {"experiment": experiment, "trials": trials,
-                                 "out": out, "trials_csv": trials_csv},
-                    [experiment], {out: digest, trials_csv: trials_digest},
-                    cfg.seed, started)
+        summary = run_experiment(cfg, trials)
+        phi1_sl, phi2_sl = single_letter_utilities(cfg)
+        report = {
+            "experiment": experiment,
+            "rate": cfg.rate,
+            "eps_typ": cfg.eps_typ,
+            "seed": cfg.seed,
+            "codebook_size": cfg.codebook_size,
+            "typicality_radius": cfg.typicality_radius,
+            "signal_information_rate": rate_needed,
+            "channel_capacity": cap,
+            **{f.name: getattr(summary, f.name)
+               for f in dataclasses.fields(summary) if f.name != "results"},
+            "single_letter": {"phi1": phi1_sl, "phi2": phi2_sl},
+            "trials_csv": trials_csv,
+            "manifest": run.manifest,
+        }
+        run.write(out, _write_json, report)
+        results = summary.results
+        run.write(trials_csv, _write_csv,
+                  ("trial", "error", "chosen_m", "decoded_m",
+                   "l1_to_target", "util1", "util2"),
+                  [_text(range(len(results))),
+                   _text(r.error_event for r in results),
+                   _text(r.chosen_m for r in results),
+                   _text(r.decoded_m for r in results),
+                   np.array([r.l1_to_target for r in results], dtype=float),
+                   np.array([r.util1_n for r in results], dtype=float),
+                   np.array([r.util2_n for r in results], dtype=float)])
     click.echo(json.dumps(_jsonable({k: report[k] for k in
                                      ("error_rate", "mean_l1", "mean_util1",
                                       "mean_util2", "trials")}), sort_keys=True),

@@ -19,7 +19,6 @@ deviation test replay identical trials against alternative responses.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -558,8 +557,3 @@ def coding_config_from_dict(doc: dict) -> CodingConfig:
                             phi1=doc["phi1"], phi2=doc["phi2"], seed=doc["seed"])
     except (ValueError, TypeError) as e:
         raise ValueError(f"experiment: {e}") from None
-
-
-def load_experiment(path) -> CodingConfig:
-    with open(path) as f:
-        return coding_config_from_dict(json.load(f))

@@ -12,7 +12,6 @@ sender's favor, then by lowest action index, so runs are reproducible.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ import numpy as np
 
 from .prob import (Distribution, JointDistribution, StochasticMatrix,
                    checked_fields, mutual_information, payoff_table)
-from .splitting import (FEAS_ATOL, NO_INFO, BinarySignal,
+from .splitting import (FEAS_ATOL, NO_INFO, SCAN_BLOCK_CELLS, BinarySignal,
                         FeasibilityVerdict, PosteriorPair, SplitError,
                         block_feasible, check_eps, grid_intervals, in_runs,
                         is_valid_split, one_shot_feasible,
@@ -273,6 +272,8 @@ def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> Equilibri
     runs = mode.runs(p, grid)
     top, cell = -np.inf, None
     scanned = feasible = 0
+    # split_values' pair, reused: a block holds at most this many cells
+    scratch = np.empty((2, max(SCAN_BLOCK_CELLS, grid.size)))
     for rows, cols in split_blocks(p, grid):
         start, stop = runs[0][rows], runs[1][rows]
         scanned += (rows.stop - rows.start) * (cols.stop - cols.start)
@@ -282,7 +283,8 @@ def solve_equilibrium(sc: Scenario, mode, resolution: float = 1e-3) -> Equilibri
             continue
         window = slice(int(start[live].min()), int(stop[live].max()))
         P1, P2 = grid[rows, None], grid[None, window]
-        vals = split_values(p, P1, P2, V1[rows, None], V1[None, window])
+        out = tuple(scratch[:, :P1.size * P2.size].reshape(2, P1.size, P2.size))
+        vals = split_values(p, P1, P2, V1[rows, None], V1[None, window], out)
         if not ((start == window.start) & (stop == window.stop)).all():
             vals[~in_runs(runs, rows, window)] = -np.inf
         flat = int(np.argmax(vals))
@@ -330,8 +332,3 @@ def scenario_from_dict(doc: dict) -> Scenario:
         return Scenario(prior, tuple(actions), doc["phi1"], doc["phi2"])
     except (ValueError, TypeError) as e:
         raise ValueError(f"scenario: {e}") from None
-
-
-def load_scenario(path) -> Scenario:
-    with open(path) as f:
-        return scenario_from_dict(json.load(f))

@@ -212,15 +212,22 @@ class RegionGrid:
     values: tuple = ()  # per-cell value arrays, nan on INVALID_SPLIT cells
 
 
-def split_values(p: float, p1, p2, v1, v2):
+def split_values(p: float, p1, p2, v1, v2, out=None):
     """Value lam * v1 + (1 - lam) * v2 of splits (p1, p2) of prior p, where
     lam = (p2 - p) / (p2 - p1) weighs p1. Broadcasts; nan or inf at p1 = p2.
 
     The one lambda-mix of per-posterior values: the solver's and the
-    surface's payoffs, and the entropy term of the block mask's rate."""
+    surface's payoffs, and the entropy term of the block mask's rate. The
+    mix runs in place in out, a pair of float arrays of the broadcast shape
+    (made here if not given), and out[0] is returned, so a scan that passes
+    the same pair for every block allocates no cells per block."""
+    shape = np.broadcast_shapes(*map(np.shape, (p1, p2, v1, v2)))
+    mix, lam = out or (np.empty(shape), np.empty(shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (p2 - p) / (p2 - p1)
-        return lam * v1 + (1.0 - lam) * v2
+        np.divide(p2 - p, np.subtract(p2, p1, out=lam), out=lam)
+        np.multiply(lam, v1, out=mix)
+        np.multiply(np.subtract(1.0, lam, out=lam), v2, out=lam)
+        return np.add(mix, lam, out=mix)
 
 
 def _band_sides(p: float, P1, P2, eps: float):

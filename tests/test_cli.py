@@ -24,8 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infodesign import __version__
-from infodesign.cli import (CSV_BLOCK_ROWS, DIGEST_BLOCK_BYTES, _text,
-                            _write_csv, _write_json, _write_square, cli, main)
+from infodesign.cli import (CSV_BLOCK_ROWS, _Run, _text, _write_csv,
+                            _write_json, _write_square, cli, main)
 from infodesign.coding import (ExperimentSummary, coding_config_from_dict,
                                run_experiment, single_letter_utilities)
 from infodesign.mac import build_scenario, default_config, scenario_surface
@@ -59,6 +59,21 @@ def scenario_doc(sc) -> dict:
     """The scenario JSON document of sc."""
     return {"prior": sc.prior.probs.tolist(), "actions": list(sc.actions),
             "phi1": sc.phi1.tolist(), "phi2": sc.phi2.tolist()}
+
+
+def cli_process(args, cwd, timeout):
+    """The CLI run as its own process (python -m infodesign.cli args)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "infodesign.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+def write_one(path, writer, *args):
+    """writer(sink, *args) into path through a run frame of its own."""
+    with _Run("test", [], [str(path)], {}) as run:
+        return run.write(str(path), writer, *args)
 
 
 def reference_csv(header, rows) -> str:
@@ -152,8 +167,10 @@ class TestCapacity:
         assert os.listdir(workdir) == []
 
     def test_bad_matrix_rejected(self, workdir, capsys):
-        # a row that does not sum to 1, and a 1-d list
-        for rows in ([[0.5, 0.4], [0.3, 0.7]], [0.5, 0.5]):
+        # a row that does not sum to 1, a 1-d list, and a wrapper object
+        # with a field beside "matrix"
+        for rows in ([[0.5, 0.4], [0.3, 0.7]], [0.5, 0.5],
+                     {"matrix": [[0.9, 0.1], [0.2, 0.8]], "junk": 1}):
             (workdir / "ch.json").write_text(json.dumps(rows))
             code, _, err = run_cli(["capacity", "--matrix", "ch.json"], capsys)
             assert code == 1
@@ -161,20 +178,6 @@ class TestCapacity:
             assert e["type"] == "invalid_input"
             assert e["message"].startswith("channel matrix: ")
             assert os.listdir(workdir) == ["ch.json"]
-
-    def test_manifest_digests(self, workdir, capsys):
-        (workdir / "ch.json").write_text(
-            json.dumps([[0.75, 0.25], [0.25, 0.75]]))
-        run_cli(["capacity", "--matrix", "ch.json"], capsys)
-        manifest = json.loads(
-            (workdir / "capacity.json.manifest.json").read_text())
-        assert manifest["subcommand"] == "capacity"
-        assert manifest["version"] == __version__
-        assert manifest["duration_s"] >= 0.0
-        got = hashlib.sha256((workdir / "capacity.json").read_bytes()).hexdigest()
-        assert manifest["outputs"]["capacity.json"] == got
-        got_in = hashlib.sha256((workdir / "ch.json").read_bytes()).hexdigest()
-        assert manifest["inputs"]["ch.json"] == got_in
 
 
 class TestRegion:
@@ -292,7 +295,7 @@ class TestSurface:
                               "--resolution", "0.004"], capsys)
         assert code == 0
         data = (workdir / "surface.csv").read_bytes()
-        assert len(data) > DIGEST_BLOCK_BYTES
+        assert len(data) > 1 << 20
         manifest = json.loads(
             (workdir / "surface.csv.manifest.json").read_text())
         assert (manifest["outputs"]["surface.csv"]
@@ -474,6 +477,17 @@ class TestSimulate:
         assert stderr_error(err)["type"] == "usage"
         assert os.listdir(workdir) == ["exp.json"]
 
+    def test_failed_second_output_leaves_nothing(self, workdir, experiment_file,
+                                                 capsys):
+        """The trials CSV cannot be opened after the report is written: the
+        run leaves neither report, manifest nor temp file."""
+        code, out, err = run_cli(["simulate", "--experiment", experiment_file,
+                                  "--trials", "5", "--out", "sim.json",
+                                  "--trials-csv", "nodir/t.csv"], capsys)
+        assert code == 1 and out == ""
+        assert stderr_error(err)["type"] == "io"
+        assert os.listdir(workdir) == ["exp.json"]
+
     def test_missing_experiment_file(self, workdir, capsys):
         code, _, err = run_cli(["simulate", "--experiment", "nope.json"],
                                capsys)
@@ -534,6 +548,19 @@ class TestOutputNamesInput:
         assert sorted(os.listdir(workdir)) == sorted(["link.json", name])
         assert (workdir / name).read_bytes() == before
 
+    def test_region_manifest_names_its_output(self, workdir, capsys):
+        (workdir / "r.csv").write_text("old\n")
+        (workdir / "r.csv.manifest.json").symlink_to("r.csv")
+        code, out, err = run_cli(["region", "--p", "0.5", "--eps", "0.1",
+                                  "--resolution", "0.25", "--out", "r.csv"],
+                                 capsys)
+        assert code == 2 and out == ""
+        e = stderr_error(err)
+        assert e["type"] == "usage"
+        assert e["message"].endswith("would overwrite output r.csv")
+        assert (workdir / "r.csv").read_text() == "old\n"
+        assert sorted(os.listdir(workdir)) == ["r.csv", "r.csv.manifest.json"]
+
     def test_distinct_paths_accepted(self, workdir, capsys):
         (workdir / "in.json").write_text(json.dumps(self.DOCS["capacity"]))
         code, _, _ = run_cli(["capacity", "--matrix", "in.json", "--out",
@@ -542,6 +569,55 @@ class TestOutputNamesInput:
         manifest = json.loads((workdir / "in.json.out.manifest.json").read_text())
         assert manifest["inputs"] == {
             "in.json": hashlib.sha256((workdir / "in.json").read_bytes()).hexdigest()}
+
+
+MANIFEST_RUNS = {
+    "capacity_bsc": (["capacity", "--bsc", "0.1"], []),
+    "capacity_matrix": (["capacity", "--matrix", "ch.json"], ["ch.json"]),
+    "region": (["region", "--p", "0.5", "--eps", "0.25", "--resolution", "0.1"],
+               []),
+    "bestreply": (["bestreply", "--scenario", "sc.json", "--step", "0.1"],
+                  ["sc.json"]),
+    "surface": (["surface", "--scenario", "sc.json", "--resolution", "0.1"],
+                ["sc.json"]),
+    "solve": (["solve", "--scenario", "sc.json", "--mode", "unconstrained",
+               "--resolution", "0.1"], ["sc.json"]),
+    "simulate": (["simulate", "--experiment", "exp.json", "--trials", "5"],
+                 ["exp.json"]),
+}
+
+
+class TestManifest:
+    KEYS = {"subcommand", "parameters", "inputs", "seed", "version",
+            "duration_s", "outputs"}
+    COUNTED = {"region", "surface", "solve"}
+
+    @pytest.mark.parametrize("run", MANIFEST_RUNS)
+    def test_keys_and_digests(self, workdir, experiment_file, capsys, run):
+        """One manifest beside the outputs, with the same keys for every
+        subcommand (counters where a run counts cells), and digests that are
+        those of every file the run read or wrote."""
+        args, inputs = MANIFEST_RUNS[run]
+        (workdir / "ch.json").write_text(json.dumps([[0.75, 0.25], [0.25, 0.75]]))
+        (workdir / "sc.json").write_text(
+            json.dumps(scenario_doc(build_scenario(default_config()))))
+        assert run_cli(args, capsys)[0] == 0
+        manifests = list(workdir.glob("*.manifest.json"))
+        assert len(manifests) == 1
+        manifest = json.loads(manifests[0].read_text())
+        assert set(manifest) == self.KEYS | (
+            {"counters"} if args[0] in self.COUNTED else set())
+        assert manifest["subcommand"] == args[0]
+        assert manifest["version"] == __version__
+        assert manifest["duration_s"] >= 0.0
+
+        def sha(name):
+            return hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+
+        written = {p.name for p in workdir.iterdir()} - {
+            "ch.json", "sc.json", "exp.json", manifests[0].name}
+        assert manifest["outputs"] == {name: sha(name) for name in written}
+        assert manifest["inputs"] == {name: sha(name) for name in inputs}
 
 
 class TestCaseStudy:
@@ -633,7 +709,7 @@ class TestBlockWriter:
     @given(count=st.sampled_from([0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
                                   CSV_BLOCK_ROWS + 1]),
            data=st.data())
-    def test_matches_per_cell_writer(self, tmp_path_factory, count, data):
+    def test_matches_per_cell_writer(self, count, data):
         def column(values):
             drawn = data.draw(st.lists(values, min_size=1, max_size=9))
             return [drawn[i % len(drawn)] for i in range(count)]
@@ -647,27 +723,23 @@ class TestBlockWriter:
         labels = column(st.sampled_from(["a%s,b", "100%", "%.9g", ","])
                         | printable)
         header = ("f", "b", "i", "m", "s")
-        path = tmp_path_factory.mktemp("csv") / "out.csv"
-        got, digest = _write_csv(str(path), header,
-                                 [floats, _text(bools), _text(ints),
-                                  _text(optional), _text(labels)])
-        assert got == count
-        expected = reference_csv(header, zip(floats, bools, ints, optional,
-                                             labels))
-        assert path.read_bytes() == expected.encode()
-        assert digest == hashlib.sha256(expected.encode()).hexdigest()
+        sink = io.StringIO()
+        assert _write_csv(sink, header, [floats, _text(bools), _text(ints),
+                                         _text(optional), _text(labels)]) == count
+        assert sink.getvalue() == reference_csv(
+            header, zip(floats, bools, ints, optional, labels))
 
-    def test_rejects_unformatted_columns(self, tmp_path):
+    def test_rejects_unformatted_columns(self):
+        sink = io.StringIO()
         with pytest.raises(TypeError):
-            _write_csv(str(tmp_path / "out.csv"), ("b",),
-                       [np.array([True, False])])
-        assert os.listdir(tmp_path) == []
+            _write_csv(sink, ("b",), [np.array([True, False])])
+        assert sink.getvalue() == ""
 
 
 class TestSquareWriter:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_matches_per_cell_writer(self, tmp_path_factory, data):
+    def test_matches_per_cell_writer(self, data):
         """Every prior, channel and value count, with blocks that end inside
         the grid: labelled cells print their values through %.9g (nan and
         inf too), INVALID_SPLIT cells print nan."""
@@ -688,36 +760,35 @@ class TestSquareWriter:
                            for i in range(np.count_nonzero(labelled))]
             values.append(v)
         header = ("p1", "p2", *(f"v{k}" for k in range(len(values))), "label")
-        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        sink = io.StringIO()
         block = data.draw(st.sampled_from([CSV_BLOCK_ROWS, 1, 24, 100]))
         with mock.patch("infodesign.cli.CSV_BLOCK_ROWS", block):
-            count, digest = _write_square(str(path), header,
-                                          replace(grid, values=tuple(values)))
+            count = _write_square(sink, header,
+                                  replace(grid, values=tuple(values)))
         assert count == (n + 1) ** 2
         rows = ((p1, p2, *(v[i, j] for v in values),
                  RegionLabel(int(grid.labels[i, j])).name)
                 for i, p1 in enumerate(grid.p1_axis)
                 for j, p2 in enumerate(grid.p2_axis))
-        expected = reference_csv(header, rows).encode()
-        assert path.read_bytes() == expected
-        assert digest == hashlib.sha256(expected).hexdigest()
+        assert sink.getvalue() == reference_csv(header, rows)
 
-    def test_value_in_invalid_split_raises(self, tmp_path):
+    def test_value_in_invalid_split_raises(self):
         grid = region_scan(0.5, 0.25, 0.25)
         values = np.where(grid.labels == RegionLabel.INVALID_SPLIT, np.nan, 1.0)
         values[0, 0] = 0.0
+        sink = io.StringIO()
         with pytest.raises(ValueError, match="INVALID_SPLIT"):
-            _write_square(str(tmp_path / "out.csv"), ("p1", "p2", "v", "label"),
+            _write_square(sink, ("p1", "p2", "v", "label"),
                           replace(grid, values=(values,)))
-        assert os.listdir(tmp_path) == []
+        assert sink.getvalue() == ""
 
     def test_surface_write_peak(self, tmp_path):
         # the writer that formatted whole columns peaked near 10 MiB here
         surf = scenario_surface(build_scenario(default_config()), 1 / 500, 0.25)
         tracemalloc.start()
         try:
-            _write_square(str(tmp_path / "surface.csv"),
-                          ("p1", "p2", "phi1", "phi2", "label"), surf)
+            with open(tmp_path / "surface.csv", "w") as sink:
+                _write_square(sink, ("p1", "p2", "phi1", "phi2", "label"), surf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -769,16 +840,16 @@ class TestAtomicOutputs:
     def test_csv_failing_mid_stream_leaves_nothing(self, tmp_path):
         # the first block is written before the failing cell is reached
         cells = ["x" * 40] * (CSV_BLOCK_ROWS + 3) + [_Unprintable()]
-        target = tmp_path / "out.csv"
         with pytest.raises(RuntimeError):
-            _write_csv(str(target), ("s",), [np.array(cells, dtype=object)])
+            write_one(tmp_path / "out.csv", _write_csv, ("s",),
+                      [np.array(cells, dtype=object)])
         assert os.listdir(tmp_path) == []
 
     def test_json_failing_mid_stream_keeps_old_target(self, tmp_path):
         target = tmp_path / "out.json"
         target.write_text("old\n")
         with pytest.raises(TypeError):
-            _write_json(str(target), {"a": 1.0, "z": object()})
+            write_one(target, _write_json, {"a": 1.0, "z": object()})
         assert target.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.json"]
 
@@ -803,7 +874,7 @@ class TestAtomicOutputs:
         target = tmp_path / "out.json"
         target.write_text("old\n")
         os.chmod(target, 0o640)
-        _write_json(str(target), {"a": 1})
+        write_one(target, _write_json, {"a": 1})
         assert json.loads(target.read_text()) == {"a": 1}
         assert stat.S_IMODE(os.stat(target).st_mode) == 0o640
 
@@ -813,13 +884,13 @@ class TestAtomicOutputs:
         # a non-blocking reader lets the writer open the FIFO without a thread
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            _write_json(str(fifo), {"a": 1})
+            write_one(fifo, _write_json, {"a": 1})
             sent = os.read(reader, 1 << 16)
         finally:
             os.close(reader)
         assert json.loads(sent) == {"a": 1}
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
-        assert os.listdir(tmp_path) == ["out.json"]
+        assert sorted(os.listdir(tmp_path)) == ["out.json", "out.json.manifest.json"]
 
     def test_fifo_output_is_digested_as_written(self, workdir):
         """A run whose --out is a FIFO writes the data once and exits: the
@@ -830,13 +901,10 @@ class TestAtomicOutputs:
         got = []
         reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
         reader.start()
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "infodesign.cli", "region", "--p", "0.5",
-                 "--eps", "0.25", "--resolution", "0.25", "--out", "region.csv"],
-                cwd=workdir, env=env, capture_output=True, text=True, timeout=60)
+            proc = cli_process(["region", "--p", "0.5", "--eps", "0.25",
+                                "--resolution", "0.25", "--out", "region.csv"],
+                               workdir, timeout=60)
         finally:
             if reader.is_alive():  # no writer came: let the reader see EOF
                 os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
@@ -846,6 +914,35 @@ class TestAtomicOutputs:
         assert got[0].count(b"\n") == 26
         manifest = json.loads((workdir / "region.csv.manifest.json").read_text())
         assert manifest["outputs"]["region.csv"] == hashlib.sha256(got[0]).hexdigest()
+
+    @pytest.mark.parametrize("args,doc", [
+        (["solve", "--mode", "unconstrained", "--resolution", "0.1", "--scenario"],
+         {"prior": [0.4, 0.6], "actions": [0, 1], "phi1": [[1, 0], [0, 1]],
+          "phi2": [[1, 0], [0, 1]]}),
+        (["capacity", "--matrix"], {"matrix": [[0.9, 0.1], [0.2, 0.8]]})],
+        ids=["solve", "capacity"])
+    def test_fifo_input_is_digested_as_read(self, workdir, args, doc):
+        """A run whose input is a FIFO reads it once and exits: the
+        manifest's digest is that of the bytes the writer sent, with no
+        second open of the FIFO (which would wait for a writer for ever)."""
+        fifo = workdir / "in.json"
+        os.mkfifo(fifo)
+        sent = json.dumps(doc).encode()
+        writer = threading.Thread(target=fifo.write_bytes, args=(sent,))
+        writer.start()
+        try:
+            proc = cli_process([*args, "in.json", "--out", "out.json"], workdir,
+                               timeout=30)
+        finally:
+            if writer.is_alive():  # no reader came: take the bytes here
+                drain = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+                writer.join(timeout=10)
+                os.close(drain)
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((workdir / "out.json.manifest.json").read_text())
+        assert manifest["inputs"] == {"in.json": hashlib.sha256(sent).hexdigest()}
 
 
 class TestGridCap:

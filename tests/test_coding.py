@@ -18,7 +18,7 @@ from infodesign.coding import (MEMORY_CAP_BYTES, MEMORY_CAP_WORDS, TYPE_ATOL,
                                coding_config_from_dict,
                                decode, deviation_gaps, deviation_test, encode,
                                generate_actions, generate_codebook,
-                               load_experiment, posterior_belief_audit,
+                               posterior_belief_audit,
                                run_experiment, run_trial, single_letter_utilities,
                                transmit, trial_streams)
 from infodesign.mac import build_scenario, default_config
@@ -731,10 +731,8 @@ class TestConfigIO:
         with pytest.raises(ValueError, match="prior"):
             coding_config_from_dict(doc)
 
-    def test_packaged_default_loads(self, tmp_path):
-        f = tmp_path / "exp.json"
-        f.write_text(json.dumps(default_doc()))
-        cfg = load_experiment(f)
+    def test_packaged_default_loads(self):
+        cfg = coding_config_from_dict(default_doc())
         assert cfg.n == 20 and cfg.rate == 0.15 and cfg.eps_typ == 0.5
         assert cfg.seed == 0
         want = trend_config(20)

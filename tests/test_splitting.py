@@ -456,6 +456,30 @@ def test_signal_keeps_the_plain_forms_bits(split):
     assert repr(got) == repr(tuple(want))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 1.0), st.integers(1, 9), st.integers(1, 9), st.data())
+def test_split_values_in_place_keeps_the_plain_forms_bits(p, rows, cols, data):
+    """The mix computed in a reused pair of scratch views has the bits of
+    lam * v1 + (1 - lam) * v2 evaluated directly, p1 = p2 (nan, inf) and
+    special values included, and comes back in the first view."""
+    def column(n, finite):
+        return np.array(data.draw(st.lists(
+            st.sampled_from([p, np.inf, np.nan]) | finite,
+            min_size=n, max_size=n)))[:, None]
+    posteriors = st.integers(0, 1000).map(lambda k: k / 1000)
+    P1, P2 = column(rows, posteriors), column(cols, posteriors).T
+    V1, V2 = column(rows, st.floats(-1e6, 1e6)), column(cols, st.floats(-1e6, 1e6)).T
+    with np.errstate(all="ignore"):
+        lam = (P2 - p) / (P2 - P1)
+        want = lam * V1 + (1.0 - lam) * V2
+        scratch = np.full((2, 100), 7.0)
+        out = tuple(scratch[:, :rows * cols].reshape(2, rows, cols))
+        got = split_values(p, P1, P2, V1, V2, out)
+    assert np.shares_memory(got, scratch[0])
+    assert got.tobytes() == want.tobytes()
+    assert split_values(p, P1, P2, V1, V2).tobytes() == want.tobytes()
+
+
 @settings(max_examples=300)
 @given(valid_splits(st.integers(1, 2 ** 52 - 1).map(lambda k: k * 5e-324)
                     | st.floats(5e-324, 1e-290)))
