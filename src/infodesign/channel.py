@@ -18,8 +18,8 @@ class CapacityError(RuntimeError):
 
 def bsc(eps: float) -> StochasticMatrix:
     """Binary symmetric channel with flip probability eps in [0, 1/2]."""
-    if not 0.0 <= eps <= 0.5:
-        raise ValueError(f"bsc: flip probability {eps!r} outside [0, 1/2]")
+    if isinstance(eps, (bool, str)) or not 0.0 <= eps <= 0.5:
+        raise ValueError(f"bsc: flip probability {eps!r} is not a number in [0, 1/2]")
     return StochasticMatrix([[1.0 - eps, eps], [eps, 1.0 - eps]])
 
 

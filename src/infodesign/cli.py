@@ -15,6 +15,7 @@ completes, so a failed run leaves no output at all.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -25,7 +26,6 @@ import stat
 import sys
 import time
 
-import click
 import numpy as np
 
 from . import __version__
@@ -37,9 +37,13 @@ from .persuasion import (Block, OneShot, Unconstrained, csv_cell,
                          grid_best_replies, scenario_from_dict, solve_equilibrium)
 from .prob import (StochasticMatrix, binary_entropy, checked_fields, marginal,
                    mutual_information)
-from .splitting import RegionLabel, grid_intervals, region_scan
+from .splitting import RegionLabel, check_eps, grid_intervals, region_scan
 
 CSV_BLOCK_ROWS = 4096
+
+
+class UsageError(Exception):
+    """A command line that cannot run: reported as a usage error, exit 2."""
 
 
 def _jsonable(x):
@@ -158,39 +162,35 @@ def _label_counts(grid) -> dict:
     return {label.name: int(counts[label]) for label in RegionLabel}
 
 
-def _refuse_overwrites(inputs, outputs) -> None:
-    """Usage error, raised before anything is computed or written, when an
-    output, or the manifest written beside the first, resolves (symlinks
-    followed) to an input file or to another output."""
-    claimed = {os.path.realpath(p): f"input {p}" for p in inputs}
-    for role, path in [*(("output", p) for p in outputs),
-                       ("manifest", outputs[0] + ".manifest.json")]:
-        real = os.path.realpath(path)
-        if real in claimed:
-            raise click.UsageError(f"{role} {path} would overwrite {claimed[real]}")
-        claimed[real] = f"{role} {path}"
-
-
 class _Run:
     """The frame of one subcommand run, as a context manager.
 
-    Making one takes the start time and refuses colliding paths
-    (_refuse_overwrites). read(path) reads an input once and returns the
-    JSON parsed from the bytes it digests. write(path, writer, *args)
-    streams writer(sink, *args) through a _HashingWriter into a temp file
-    beside path's target (symlinks resolved) and returns what writer does;
-    a target that exists and is not a regular file (a FIFO, a device) is
-    written in place. The body may set seed and counters and add to
-    parameters. A clean exit writes the manifest beside the first output,
-    then moves every temp file onto its target with the old file's
-    permission bits, the manifest last; an exception removes them all.
+    Making one takes the start time and raises UsageError for an output, or
+    the manifest beside the first, that is a directory or that resolves
+    (symlinks followed) to an input or to another output. read(path) reads an
+    input once and returns the JSON parsed from the bytes it digests.
+    write(path, writer, *args) streams writer(sink, *args) through a
+    _HashingWriter into a temp file beside path's target (symlinks resolved)
+    and returns what writer does; a target that exists and is not a regular
+    file (a FIFO, a device) is written in place. The body may set seed and
+    counters and add to parameters. A clean exit writes the manifest beside
+    the first output, then moves every temp file onto its target with the old
+    file's permission bits, the manifest last; an exception removes them all.
     """
 
     def __init__(self, subcommand: str, inputs, outputs, parameters: dict):
         self.started = time.perf_counter()
-        _refuse_overwrites(inputs, outputs)
-        self.subcommand, self.parameters = subcommand, parameters
         self.manifest = outputs[0] + ".manifest.json"
+        claimed = {os.path.realpath(p): f"input {p}" for p in inputs}
+        for role, path in [*(("output", p) for p in outputs),
+                           ("manifest", self.manifest)]:
+            real = os.path.realpath(path)
+            if os.path.isdir(real):
+                raise UsageError(f"{role} {path} is a directory")
+            if real in claimed:
+                raise UsageError(f"{role} {path} would overwrite {claimed[real]}")
+            claimed[real] = f"{role} {path}"
+        self.subcommand, self.parameters = subcommand, parameters
         self.seed = self.counters = None
         self.inputs, self.outputs, self._moves = {}, {}, []
 
@@ -250,56 +250,8 @@ def _scenario(run: _Run, spec: str):
     return scenario_from_dict(run.read(spec))
 
 
-def _print_and_exit(text):
-    """Callback of an eager flag: print text(ctx) on sys.stdout and exit.
-
-    click prints its own --help and --version through a wrapper it caches
-    per stream, which keeps a redirected sys.stdout alive for the life of
-    the process; these flags name the stream they print on instead.
-    """
-    def callback(ctx, param, value):
-        if value and not ctx.resilient_parsing:
-            click.echo(text(ctx), file=sys.stdout, color=ctx.color)
-            ctx.exit()
-    return callback
-
-
-class _Command(click.Command):
-    """A command whose --help is printed by _print_and_exit."""
-
-    def get_help_option(self, ctx):
-        option = super().get_help_option(ctx)
-        if option is not None:
-            option.callback = _print_and_exit(click.Context.get_help)
-        return option
-
-
-class _Group(_Command, click.Group):
-    command_class = _Command
-
-
-@click.group(cls=_Group)
-@click.option("--version", is_flag=True, expose_value=False, is_eager=True,
-              help="Show the version and exit.",
-              callback=_print_and_exit(lambda ctx: f"{ctx.find_root().info_name}, "
-                                                   f"version {__version__}"))
-def cli():
-    """Equilibrium signaling and coordination-coding toolkit."""
-
-
-@cli.command("capacity")
-@click.option("--bsc", "bsc_eps", type=float, default=None,
-              help="Binary symmetric channel with this flip probability.")
-@click.option("--matrix", "matrix_file", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="JSON file with a row-stochastic matrix.")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--max-iter", type=int, default=100_000, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default="capacity.json",
-              show_default=True)
 def cmd_capacity(bsc_eps, matrix_file, tol, max_iter, out):
     """Channel capacity with the optimal input distribution."""
-    if (bsc_eps is None) == (matrix_file is None):
-        raise click.UsageError("pass exactly one of --bsc or --matrix")
     inputs = [] if matrix_file is None else [matrix_file]
     spec = {"matrix_file": matrix_file} if inputs else {"bsc": bsc_eps}
     with _Run("capacity", inputs, [out], {"channel": spec, "tol": tol,
@@ -323,15 +275,9 @@ def cmd_capacity(bsc_eps, matrix_file, tol, max_iter, out):
                   "channel": spec,
                   "manifest": run.manifest}
         run.write(out, _write_json, report)
-    click.echo(json.dumps(_jsonable(report), sort_keys=True), file=sys.stdout)
+    print(json.dumps(_jsonable(report), sort_keys=True))
 
 
-@cli.command("region")
-@click.option("--p", type=float, required=True, help="Prior probability of state 1.")
-@click.option("--eps", type=float, required=True, help="Channel flip probability.")
-@click.option("--resolution", type=float, default=1.0 / 500, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default="region.csv",
-              show_default=True)
 def cmd_region(p, eps, resolution, out):
     """Feasibility labels over the posterior square."""
     with _Run("region", [], [out], {"p": p, "eps": eps, "resolution": resolution,
@@ -340,15 +286,9 @@ def cmd_region(p, eps, resolution, out):
         run.parameters["capacity"] = grid.capacity
         run.counters = _label_counts(grid)
         count = run.write(out, _write_square, ("p1", "p2", "label"), grid)
-    click.echo(f"wrote {out}: {count} cells", file=sys.stdout)
+    print(f"wrote {out}: {count} cells")
 
 
-@cli.command("bestreply")
-@click.option("--scenario", required=True,
-              help="Scenario JSON path, or 'mac' for the bundled case study.")
-@click.option("--step", type=float, default=1e-3, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default="bestreply.csv",
-              show_default=True)
 def cmd_bestreply(scenario, step, out):
     """Receiver best reply and value swept over the prior."""
     with _Run("bestreply", _scenario_files(scenario), [out],
@@ -358,25 +298,15 @@ def cmd_bestreply(scenario, step, out):
         sel, _, v2 = grid_best_replies(sc, grid)
         count = run.write(out, _write_csv, ("p", "v_star", "receiver_value"),
                           [grid, _text(sc.actions)[sel], v2])
-    click.echo(f"wrote {out}: {count} grid points", file=sys.stdout)
+    print(f"wrote {out}: {count} grid points")
 
 
-@cli.command("surface")
-@click.option("--scenario", required=True,
-              help="Scenario JSON path, or 'mac' for the bundled case study.")
-@click.option("--mode", type=click.Choice(["unconstrained", "one_shot", "block"]),
-              default="unconstrained", show_default=True,
-              help="unconstrained labels splits VALID; one_shot and block both "
-                   "write the channel regions at --eps.")
-@click.option("--eps", type=float, default=None,
-              help="Channel flip probability (required for one_shot/block).")
-@click.option("--resolution", type=float, default=1.0 / 500, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default="surface.csv",
-              show_default=True)
 def cmd_surface(scenario, mode, eps, resolution, out):
     """Split values over the posterior square, labeled by feasibility."""
     if mode != "unconstrained" and eps is None:
-        raise click.UsageError(f"--mode {mode} requires --eps")
+        raise UsageError(f"--mode {mode} requires --eps")
+    if eps is not None:
+        check_eps(eps, "surface")
     with _Run("surface", _scenario_files(scenario), [out],
               {"scenario": scenario, "mode": mode, "eps": eps,
                "resolution": resolution, "out": out}) as run:
@@ -386,7 +316,7 @@ def cmd_surface(scenario, mode, eps, resolution, out):
         run.counters = _label_counts(surf)
         count = run.write(out, _write_square,
                           ("p1", "p2", "phi1", "phi2", "label"), surf)
-    click.echo(f"wrote {out}: {count} cells", file=sys.stdout)
+    print(f"wrote {out}: {count} cells")
 
 
 def _parse_mode(mode: str, eps, cap):
@@ -394,29 +324,19 @@ def _parse_mode(mode: str, eps, cap):
         return Unconstrained()
     if mode == "one_shot":
         if eps is None:
-            raise click.UsageError("--mode one_shot requires --eps")
+            raise UsageError("--mode one_shot requires --eps")
         return OneShot(eps)
     if cap is None:
         if eps is None:
-            raise click.UsageError("--mode block requires --eps or --cap")
+            raise UsageError("--mode block requires --eps or --cap")
         cap = 1.0 - binary_entropy(eps)
     return Block(cap)
 
 
-@cli.command("solve")
-@click.option("--scenario", required=True,
-              help="Scenario JSON path, or 'mac' for the bundled case study.")
-@click.option("--mode", type=click.Choice(["unconstrained", "one_shot", "block"]),
-              required=True)
-@click.option("--eps", type=float, default=None,
-              help="Channel flip probability for one_shot/block feasibility.")
-@click.option("--cap", type=float, default=None,
-              help="Capacity in bits for block mode (overrides --eps).")
-@click.option("--resolution", type=float, default=1e-3, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default="solve.json",
-              show_default=True)
 def cmd_solve(scenario, mode, eps, cap, resolution, out):
     """Sender-optimal split under the chosen feasibility mode."""
+    if eps is not None:
+        check_eps(eps, "solve")
     mode_obj = _parse_mode(mode, eps, cap)
     cap = getattr(mode_obj, "capacity", None)
     with _Run("solve", _scenario_files(scenario), [out],
@@ -441,20 +361,9 @@ def cmd_solve(scenario, mode, eps, cap, resolution, out):
             "manifest": run.manifest,
         }
         run.write(out, _write_json, report)
-    click.echo(json.dumps(_jsonable(report), sort_keys=True), file=sys.stdout)
+    print(json.dumps(_jsonable(report), sort_keys=True))
 
 
-@cli.command("simulate")
-@click.option("--experiment", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Experiment JSON (block-coding config).")
-@click.option("--trials", type=int, default=200, show_default=True)
-@click.option("--seed", type=int, default=None,
-              help="Override the config seed.")
-@click.option("--out", type=click.Path(dir_okay=False), default="simulate.json",
-              show_default=True)
-@click.option("--trials-csv", type=click.Path(dir_okay=False), default=None,
-              help="Per-trial CSV path [default: <out stem>_trials.csv].")
 def cmd_simulate(experiment, trials, seed, out, trials_csv):
     """Monte Carlo coordination run over the configured channel."""
     if trials_csv is None:
@@ -508,36 +417,132 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
                    np.array([r.l1_to_target for r in results], dtype=float),
                    np.array([r.util1_n for r in results], dtype=float),
                    np.array([r.util2_n for r in results], dtype=float)])
-    click.echo(json.dumps(_jsonable({k: report[k] for k in
-                                     ("error_rate", "mean_l1", "mean_util1",
-                                      "mean_util2", "trials")}), sort_keys=True),
-               file=sys.stdout)
+    print(json.dumps(_jsonable({k: report[k] for k in
+                                ("error_rate", "mean_l1", "mean_util1",
+                                 "mean_util2", "trials")}), sort_keys=True))
 
 
-def _emit_error(kind: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}},
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises UsageError for a command line it refuses
+    and reads the token after an option not in FLAGS as its one value, even
+    one that starts with '-' ('--cap', '-1e-3' as '--cap=-1e-3')."""
+
+    FLAGS = ("--", "--help", "--version")
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined, rest = [], iter(sys.argv[1:] if args is None else args)
+        for arg in rest:
+            if arg.startswith("--") and "=" not in arg and arg not in self.FLAGS:
+                value = next(rest, None)
+                if value is not None:
+                    arg = f"{arg}={value}"
+            joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _input_file(path: str) -> str:
+    """argparse type of --matrix and --experiment: a readable non-directory."""
+    if os.path.isdir(path) or not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"{path!r} is not a readable file")
+    return path
+
+
+def _parser() -> _Parser:
+    """The command line: one subparser per subcommand, which calls its cmd_*
+    function with the parsed options as keyword arguments."""
+    parser = _Parser(prog="infodesign", allow_abbrev=False, description=(
+        "Equilibrium signaling and coordination-coding toolkit."))
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+    default = "[default: %(default)s]"
+    scenario = "Scenario JSON path, or 'mac' for the bundled case study."
+    modes = ("unconstrained", "one_shot", "block")
+
+    def command(fn, out):
+        sub = commands.add_parser(fn.__name__[4:], allow_abbrev=False,
+                                  help=fn.__doc__, description=fn.__doc__)
+        sub.set_defaults(command=fn)
+        sub.add_argument("--out", default=out, help=default)
+        return sub
+
+    sub = command(cmd_capacity, "capacity.json")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--bsc", dest="bsc_eps", type=float,
+                        help="Binary symmetric channel with this flip probability.")
+    source.add_argument("--matrix", dest="matrix_file", type=_input_file,
+                        help="JSON file with a row-stochastic matrix.")
+    sub.add_argument("--tol", type=float, default=1e-9, help=default)
+    sub.add_argument("--max-iter", type=int, default=100_000, help=default)
+
+    sub = command(cmd_region, "region.csv")
+    sub.add_argument("--p", type=float, required=True,
+                     help="Prior probability of state 1.")
+    sub.add_argument("--eps", type=float, required=True,
+                     help="Channel flip probability.")
+    sub.add_argument("--resolution", type=float, default=1.0 / 500, help=default)
+
+    sub = command(cmd_bestreply, "bestreply.csv")
+    sub.add_argument("--scenario", required=True, help=scenario)
+    sub.add_argument("--step", type=float, default=1e-3, help=default)
+
+    sub = command(cmd_surface, "surface.csv")
+    sub.add_argument("--scenario", required=True, help=scenario)
+    sub.add_argument("--mode", choices=modes, default="unconstrained",
+                     help="unconstrained labels splits VALID; one_shot and block "
+                          "both write the channel regions at --eps " + default)
+    sub.add_argument("--eps", type=float,
+                     help="Channel flip probability (required for one_shot/block).")
+    sub.add_argument("--resolution", type=float, default=1.0 / 500, help=default)
+
+    sub = command(cmd_solve, "solve.json")
+    sub.add_argument("--scenario", required=True, help=scenario)
+    sub.add_argument("--mode", choices=modes, required=True)
+    sub.add_argument("--eps", type=float,
+                     help="Channel flip probability for one_shot/block feasibility.")
+    sub.add_argument("--cap", type=float,
+                     help="Capacity in bits for block mode (overrides --eps).")
+    sub.add_argument("--resolution", type=float, default=1e-3, help=default)
+
+    sub = command(cmd_simulate, "simulate.json")
+    sub.add_argument("--experiment", required=True, type=_input_file,
+                     help="Experiment JSON (block-coding config).")
+    sub.add_argument("--trials", type=int, default=200, help=default)
+    sub.add_argument("--seed", type=int, help="Override the config seed.")
+    sub.add_argument("--trials-csv",
+                     help="Per-trial CSV path [default: <out stem>_trials.csv].")
+    return parser
+
+
+_PARSER = _parser()
+
+
+def _failed(kind: str, e: Exception, code: int = 1) -> int:
+    """Report e on stderr as one JSON line; return the exit code."""
+    sys.stderr.write(json.dumps({"error": {"type": kind, "message": str(e)}},
                                 sort_keys=True) + "\n")
+    return code
 
 
 def main(argv=None) -> int:
     """Entry point with machine-readable error reporting."""
     try:
-        cli.main(args=argv, standalone_mode=False)
+        args = vars(_PARSER.parse_args(argv))
+        args.pop("command")(**args)
         return 0
-    except click.exceptions.Exit as e:
-        return int(e.exit_code)
-    except click.ClickException as e:
-        _emit_error("usage", str(e))
-        return 2
+    except SystemExit as e:  # --help or --version, printed
+        return e.code
+    except UsageError as e:
+        return _failed("usage", e, 2)
     except CapacityError as e:
-        _emit_error("no_convergence", str(e))
-        return 1
+        return _failed("no_convergence", e)
     except (ValueError, TypeError, KeyError) as e:
-        _emit_error("invalid_input", str(e))
-        return 1
+        return _failed("invalid_input", e)
     except OSError as e:
-        _emit_error("io", str(e))
-        return 1
+        return _failed("io", e)
 
 
 if __name__ == "__main__":

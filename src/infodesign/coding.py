@@ -83,12 +83,13 @@ class CodingConfig:
     eps_typ: float = 0.15
 
     def __post_init__(self):
-        # n and seed: bool (JSON true, false) subclasses int but is refused
+        # n, seed and rate: bool (JSON true, false) subclasses int but is refused
         if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
                 or self.n < 1):
             raise ValueError(f"CodingConfig: n = {self.n!r} must be an integer >= 1")
-        if not (np.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError(f"CodingConfig: rate = {self.rate!r} must be >= 0")
+        if isinstance(self.rate, bool) or not 0.0 <= self.rate < math.inf:
+            raise ValueError(f"CodingConfig: rate = {self.rate!r} is not a number "
+                             f"in [0, inf)")
         if not 0.0 < self.eps_typ < 1.0:
             raise ValueError(f"CodingConfig: eps_typ = {self.eps_typ!r} outside (0, 1)")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
@@ -543,7 +544,7 @@ def coding_config_from_dict(doc: dict) -> CodingConfig:
     input_dist = build("input_dist", Distribution)
     ch_spec = doc["channel"]
     if isinstance(ch_spec, dict) and set(ch_spec) == {"bsc"}:
-        channel = build("channel", lambda s: bsc(float(s["bsc"])))
+        channel = build("channel", lambda s: bsc(s["bsc"]))
     elif isinstance(ch_spec, dict) and set(ch_spec) == {"matrix"}:
         channel = build("channel", lambda s: StochasticMatrix(s["matrix"]))
     else:

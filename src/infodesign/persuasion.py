@@ -48,9 +48,9 @@ def csv_cell(x) -> str:
 class Scenario:
     """Persuasion game: prior over states, ordered actions, payoff tables.
 
-    phi1 is the sender's table, phi2 the receiver's; both |U| x |V|. Action
-    labels are distinct finite numbers or strings that print as one CSV
-    cell, and no two print alike (csv_cell).
+    phi1 is the sender's table, phi2 the receiver's; both |U| x |V|, with a
+    finite spread max(phi2) - min(phi2). Action labels are distinct finite
+    numbers or strings that print as one CSV cell, no two alike (csv_cell).
     """
 
     prior: Distribution
@@ -83,6 +83,8 @@ class Scenario:
         for name in ("phi1", "phi2"):
             object.__setattr__(self, name, payoff_table(getattr(self, name), want,
                                                         f"Scenario: {name}"))
+        if not math.isfinite(float(self.phi2.max()) - float(self.phi2.min())):
+            raise ValueError("Scenario: phi2 spread max - min overflows")
         object.__setattr__(self, "actions", actions)
 
 

@@ -24,8 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infodesign import __version__
-from infodesign.cli import (CSV_BLOCK_ROWS, _Run, _text, _write_csv,
-                            _write_json, _write_square, cli, main)
+from infodesign.cli import (_PARSER, CSV_BLOCK_ROWS, _Run, _text, _write_csv,
+                            _write_json, _write_square, main)
 from infodesign.coding import (ExperimentSummary, coding_config_from_dict,
                                run_experiment, single_letter_utilities)
 from infodesign.mac import build_scenario, default_config, scenario_surface
@@ -256,6 +256,25 @@ class TestBestReply:
         assert why in e["message"]
         assert os.listdir(workdir) == ["sc.json"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["bestreply", "solve"])
+    def test_overflowing_phi2_spread_refused(self, workdir, capsys, command):
+        """A finite phi2 whose max - min overflows would give the tie band
+        of every best reply a nan scale: refused, with one JSON line and no
+        warning on stderr, before anything is written."""
+        (workdir / "sc.json").write_text(json.dumps(
+            {"prior": [0.5, 0.5], "actions": ["a", "b"],
+             "phi1": [[0, 0], [0, 0]], "phi2": [[-1e308, 1e308], [1, 0]]}))
+        extra = {"bestreply": ["--step", "0.25"],
+                 "solve": ["--mode", "unconstrained", "--resolution", "0.25"]}
+        code, out, err = run_cli([command, "--scenario", "sc.json",
+                                  *extra[command]], capsys)
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        e = stderr_error(err)
+        assert e["type"] == "invalid_input"
+        assert e["message"] == "scenario: Scenario: phi2 spread max - min overflows"
+        assert os.listdir(workdir) == ["sc.json"]
+
     def test_bad_step_rejected(self, workdir, capsys):
         code, _, err = run_cli(["bestreply", "--scenario", "mac",
                                 "--step", "0"], capsys)
@@ -456,6 +475,31 @@ class TestSimulate:
         assert e["message"].startswith(f"experiment: CodingConfig: {field} = {value}")
         assert os.listdir(workdir) == ["bool.json"]
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"rate": True, "channel": {"matrix": np.eye(4).tolist()},
+          "input_dist": [0.25] * 4, "n": 4},
+         "experiment: CodingConfig: rate = True is not a number in [0, inf)"),
+        ({"channel": {"bsc": "0.05"}},
+         "experiment.channel: bsc: flip probability '0.05' is not a number "
+         "in [0, 1/2]"),
+        ({"channel": {"bsc": False}},
+         "experiment.channel: bsc: flip probability False is not a number "
+         "in [0, 1/2]")],
+        ids=["bool_rate", "string_bsc", "bool_bsc"])
+    def test_scalars_are_json_numbers(self, workdir, capsys, fields, message):
+        """The rate and a bsc flip probability are JSON numbers: each config
+        would run as written (rate 1 fits under the identity channel's 2
+        bits) if the value were read as a number."""
+        (workdir / "num.json").write_text(
+            json.dumps(dict(EXPERIMENT_DOC, **fields)))
+        code, out, err = run_cli(["simulate", "--experiment", "num.json",
+                                  "--trials", "5"], capsys)
+        assert code == 1 and out == ""
+        e = stderr_error(err)
+        assert e["type"] == "invalid_input"
+        assert e["message"] == message
+        assert os.listdir(workdir) == ["num.json"]
+
     def test_bad_channel_matrix(self, workdir, capsys):
         doc = dict(EXPERIMENT_DOC, channel={"matrix": [[0.5, 0.4], [0.05, 0.95]]})
         (workdir / "bad.json").write_text(json.dumps(doc))
@@ -569,6 +613,31 @@ class TestOutputNamesInput:
         manifest = json.loads((workdir / "in.json.out.manifest.json").read_text())
         assert manifest["inputs"] == {
             "in.json": hashlib.sha256((workdir / "in.json").read_bytes()).hexdigest()}
+
+
+class TestPathChecks:
+    """A command line whose input file is missing or a directory, or that
+    would write where a directory is, is refused with a usage error before
+    anything is computed or written; a missing --scenario file is an io
+    error instead (TestSolve.test_missing_scenario_file)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--matrix", "nope.json"],
+        ["capacity", "--matrix", "d"],
+        ["simulate", "--experiment", "nope.json"],
+        ["simulate", "--experiment", "d"],
+        ["capacity", "--bsc", "0.1", "--out", "d"],
+        ["region", "--p", "0.5", "--eps", "0.1", "--out", "d"],
+        ["simulate", "--experiment", "exp.json", "--trials-csv", "d"],
+        ["capacity", "--bsc", "0.1", "--out", "m"]], ids=" ".join)
+    def test_refused(self, workdir, experiment_file, capsys, argv):
+        (workdir / "d").mkdir()
+        (workdir / "m.manifest.json").mkdir()
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert stderr_error(err)["type"] == "usage"
+        assert sorted(os.listdir(workdir)) == ["d", "exp.json", "m.manifest.json"]
+        assert os.listdir(workdir / "d") == []
 
 
 MANIFEST_RUNS = {
@@ -690,9 +759,7 @@ class TestReadme:
         for arg in args:
             if arg.endswith(".json"):
                 Path(arg).write_text("{}")
-        with cli.make_context("infodesign", [args[0]]) as ctx:
-            cli.get_command(ctx, args[0]).make_context(args[0], args[1:],
-                                                       parent=ctx)
+        assert _PARSER.parse_args(args).command.__name__ == "cmd_" + args[0]
 
     def test_recipes_found(self):
         assert {args[0] for args in readme_commands()} == {
@@ -1030,6 +1097,38 @@ class TestGridRule:
             assert GRID_SITES[site](spacing, capsys) == points
 
 
+class TestEpsRule:
+    """Every --eps of solve and surface is a flip probability in [0, 1/2],
+    whatever the mode and whether or not --cap is given."""
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--mode", "block", "--eps", "0.9"],
+        ["solve", "--mode", "block", "--eps", "0.9", "--cap", "0.3"],
+        ["solve", "--mode", "unconstrained", "--eps", "0.9"],
+        ["surface", "--mode", "unconstrained", "--eps", "0.9"],
+        ["solve", "--mode", "block", "--eps", "1.5"]], ids=" ".join)
+    def test_outside_refused(self, workdir, capsys, args):
+        code, out, err = run_cli([args[0], "--scenario", "mac", *args[1:]],
+                                 capsys)
+        assert code == 1 and out == ""
+        e = stderr_error(err)
+        assert e["type"] == "invalid_input"
+        eps = args[args.index("--eps") + 1]
+        assert e["message"] == f"{args[0]}: eps {eps} outside [0, 1/2]"
+        assert os.listdir(workdir) == []
+
+    @pytest.mark.parametrize("args", [["--cap", "-1e-3"], ["--eps", "-inf"],
+                                      ["--cap=-1e-3"]], ids=" ".join)
+    def test_value_starting_with_a_dash(self, workdir, capsys, args):
+        """A value that starts with '-' is the option's value, so the
+        command's own check refuses it, not the parser."""
+        code, out, err = run_cli(["solve", "--scenario", "mac", "--mode",
+                                  "block", *args], capsys)
+        assert code == 1 and out == ""
+        assert stderr_error(err)["type"] == "invalid_input"
+        assert os.listdir(workdir) == []
+
+
 class TestDeterminism:
     def test_simulate_reruns_byte_identical(self, workdir, experiment_file,
                                             capsys):
@@ -1065,12 +1164,21 @@ class TestEntryPoint:
     def test_help_exits_clean(self, capsys):
         code, out, _ = run_cli(["--help"], capsys)
         assert code == 0
-        assert out.startswith("Usage: ") and "--version" in out
-        assert all(name in out for name in cli.commands)
+        assert out.startswith("usage: ") and "--version" in out
+        assert all(name in out for name in ("capacity", "region", "bestreply",
+                                            "surface", "solve", "simulate"))
 
-    # one call per stdout line of the CLI, and click's help and version
-    # flags; click keeps a wrapper per stream it picked itself, which holds
-    # the stream for the life of the process
+    def test_main_builds_no_parser(self, workdir, capsys):
+        # the parser is built once, at import: a call only parses with it
+        with mock.patch("argparse.ArgumentParser.__init__",
+                        side_effect=AssertionError("parser built in main")):
+            assert run_cli(["capacity", "--bsc", "0.25"], capsys)[0] == 0
+            assert run_cli(["region", "--help"], capsys)[0] == 0
+            assert run_cli(["region", "--p", "0.5"], capsys)[0] == 2
+
+    # one call per stdout line of the CLI, and the help and version flags: a
+    # stream the CLI kept a reference to (a wrapper cached per stream, say)
+    # would stay alive for the life of the process
     @pytest.mark.parametrize("args", [
         pytest.param(["--version"], id="--version"),
         pytest.param(["--help"], id="--help"),

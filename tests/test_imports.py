@@ -1,7 +1,9 @@
 """Every name a module of the package imports is used in that module, every
-import sits at module level, and every public name it defines has a
-caller."""
+import sits at module level and reaches only the package, the standard
+library or numpy, and every public name it defines has a caller."""
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +71,41 @@ def test_finds_a_nested_import():
               "    async def m(self):\n"
               "        import a.b\n")
     assert nested_imports(source) == [5, 7, 10]
+
+
+def foreign_imports(source: str) -> list:
+    """Modules source imports from outside the package, the standard library
+    and numpy."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.add(node.module)
+    return sorted(m for m in modules if m.split(".")[0] not in
+                  sys.stdlib_module_names | {"numpy"})
+
+
+def test_imports_numpy_and_the_standard_library_alone():
+    found = {p.name: foreign_imports(p.read_text()) for p in SRC.glob("*.py")}
+    assert {name: modules for name, modules in found.items() if modules} == {}
+
+
+def test_pyproject_depends_on_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", d).group()
+            for d in project["dependencies"]] == ["numpy"]
+
+
+def test_finds_a_foreign_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path, click\n"
+              "import numpy.linalg as la\n"
+              "from . import x\n"
+              "from .prob import y\n"
+              "from scipy.optimize import z\n")
+    assert foreign_imports(source) == ["click", "scipy.optimize"]
 
 
 def names_in(source: str, strings: bool = False) -> set:
