@@ -5,6 +5,7 @@ A channel is a StochasticMatrix T[x, y], the law of output y given input x.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,8 @@ class CapacityError(RuntimeError):
 
 def bsc(eps: float) -> StochasticMatrix:
     """Binary symmetric channel with flip probability eps in [0, 1/2]."""
-    if isinstance(eps, (bool, str)) or not 0.0 <= eps <= 0.5:
+    if (isinstance(eps, bool) or not isinstance(eps, numbers.Real)
+            or not 0.0 <= eps <= 0.5):
         raise ValueError(f"bsc: flip probability {eps!r} is not a number in [0, 1/2]")
     return StochasticMatrix([[1.0 - eps, eps], [eps, 1.0 - eps]])
 

@@ -458,15 +458,15 @@ def _parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s, version {__version__}")
     commands = parser.add_subparsers(required=True, metavar="COMMAND")
-    default = "[default: %(default)s]"
     scenario = "Scenario JSON path, or 'mac' for the bundled case study."
     modes = ("unconstrained", "one_shot", "block")
+    defaults = argparse.ArgumentDefaultsHelpFormatter
 
     def command(fn, out):
-        sub = commands.add_parser(fn.__name__[4:], allow_abbrev=False,
-                                  help=fn.__doc__, description=fn.__doc__)
+        sub = commands.add_parser(fn.__name__[4:], allow_abbrev=False, help=fn.__doc__,
+                                  description=fn.__doc__, formatter_class=defaults)
         sub.set_defaults(command=fn)
-        sub.add_argument("--out", default=out, help=default)
+        sub.add_argument("--out", default=out, help="Output file.")
         return sub
 
     sub = command(cmd_capacity, "capacity.json")
@@ -475,28 +475,28 @@ def _parser() -> _Parser:
                         help="Binary symmetric channel with this flip probability.")
     source.add_argument("--matrix", dest="matrix_file", type=_input_file,
                         help="JSON file with a row-stochastic matrix.")
-    sub.add_argument("--tol", type=float, default=1e-9, help=default)
-    sub.add_argument("--max-iter", type=int, default=100_000, help=default)
+    sub.add_argument("--tol", type=float, default=1e-9, help="Capacity bracket width.")
+    sub.add_argument("--max-iter", type=int, default=100_000, help="Sweep limit.")
 
     sub = command(cmd_region, "region.csv")
     sub.add_argument("--p", type=float, required=True,
                      help="Prior probability of state 1.")
     sub.add_argument("--eps", type=float, required=True,
                      help="Channel flip probability.")
-    sub.add_argument("--resolution", type=float, default=1.0 / 500, help=default)
+    sub.add_argument("--resolution", type=float, default=1 / 500, help="Grid step.")
 
     sub = command(cmd_bestreply, "bestreply.csv")
     sub.add_argument("--scenario", required=True, help=scenario)
-    sub.add_argument("--step", type=float, default=1e-3, help=default)
+    sub.add_argument("--step", type=float, default=1e-3, help="Prior grid step.")
 
     sub = command(cmd_surface, "surface.csv")
     sub.add_argument("--scenario", required=True, help=scenario)
     sub.add_argument("--mode", choices=modes, default="unconstrained",
                      help="unconstrained labels splits VALID; one_shot and block "
-                          "both write the channel regions at --eps " + default)
+                          "both write the channel regions at --eps.")
     sub.add_argument("--eps", type=float,
                      help="Channel flip probability (required for one_shot/block).")
-    sub.add_argument("--resolution", type=float, default=1.0 / 500, help=default)
+    sub.add_argument("--resolution", type=float, default=1 / 500, help="Grid step.")
 
     sub = command(cmd_solve, "solve.json")
     sub.add_argument("--scenario", required=True, help=scenario)
@@ -505,15 +505,15 @@ def _parser() -> _Parser:
                      help="Channel flip probability for one_shot/block feasibility.")
     sub.add_argument("--cap", type=float,
                      help="Capacity in bits for block mode (overrides --eps).")
-    sub.add_argument("--resolution", type=float, default=1e-3, help=default)
+    sub.add_argument("--resolution", type=float, default=1e-3, help="Grid step.")
 
     sub = command(cmd_simulate, "simulate.json")
     sub.add_argument("--experiment", required=True, type=_input_file,
                      help="Experiment JSON (block-coding config).")
-    sub.add_argument("--trials", type=int, default=200, help=default)
+    sub.add_argument("--trials", type=int, default=200, help="Trial count.")
     sub.add_argument("--seed", type=int, help="Override the config seed.")
     sub.add_argument("--trials-csv",
-                     help="Per-trial CSV path [default: <out stem>_trials.csv].")
+                     help="Per-trial CSV path; None means <out stem>_trials.csv.")
     return parser
 
 

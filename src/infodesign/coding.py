@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -87,7 +88,8 @@ class CodingConfig:
         if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
                 or self.n < 1):
             raise ValueError(f"CodingConfig: n = {self.n!r} must be an integer >= 1")
-        if isinstance(self.rate, bool) or not 0.0 <= self.rate < math.inf:
+        if (isinstance(self.rate, bool) or not isinstance(self.rate, numbers.Real)
+                or not 0.0 <= self.rate < math.inf):
             raise ValueError(f"CodingConfig: rate = {self.rate!r} is not a number "
                              f"in [0, inf)")
         if not 0.0 < self.eps_typ < 1.0:

@@ -484,12 +484,22 @@ class TestSimulate:
          "in [0, 1/2]"),
         ({"channel": {"bsc": False}},
          "experiment.channel: bsc: flip probability False is not a number "
-         "in [0, 1/2]")],
-        ids=["bool_rate", "string_bsc", "bool_bsc"])
+         "in [0, 1/2]"),
+        ({"channel": {"bsc": None}},
+         "experiment.channel: bsc: flip probability None is not a number "
+         "in [0, 1/2]"),
+        ({"channel": {"bsc": [0.05]}},
+         "experiment.channel: bsc: flip probability [0.05] is not a number "
+         "in [0, 1/2]"),
+        ({"rate": None},
+         "experiment: CodingConfig: rate = None is not a number in [0, inf)")],
+        ids=["bool_rate", "string_bsc", "bool_bsc", "null_bsc", "list_bsc",
+             "null_rate"])
     def test_scalars_are_json_numbers(self, workdir, capsys, fields, message):
-        """The rate and a bsc flip probability are JSON numbers: each config
-        would run as written (rate 1 fits under the identity channel's 2
-        bits) if the value were read as a number."""
+        """The rate and a bsc flip probability are JSON numbers: each bool or
+        string config would run as written (rate 1 fits under the identity
+        channel's 2 bits) if the value were read as a number, and every other
+        JSON type gets the same message."""
         (workdir / "num.json").write_text(
             json.dumps(dict(EXPERIMENT_DOC, **fields)))
         code, out, err = run_cli(["simulate", "--experiment", "num.json",
