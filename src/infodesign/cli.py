@@ -389,6 +389,7 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
                 f"must stay below the channel capacity {cap:.6f} bits")
 
         summary = run_experiment(cfg, trials)
+        run.counters = summary.counters
         phi1_sl, phi2_sl = single_letter_utilities(cfg)
         report = {
             "experiment": experiment,
@@ -400,7 +401,8 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
             "signal_information_rate": rate_needed,
             "channel_capacity": cap,
             **{f.name: getattr(summary, f.name)
-               for f in dataclasses.fields(summary) if f.name != "results"},
+               for f in dataclasses.fields(summary)
+               if f.name not in ("results", "counters")},
             "single_letter": {"phi1": phi1_sl, "phi2": phi2_sl},
             "trials_csv": trials_csv,
             "manifest": run.manifest,

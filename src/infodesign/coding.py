@@ -8,6 +8,12 @@ noisy channel, identify the unique typical codeword at the other end
 an error unless the encoder found a word, the decoder returned the same
 index, and the realized (source, word, action) triple is typical.
 
+Trials run as stacks, a bounded chunk of them at a time: one codebook scan
+encodes a chunk, one decodes it, one draw each transmits it and acts on it,
+and every row comes out the same bits as its trial run alone. encode,
+decode, transmit, generate_actions and run_trial are those stages on a
+single row.
+
 Typicality is an L1 criterion on empirical types: a tuple qualifies when the
 L1 distance between its joint type and the target distribution is at most
 eps_typ * sqrt(20 / n), so the criterion tightens as blocks grow.
@@ -33,13 +39,18 @@ from .prob import (Distribution, JointDistribution, StochasticMatrix,
 
 MEMORY_CAP_WORDS = 2 ** 24
 MEMORY_CAP_BYTES = 2 ** 33
+# bytes one trial's results hold until its run is written out: its
+# TrialResult and its row of the trials CSV, about 400 B under tracemalloc
+# on CPython 3.11, rounded up
+TRIAL_BYTES = 512
 TYPE_ATOL = 1e-12
 # float32 holds every integer up to 2^24 exactly, so a count table in float32
 # sums 0/1 products exactly for blocks up to this length
 FLOAT32_EXACT = 2 ** 24
-# (source block, codeword) pairs the belief audit scores per kernel call: its
-# float64 count array is 8 B x |U| x |W| a pair, 2 MiB at binary alphabets
-AUDIT_CHUNK_PAIRS = 2 ** 16
+# (sequence, codeword) pairs a codebook scan takes per kernel call, in the
+# trial pipeline and in the belief audit alike: its float64 count array is
+# 8 B x |U| x |W| a pair, 512 KiB at binary alphabets
+CHUNK_PAIRS = 2 ** 14
 
 # stream tags under the config seed
 _CODEBOOK, _SOURCE, _CHANNEL, _ACTIONS, _ENCODER = range(5)
@@ -178,6 +189,8 @@ class Codebook:
         x = np.asarray(self.x_words)
         if w.ndim != 2 or x.ndim != 2 or w.shape != x.shape:
             raise ValueError("Codebook: word arrays must share an (M, n) shape")
+        if w.shape[0] == 0:
+            raise ValueError("Codebook: needs at least one word")
         w = np.ascontiguousarray(w, dtype=np.int16)
         x = np.ascontiguousarray(x, dtype=np.int16)
         if w.size and min(w.min(), x.min()) < 0:
@@ -215,16 +228,19 @@ class TrialResult:
     util2_n: float
 
 
-def _draw_iid(dist: Distribution, size, rng: np.random.Generator) -> np.ndarray:
+def _draw_iid(dist: Distribution, uniforms: np.ndarray) -> np.ndarray:
+    """Draws from dist, one a uniform, in the uniforms' shape."""
     cdf = np.cumsum(dist.probs)
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
+    idx = np.searchsorted(cdf, uniforms, side="right")
     return np.minimum(idx, len(dist) - 1).astype(np.int16)
 
 
 def _draw_rows(rows: np.ndarray, cond_seq: np.ndarray,
                uniforms: np.ndarray) -> np.ndarray:
+    """Draws from the rows of a stochastic matrix that cond_seq picks, one a
+    uniform; cond_seq and uniforms share any shape."""
     cdf = np.cumsum(rows, axis=1)[np.asarray(cond_seq, dtype=np.intp)]
-    idx = (uniforms[:, None] >= cdf).sum(axis=1)
+    idx = (uniforms[..., None] >= cdf).sum(axis=-1)
     return np.minimum(idx, rows.shape[1] - 1).astype(np.int16)
 
 
@@ -285,11 +301,48 @@ def generate_codebook(cfg: CodingConfig) -> Codebook:
     """Independent words: message words from the target's W marginal, channel
     words from the channel input law. Fully determined by cfg.seed."""
     rng = _stream(cfg.seed, _CODEBOOK)
-    m = cfg.codebook_size
-    q_w = marginal(cfg.target, "w")
-    w_words = _draw_iid(q_w, (m, cfg.n), rng)
-    x_words = _draw_iid(cfg.input_dist, (m, cfg.n), rng)
-    return Codebook(w_words, x_words)
+    m, n = cfg.codebook_size, cfg.n
+    step = max(1, CHUNK_PAIRS // n)
+    words = [np.empty((m, n), dtype=np.int16) for _ in range(2)]
+    for out, dist in zip(words, (marginal(cfg.target, "w"), cfg.input_dist)):
+        # CHUNK_PAIRS symbols at a time, so no (m, n) float array is held:
+        # the stream gives the uniforms in the order one (m, n) draw would
+        for s in range(0, m, step):
+            out[s:s + step] = _draw_iid(dist, rng.random(out[s:s + step].shape))
+    return Codebook(*words)
+
+
+def _chunk_rows(cb: Codebook) -> int:
+    """Sequences per codebook scan: CHUNK_PAIRS pairs, at least one row."""
+    return max(1, CHUNK_PAIRS // cb.size)
+
+
+def _typical(seqs: np.ndarray, tables: np.ndarray, target: np.ndarray,
+             cfg: CodingConfig) -> np.ndarray:
+    """(S, M) mask of the (sequence, word) pairs within the typicality radius."""
+    return _pair_type_l1(seqs, tables, target) <= cfg.typicality_radius + TYPE_ATOL
+
+
+def _encode(u_seqs: np.ndarray, cb: Codebook, cfg: CodingConfig,
+            rngs) -> np.ndarray:
+    """Chosen index per source block of a stack, -1 where no word covers it.
+
+    A block with one typical word takes it; a block with several draws one
+    uniformly from its own generator, the only draw any generator makes."""
+    typical = _typical(u_seqs, cb.w_tables, cfg.target_uw, cfg)
+    cover = typical.sum(axis=1)
+    chosen = np.where(cover > 0, typical.argmax(axis=1), -1)
+    for i in np.flatnonzero(cover > 1):
+        chosen[i] = np.flatnonzero(typical[i])[rngs[i].integers(int(cover[i]))]
+    return chosen
+
+
+def _decode(y_seqs: np.ndarray, cb: Codebook, cfg: CodingConfig):
+    """(decoded index, typical word count) per received block of a stack; the
+    index is -1 unless exactly one channel word is typical with the block."""
+    typical = _typical(y_seqs, cb.x_tables, cfg.target_yx, cfg)
+    hits = typical.sum(axis=1)
+    return np.where(hits == 1, typical.argmax(axis=1), -1), hits
 
 
 def encode(u_seq: np.ndarray, cb: Codebook, cfg: CodingConfig,
@@ -298,13 +351,8 @@ def encode(u_seq: np.ndarray, cb: Codebook, cfg: CodingConfig,
 
     Uniform choice among qualifiers (seeded); None means no cover exists.
     """
-    dist = _pair_type_l1(u_seq, cb.w_tables, cfg.target_uw)
-    hits = np.flatnonzero(dist <= cfg.typicality_radius + TYPE_ATOL)
-    if hits.size == 0:
-        return None
-    if hits.size == 1:
-        return int(hits[0])
-    return int(hits[rng.integers(hits.size)])
+    m = int(_encode(np.asarray(u_seq)[None], cb, cfg, [rng])[0])
+    return m if m >= 0 else None
 
 
 def transmit(x_seq: np.ndarray, channel: StochasticMatrix,
@@ -317,11 +365,8 @@ def transmit(x_seq: np.ndarray, channel: StochasticMatrix,
 def decode(y_seq: np.ndarray, cb: Codebook, cfg: CodingConfig) -> Optional[int]:
     """Unique-typicality decoding: the one codeword whose channel word pairs
     typically with the received block, or None when zero or several do."""
-    dist = _pair_type_l1(y_seq, cb.x_tables, cfg.target_yx)
-    hits = np.flatnonzero(dist <= cfg.typicality_radius + TYPE_ATOL)
-    if hits.size == 1:
-        return int(hits[0])
-    return None
+    m = int(_decode(np.asarray(y_seq)[None], cb, cfg)[0][0])
+    return m if m >= 0 else None
 
 
 def generate_actions(w_seq: np.ndarray, response: StochasticMatrix,
@@ -331,42 +376,86 @@ def generate_actions(w_seq: np.ndarray, response: StochasticMatrix,
     return _draw_rows(response.rows, w_seq, rng.random(w_seq.size))
 
 
-def _trial_pipeline(cfg: CodingConfig, cb: Codebook, streams: TrialStreams):
-    """Source -> encode -> transmit -> decode on one trial's streams, the
-    action stream left untouched: (source block, chosen index, decoded index,
-    decoded word); a failed decode yields the fallback word of first symbols."""
-    u_seq = _draw_iid(cfg.prior, cfg.n, streams.source)
-    m = encode(u_seq, cb, cfg, streams.encoder)
-    y_seq = transmit(cb.x_words[m if m is not None else 0], cfg.channel,
-                     streams.channel)
-    m_hat = decode(y_seq, cb, cfg)
-    w_seq = (cb.w_words[m_hat] if m_hat is not None
-             else np.zeros(cfg.n, dtype=np.int16))
-    return u_seq, m, m_hat, w_seq
+@dataclass(frozen=True)
+class _Decoded:
+    """A chunk of trials, one row each, taken through source, encode,
+    transmit and decode, with its action uniforms drawn. Index -1 stands for
+    no cover (word 0 is sent) and for a failed decode (the word of first
+    symbols is acted on); hits counts the typical words at the decoder."""
+
+    u: np.ndarray
+    chosen: np.ndarray
+    decoded: np.ndarray
+    hits: np.ndarray
+    w: np.ndarray
+    action_uniforms: np.ndarray
+
+
+def _decoded_chunks(cfg: CodingConfig, cb: Codebook, trials: range):
+    """The trials of a range, _chunk_rows at a time, as _Decoded chunks.
+
+    Each trial's four streams are built and its source, channel and action
+    uniforms drawn in full before any scan, so every stream is consumed as a
+    trial run alone would consume it; only the encoder generators, which a
+    tie draws from, are kept until the chunk is encoded."""
+    step = _chunk_rows(cb)
+    for start in range(trials.start, trials.stop, step):
+        ts = range(start, min(start + step, trials.stop))
+        uniforms = np.empty((3, len(ts), cfg.n))
+        encoders = []
+        for k, t in enumerate(ts):
+            streams = trial_streams(cfg.seed, t)
+            uniforms[0, k] = streams.source.random(cfg.n)
+            uniforms[1, k] = streams.channel.random(cfg.n)
+            uniforms[2, k] = streams.actions.random(cfg.n)
+            encoders.append(streams.encoder)
+        u = _draw_iid(cfg.prior, uniforms[0])
+        chosen = _encode(u, cb, cfg, encoders)
+        y = _draw_rows(cfg.channel.rows, cb.x_words[np.maximum(chosen, 0)],
+                       uniforms[1])
+        decoded, hits = _decode(y, cb, cfg)
+        w = cb.w_words[np.maximum(decoded, 0)]
+        w[decoded < 0] = 0
+        yield _Decoded(u, chosen, decoded, hits, w, uniforms[2])
+
+
+def _act(cfg: CodingConfig, chunk: _Decoded,
+         response: StochasticMatrix) -> list:
+    """The TrialResults of a decoded chunk, its actions drawn from response.
+
+    One bincount tallies every trial's (u, w, v) type; each row's L1 and
+    utilities reduce that row alone, the same bits as the trial by itself."""
+    v = _draw_rows(response.rows, chunk.w, chunk.action_uniforms)
+    ku, kw, kv = cfg.target.probs.shape
+    size = ku * kw * kv
+    cells = ((chunk.u.astype(np.intp) * kw + chunk.w) * kv + v
+             + np.arange(len(v))[:, None] * size)
+    counts = np.bincount(cells.ravel(), minlength=len(v) * size)
+    l1 = np.abs(counts.reshape(len(v), -1) / cfg.n
+                - cfg.target.probs.ravel()).sum(axis=1)
+    ok = ((chunk.chosen >= 0) & (chunk.decoded == chunk.chosen)
+          & (l1 <= cfg.typicality_radius + TYPE_ATOL))
+    u1 = cfg.phi1[chunk.u, v].mean(axis=1)
+    u2 = cfg.phi2[chunk.u, v].mean(axis=1)
+    return [TrialResult(error_event=not good,
+                        chosen_m=m if m >= 0 else None,
+                        decoded_m=d if d >= 0 else None,
+                        l1_to_target=dist, util1_n=a, util2_n=b)
+            for good, m, d, dist, a, b in zip(
+                ok.tolist(), chunk.chosen.tolist(), chunk.decoded.tolist(),
+                l1.tolist(), u1.tolist(), u2.tolist())]
 
 
 def run_trial(cfg: CodingConfig, cb: Codebook, t: int,
               response: StochasticMatrix | None = None) -> TrialResult:
-    """One encode-transmit-decode-act round on the streams of trial t.
+    """One encode-transmit-decode-act round on the streams of trial t: the
+    batched pipeline on a chunk of one.
 
     A non-default response only redirects the action draws; the error event
     and empirical statistics are computed for whatever actions came out.
     """
-    streams = trial_streams(cfg.seed, int(t))
-    if response is None:
-        response = cfg.response
-    u_seq, m, m_hat, w_seq = _trial_pipeline(cfg, cb, streams)
-    v_seq = generate_actions(w_seq, response, streams.actions)
-    u, w, v = (seq.astype(np.intp) for seq in (u_seq, w_seq, v_seq))
-    counts = np.zeros(cfg.target.probs.shape)
-    np.add.at(counts, (u, w, v), 1.0)
-    l1 = float(np.abs(counts / cfg.n - cfg.target.probs).sum())
-    ok = (m is not None and m_hat == m
-          and l1 <= cfg.typicality_radius + TYPE_ATOL)
-    return TrialResult(error_event=not ok, chosen_m=m, decoded_m=m_hat,
-                       l1_to_target=l1,
-                       util1_n=float(cfg.phi1[u, v].mean()),
-                       util2_n=float(cfg.phi2[u, v].mean()))
+    chunk = next(_decoded_chunks(cfg, cb, range(int(t), int(t) + 1)))
+    return _act(cfg, chunk, cfg.response if response is None else response)[0]
 
 
 @dataclass(frozen=True)
@@ -385,6 +474,7 @@ class ExperimentSummary:
     hw_util1: float
     hw_util2: float
     results: tuple
+    counters: dict
 
 
 def _half_width(values: np.ndarray) -> float:
@@ -394,12 +484,24 @@ def _half_width(values: np.ndarray) -> float:
 
 
 def run_experiment(cfg: CodingConfig, trials: int) -> ExperimentSummary:
-    """Aggregate independent seeded trials; deterministic given cfg.seed."""
+    """Aggregate independent seeded trials; deterministic given cfg.seed.
+
+    counters holds the trial, error and no-cover counts and the decode
+    failures split into no typical word and several."""
     if trials < 1:
         raise ValueError(f"run_experiment: trials = {trials!r} must be >= 1")
+    if trials * TRIAL_BYTES > MEMORY_CAP_BYTES:
+        raise ValueError(f"run_experiment: {trials} trials hold about "
+                         f"{trials * TRIAL_BYTES} bytes of results, above the "
+                         f"cap of {MEMORY_CAP_BYTES}")
     cb = generate_codebook(cfg)
-    results = tuple(run_trial(cfg, cb, t) for t in range(trials))
+    results, hits = [], []
+    for chunk in _decoded_chunks(cfg, cb, range(trials)):
+        results += _act(cfg, chunk, cfg.response)
+        hits.append(chunk.hits)
+    hits = np.concatenate(hits)
     errs = np.array([r.error_event for r in results], dtype=float)
+    nocover = np.array([r.chosen_m is None for r in results])
     l1s = np.array([r.l1_to_target for r in results])
     u1 = np.array([r.util1_n for r in results])
     u2 = np.array([r.util2_n for r in results])
@@ -407,13 +509,17 @@ def run_experiment(cfg: CodingConfig, trials: int) -> ExperimentSummary:
     return ExperimentSummary(
         trials=trials, n=cfg.n,
         error_rate=p_err,
-        nocover_rate=float(np.mean([r.chosen_m is None for r in results])),
+        nocover_rate=float(np.mean(nocover)),
         decodefail_rate=float(np.mean([r.decoded_m is None for r in results])),
         mean_l1=float(l1s.mean()), median_l1=float(np.median(l1s)),
         mean_util1=float(u1.mean()), mean_util2=float(u2.mean()),
         hw_error_rate=float(1.96 * math.sqrt(max(p_err * (1 - p_err), 0.0) / trials)),
         hw_l1=_half_width(l1s), hw_util1=_half_width(u1), hw_util2=_half_width(u2),
-        results=results)
+        results=tuple(results),
+        counters={"trials": trials, "errors": int(errs.sum()),
+                  "nocover": int(nocover.sum()),
+                  "decode_no_typical": int((hits == 0).sum()),
+                  "decode_several_typical": int((hits > 1).sum())})
 
 
 def single_letter_utilities(cfg: CodingConfig):
@@ -438,21 +544,12 @@ def deviation_gaps(cfg: CodingConfig, cb: Codebook, alt_responses,
         if r.rows.shape != base.rows.shape:
             raise ValueError(f"deviation_gaps: alternative {k} has shape "
                              f"{r.rows.shape}, expected {base.rows.shape}")
-    us = np.empty((trials, cfg.n), dtype=np.int16)
-    ws = np.empty((trials, cfg.n), dtype=np.int16)
-    uniforms = np.empty((trials, cfg.n))
-    for t in range(trials):
-        streams = trial_streams(cfg.seed, t)
-        us[t], _, _, ws[t] = _trial_pipeline(cfg, cb, streams)
-        uniforms[t] = streams.actions.random(cfg.n)
-
-    def mean_util2(response: StochasticMatrix) -> float:
-        v = _draw_rows(response.rows, ws.ravel(), uniforms.ravel())
-        return float(cfg.phi2[us.ravel().astype(np.intp),
-                              v.astype(np.intp)].mean())
-
-    base_val = mean_util2(base)
-    return np.array([mean_util2(r) - base_val for r in alts])
+    utils = [[] for _ in range(len(alts) + 1)]
+    for chunk in _decoded_chunks(cfg, cb, range(trials)):
+        for got, response in zip(utils, [base, *alts]):
+            got += [r.util2_n for r in _act(cfg, chunk, response)]
+    base_val = np.mean(utils[0])
+    return np.array([np.mean(u) - base_val for u in utils[1:]])
 
 
 def deviation_test(cfg: CodingConfig, cb: Codebook,
@@ -499,11 +596,10 @@ def posterior_belief_audit(cfg: CodingConfig, cb: Codebook,
 
     bits = blocks.astype(np.float64)
     typical = np.empty(((1 << n), cb.size), dtype=bool)
-    step = max(1, AUDIT_CHUNK_PAIRS // cb.size)
+    step = _chunk_rows(cb)
     for s in range(0, 1 << n, step):
-        dist = _pair_type_l1(blocks[s:s + step], cb.w_tables, cfg.target_uw)
-        np.less_equal(dist, cfg.typicality_radius + TYPE_ATOL,
-                      out=typical[s:s + step])
+        typical[s:s + step] = _typical(blocks[s:s + step], cb.w_tables,
+                                       cfg.target_uw, cfg)
     cover = typical.sum(axis=1)
     inv_cover = np.divide(1.0, cover, out=np.zeros(cover.shape), where=cover > 0)
 
@@ -511,17 +607,17 @@ def posterior_belief_audit(cfg: CodingConfig, cb: Codebook,
     q1_by_w = cond_uw.rows[:, 1]
 
     gaps = []
-    for t in range(trials):
-        res = run_trial(cfg, cb, t)
-        if res.error_event or res.decoded_m is None:
-            continue
-        wts = weights * typical[:, res.decoded_m] * inv_cover
-        z = wts.sum()
-        if z <= 0:
-            continue
-        belief1 = (wts @ bits) / z
-        q1 = q1_by_w[cb.w_words[res.decoded_m].astype(np.intp)]
-        gaps.append(float(np.mean(2.0 * np.abs(belief1 - q1))))
+    for chunk in _decoded_chunks(cfg, cb, range(trials)):
+        for res in _act(cfg, chunk, cfg.response):
+            if res.error_event or res.decoded_m is None:
+                continue
+            wts = weights * typical[:, res.decoded_m] * inv_cover
+            z = wts.sum()
+            if z <= 0:
+                continue
+            belief1 = (wts @ bits) / z
+            q1 = q1_by_w[cb.w_words[res.decoded_m].astype(np.intp)]
+            gaps.append(float(np.mean(2.0 * np.abs(belief1 - q1))))
     mean_gap = float(np.mean(gaps)) if gaps else math.nan
     return AuditResult(mean_l1_belief=mean_gap,
                        ceiling=2.0 * math.sqrt(math.log(2.0) * cfg.eps_typ),

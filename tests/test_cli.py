@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infodesign import __version__
+from infodesign import __version__, coding
 from infodesign.cli import (_PARSER, CSV_BLOCK_ROWS, _Run, _text, _write_csv,
                             _write_json, _write_square, main)
 from infodesign.coding import (ExperimentSummary, coding_config_from_dict,
@@ -463,6 +463,37 @@ class TestSimulate:
         assert "bytes" in e["message"]
         assert sorted(p.name for p in workdir.iterdir()) == ["long.json"]
 
+    def test_trial_count_refused_before_any_draw(self, workdir, experiment_file,
+                                                 capsys, monkeypatch):
+        def no_draw(cfg):
+            raise AssertionError("drew a codebook")
+
+        monkeypatch.setattr(coding, "generate_codebook", no_draw)
+        code, out, err = run_cli(["simulate", "--experiment", experiment_file,
+                                  "--trials", "1000000000000"], capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        e = stderr_error(err)
+        assert e["type"] == "invalid_input"
+        assert "bytes" in e["message"]
+        assert sorted(p.name for p in workdir.iterdir()) == ["exp.json"]
+
+    def test_manifest_counts_the_failures(self, workdir, experiment_file,
+                                          capsys):
+        assert run_cli(["simulate", "--experiment", experiment_file,
+                        "--trials", "200"], capsys)[0] == 0
+        report = json.loads((workdir / "simulate.json").read_text())
+        counters = json.loads(
+            (workdir / "simulate.json.manifest.json").read_text())["counters"]
+        assert set(counters) == {"trials", "errors", "nocover",
+                                 "decode_no_typical", "decode_several_typical"}
+        trials = counters["trials"]
+        assert trials == 200
+        assert counters["errors"] / trials == report["error_rate"]
+        assert counters["nocover"] / trials == report["nocover_rate"]
+        assert ((counters["decode_no_typical"]
+                 + counters["decode_several_typical"]) / trials
+                == report["decodefail_rate"])
+
     @pytest.mark.parametrize("field,value", [("n", True), ("seed", False)])
     def test_bool_is_not_an_integer(self, workdir, capsys, field, value):
         (workdir / "bool.json").write_text(
@@ -669,7 +700,7 @@ MANIFEST_RUNS = {
 class TestManifest:
     KEYS = {"subcommand", "parameters", "inputs", "seed", "version",
             "duration_s", "outputs"}
-    COUNTED = {"region", "surface", "solve"}
+    COUNTED = {"region", "surface", "solve", "simulate"}
 
     @pytest.mark.parametrize("run", MANIFEST_RUNS)
     def test_keys_and_digests(self, workdir, experiment_file, capsys, run):
@@ -729,7 +760,8 @@ class TestCaseStudy:
 class TestLadder:
     """The block-length ladder: the packaged experiment rewritten per n."""
 
-    FIELDS = tuple(f.name for f in fields(ExperimentSummary) if f.name != "results")
+    FIELDS = tuple(f.name for f in fields(ExperimentSummary)
+                   if f.name not in ("results", "counters"))
 
     @pytest.mark.parametrize("n", [20, 40])
     def test_rung_matches_run_experiment(self, workdir, capsys, n):

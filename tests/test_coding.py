@@ -13,9 +13,8 @@ from hypothesis.extra.numpy import arrays
 from infodesign import coding
 from infodesign.channel import bsc, capacity
 from infodesign.coding import (MEMORY_CAP_BYTES, MEMORY_CAP_WORDS, TYPE_ATOL,
-                               Codebook, CodingConfig, _pair_type_l1,
-                               _trial_pipeline,
-                               coding_config_from_dict,
+                               Codebook, CodingConfig, TrialResult,
+                               _pair_type_l1, coding_config_from_dict,
                                decode, deviation_gaps, deviation_test, encode,
                                generate_actions, generate_codebook,
                                posterior_belief_audit,
@@ -47,6 +46,62 @@ def trend_config(n, rate=0.15, eps_typ=0.5, seed=0):
 
 def all_words(n):
     return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.int16)
+
+
+def reference_draw_rows(rows, cond, uniforms):
+    cdf = np.cumsum(rows, axis=1)[np.asarray(cond, dtype=np.intp)]
+    return np.minimum((uniforms[:, None] >= cdf).sum(axis=1), rows.shape[1] - 1)
+
+
+def reference_sequences(cfg, cb, t, response):
+    """The per-trial pipeline the batched one replaced, kept as its oracle:
+    trial t's source block, chosen index, decoded index, word and actions."""
+    streams = trial_streams(cfg.seed, t)
+    radius = cfg.typicality_radius + TYPE_ATOL
+    cdf = np.cumsum(cfg.prior.probs)
+    u = np.minimum(np.searchsorted(cdf, streams.source.random(cfg.n),
+                                   side="right"), len(cfg.prior) - 1)
+    hits = np.flatnonzero(_pair_type_l1(u, cb.w_tables, cfg.target_uw) <= radius)
+    m = (None if hits.size == 0 else int(hits[0]) if hits.size == 1
+         else int(hits[streams.encoder.integers(hits.size)]))
+    y = reference_draw_rows(cfg.channel.rows,
+                            cb.x_words[m if m is not None else 0],
+                            streams.channel.random(cfg.n))
+    hits = np.flatnonzero(_pair_type_l1(y, cb.x_tables, cfg.target_yx) <= radius)
+    m_hat = int(hits[0]) if hits.size == 1 else None
+    w = cb.w_words[m_hat] if m_hat is not None else np.zeros(cfg.n, np.int16)
+    v = reference_draw_rows(response.rows, w, streams.actions.random(cfg.n))
+    return u, m, m_hat, w, v
+
+
+def reference_trial(cfg, cb, t, response=None):
+    """run_trial as it stood before trials were batched: every TrialResult
+    of the batched pipeline must equal this one field for field."""
+    u, m, m_hat, w, v = reference_sequences(cfg, cb, t, response or cfg.response)
+    counts = np.zeros(cfg.target.probs.shape)
+    np.add.at(counts, (u, w, v), 1.0)
+    l1 = float(np.abs(counts / cfg.n - cfg.target.probs).sum())
+    ok = (m is not None and m_hat == m
+          and l1 <= cfg.typicality_radius + TYPE_ATOL)
+    return TrialResult(error_event=not ok, chosen_m=m, decoded_m=m_hat,
+                       l1_to_target=l1,
+                       util1_n=float(cfg.phi1[u, v].mean()),
+                       util2_n=float(cfg.phi2[u, v].mean()))
+
+
+def ternary_config(n, seed=0):
+    """Source, word, action and channel alphabets of three symbols each."""
+    rng = np.random.default_rng(seed)
+    target = compose_markov(
+        Distribution([0.2, 0.5, 0.3]),
+        StochasticMatrix([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]]),
+        StochasticMatrix([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]]))
+    channel = StochasticMatrix([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05],
+                                [0.1, 0.1, 0.8]])
+    return CodingConfig(n=n, rate=0.2, target=target, channel=channel,
+                        input_dist=Distribution([1 / 3] * 3),
+                        phi1=rng.random((3, 3)), phi2=rng.random((3, 3)),
+                        seed=seed, eps_typ=0.4)
 
 
 class TestConfig:
@@ -174,6 +229,12 @@ class TestCodebook:
             Codebook(np.zeros((4, 8), np.int16), np.zeros((4, 9), np.int16))
         with pytest.raises(ValueError, match="shape"):
             Codebook(np.zeros(8, np.int16), np.zeros(8, np.int16))
+
+    def test_empty_codebook_rejected(self):
+        # trials are chunked by codebook size, and an empty one has no word 0
+        # to send when the encoder finds no cover
+        with pytest.raises(ValueError, match="one word"):
+            Codebook(np.zeros((0, 8), np.int16), np.zeros((0, 8), np.int16))
 
     def test_seed_determinism(self):
         a = generate_codebook(trend_config(20))
@@ -337,9 +398,9 @@ class TestTypeScan:
         cfg = trend_config(60)
         cb = generate_codebook(cfg)
         for t in range(20):
-            streams = trial_streams(cfg.seed, t)
-            u_seq = _trial_pipeline(cfg, cb, streams)[0]
-            y_seq = transmit(cb.x_words[t], cfg.channel, streams.channel)
+            u_seq = reference_sequences(cfg, cb, t, cfg.response)[0]
+            y_seq = transmit(cb.x_words[t], cfg.channel,
+                             trial_streams(cfg.seed, t).channel)
             for seq, tables, words, target in (
                     (u_seq, cb.w_tables, cb.w_words, cfg.target_uw),
                     (y_seq, cb.x_tables, cb.x_words, cfg.target_yx)):
@@ -414,9 +475,7 @@ class TestTrial:
         cb = generate_codebook(cfg)
         for t in range(20):
             r = run_trial(cfg, cb, t)
-            streams = trial_streams(cfg.seed, t)
-            u_seq, _, _, w_seq = _trial_pipeline(cfg, cb, streams)
-            v_seq = generate_actions(w_seq, cfg.response, streams.actions)
+            u_seq, _, _, _, v_seq = reference_sequences(cfg, cb, t, cfg.response)
             q_uv = np.zeros(cfg.phi1.shape)
             np.add.at(q_uv, (u_seq.astype(np.intp), v_seq.astype(np.intp)), 1.0)
             q_uv /= cfg.n
@@ -432,6 +491,49 @@ class TestTrial:
         assert overridden.chosen_m == base.chosen_m
         assert overridden.decoded_m == base.decoded_m
         assert overridden.util1_n != base.util1_n
+
+
+class TestBatchedPipeline:
+    """Every TrialResult the batched pipeline gives, through run_experiment
+    and through run_trial's chunk of one, equals the per-trial oracle's."""
+
+    @pytest.mark.parametrize("cfg", [trend_config(1), trend_config(20),
+                                     trend_config(80), ternary_config(1),
+                                     ternary_config(20, seed=3)],
+                             ids=["n1", "n20", "n80", "ternary_n1",
+                                  "ternary_n20"])
+    def test_matches_per_trial_reference(self, cfg):
+        cb = generate_codebook(cfg)
+        trials = 40
+        want = [reference_trial(cfg, cb, t) for t in range(trials)]
+        assert list(run_experiment(cfg, trials).results) == want
+        assert [run_trial(cfg, cb, t) for t in range(0, trials, 9)] == want[::9]
+
+    @pytest.mark.parametrize("cfg", [trend_config(20), ternary_config(7)],
+                             ids=["binary", "ternary"])
+    def test_response_override_matches_reference(self, cfg):
+        cb = generate_codebook(cfg)
+        k = cfg.response.rows.shape
+        alt = StochasticMatrix(np.full(k, 1.0 / k[1]))
+        assert ([run_trial(cfg, cb, t, response=alt) for t in range(30)]
+                == [reference_trial(cfg, cb, t, alt) for t in range(30)])
+
+    def test_chunk_boundaries_do_not_move_the_trials(self, monkeypatch):
+        cfg = trend_config(40)
+        cb = generate_codebook(cfg)
+        want = [reference_trial(cfg, cb, t) for t in range(10)]
+        # chunks of 3 trials, which do not divide the 10 trials
+        monkeypatch.setattr(coding, "CHUNK_PAIRS", 3 * cb.size + 1)
+        assert list(run_experiment(cfg, 10).results) == want
+
+    def test_counters_split_the_failures(self):
+        s = run_experiment(trend_config(20, rate=0.15, eps_typ=0.3), 200)
+        c = s.counters
+        assert c["trials"] == 200 and c["errors"] == round(200 * s.error_rate)
+        assert c["nocover"] == sum(r.chosen_m is None for r in s.results) > 0
+        assert (c["decode_no_typical"] + c["decode_several_typical"]
+                == sum(r.decoded_m is None for r in s.results))
+        assert c["decode_no_typical"] > 0 and c["decode_several_typical"] > 0
 
 
 class TestExperiment:
@@ -669,7 +771,7 @@ class TestAudit:
         cb = generate_codebook(cfg)
         whole = posterior_belief_audit(cfg, cb, 60)
         # chunks of 7 blocks, which do not divide the 2^10 blocks
-        monkeypatch.setattr(coding, "AUDIT_CHUNK_PAIRS", 7 * cb.size + 1)
+        monkeypatch.setattr(coding, "CHUNK_PAIRS", 7 * cb.size + 1)
         assert posterior_belief_audit(cfg, cb, 60) == whole
         assert whole.successes > 0 and whole.mean_l1_belief > 0
 

@@ -160,3 +160,27 @@ def test_finds_an_uncalled_name():
                "b": "from .a import used\nused()\n"}
     outside = ["TRACED = ['traced']\n", "from a import by_gate\n"]
     assert uncalled(package, outside) == ["a.Orphan", "a.orphan"]
+
+
+def traced_names(source: str) -> dict:
+    """bench/spans.py's TRACED table: module name -> the names it wraps."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]):
+            return {module: names for module, (_, names)
+                    in ast.literal_eval(node.value).items()}
+    raise AssertionError("no TRACED assignment")
+
+
+def test_traced_names_are_top_level_functions():
+    """The tracer getattrs every TRACED name of its module and wraps what it
+    finds, so each must stay a module-level def there."""
+    traced = traced_names((ROOT / "bench" / "spans.py").read_text())
+    missing = []
+    for module, names in traced.items():
+        path = SRC / (module.split(".", 1)[1] + ".py")
+        defs = {node.name for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.FunctionDef)}
+        missing += [f"{module}.{name}" for name in names if name not in defs]
+    assert "run_trial" in traced["infodesign.coding"]
+    assert missing == []
