@@ -94,17 +94,17 @@ def _write_csv(f, header, columns) -> int:
     """Write equal-length columns under header to the text sink f; return
     the row count.
 
-    Float columns are formatted with %.9g, which prints exactly what
-    csv_cell does; every other column must already be text (see _text). Rows
-    go out CSV_BLOCK_ROWS at a time, one % operation on a repeated row
-    template each.
+    Float columns are formatted with %.9g and integer columns with %d,
+    which print exactly what csv_cell does; every other column must already
+    be text (see _text). Rows go out CSV_BLOCK_ROWS at a time, one %
+    operation on a repeated row template each.
     """
     columns = [np.asarray(c) for c in columns]
+    slots = {"f": "%.9g", "i": "%d", "u": "%d", "O": "%s"}
     for c in columns:
-        if c.dtype.kind not in "fO":
+        if c.dtype.kind not in slots:
             raise TypeError(f"_write_csv: {c.dtype} column is not text")
-    row = ",".join("%.9g" if c.dtype.kind == "f" else "%s"
-                   for c in columns) + "\n"
+    row = ",".join(slots[c.dtype.kind] for c in columns) + "\n"
     count = len(columns[0])
     width = len(columns)
     f.write(",".join(header) + "\n")
@@ -412,8 +412,8 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
         run.write(trials_csv, _write_csv,
                   ("trial", "error", "chosen_m", "decoded_m",
                    "l1_to_target", "util1", "util2"),
-                  [_text(range(len(results))),
-                   _text(r.error_event for r in results),
+                  [np.arange(len(results)),
+                   np.array([r.error_event for r in results], dtype=np.int8),
                    _text(r.chosen_m for r in results),
                    _text(r.decoded_m for r in results),
                    np.array([r.l1_to_target for r in results], dtype=float),

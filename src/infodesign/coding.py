@@ -20,11 +20,16 @@ eps_typ * sqrt(20 / n), so the criterion tightens as blocks grow.
 
 Randomness is split into five hierarchical streams per config seed
 (codebook / source / channel / actions / encoder choice), which lets the
-deviation test replay identical trials against alternative responses.
+deviation test replay identical trials against alternative responses. Each
+stream is bit for bit numpy's default_rng(SeedSequence((seed, tag[, t]))):
+the SeedSequence hash runs over the keys of a block of trials at once, one
+numpy op a step, each key's state words seed a PCG64 state as PCG64 itself
+would, and one reused generator is set to each state in turn.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -54,11 +59,150 @@ CHUNK_PAIRS = 2 ** 14
 
 # stream tags under the config seed
 _CODEBOOK, _SOURCE, _CHANNEL, _ACTIONS, _ENCODER = range(5)
+_TRIAL_TAGS = (_SOURCE, _CHANNEL, _ACTIONS, _ENCODER)
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, NEP 19) and the
+# PCG64 multiplier (numpy/random/src/pcg64/pcg64.h)
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
+
+
+def _key_int(value, name: str) -> int:
+    """A stream key part: a nonnegative integer, as SeedSequence takes it."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 0):
+        raise ValueError(f"stream key: {name} = {value!r} must be a "
+                         f"nonnegative integer")
+    return int(value)
+
+
+def _words(value: int) -> list:
+    """SeedSequence's uint32 entropy words of a nonnegative int, low first."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashes(h: int, mult: int):
+    """The (xor, multiply) constant pairs of SeedSequence's hashmix, in order:
+    they depend on the step alone, never on the data."""
+    while True:
+        nxt = h * mult & _MASK32
+        yield h, nxt
+        h = nxt
+
+
+def _hashmix(value: np.ndarray, hashes) -> np.ndarray:
+    xor, mult = next(hashes)
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L
+    out -= y * _MIX_R
+    out ^= out >> 16
+    return out
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """(4, K) uint64: SeedSequence(key).generate_state(4, np.uint64) for each
+    column key of an (L, K) uint32 entropy matrix, every step one numpy op
+    over all K keys."""
+    hashes = _hashes(_INIT_A, _MULT_A)
+    zeros = np.zeros(entropy.shape[1], np.uint32)
+    pool = [_hashmix(entropy[i] if i < len(entropy) else zeros, hashes)
+            for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], hashes))
+    for src in range(_POOL_WORDS, len(entropy)):
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], _hashmix(entropy[src], hashes))
+    # eight uint32 words from the pool in turn, read as four little-endian
+    # uint64 words
+    hashes = _hashes(_INIT_B, _MULT_B)
+    state = np.empty((4, entropy.shape[1]), np.uint64)
+    for j in range(4):
+        state[j] = _hashmix(pool[2 * j % _POOL_WORDS], hashes)
+        state[j] |= (_hashmix(pool[(2 * j + 1) % _POOL_WORDS], hashes)
+                     .astype(np.uint64) << 32)
+    return state
+
+
+def _index_words(indices: range) -> list:
+    """The indices' entropy words, one (words, K) uint32 array per run of
+    indices of one word count: a single run below 2^32."""
+    if indices.start < 0:
+        raise ValueError(f"stream key: index = {indices.start} must be a "
+                         f"nonnegative integer")
+    if indices.stop <= 1 << 32:
+        return [np.arange(indices.start, indices.stop, dtype=np.uint32)[None]]
+    return [np.array([_words(i) for i in run], np.uint32).T
+            for _, run in itertools.groupby(indices, lambda i: len(_words(i)))]
+
+
+def _state_words(seed: int, tags, indices: range | None = None) -> np.ndarray:
+    """(len(tags), 4, K) uint64: column k of row j is the state words numpy's
+    SeedSequence((seed, tags[j], indices[k])) generates for PCG64, or those
+    of SeedSequence((seed, tags[j])), K = 1, when indices is None."""
+    head = _words(_key_int(seed, "seed"))
+    tails = ([np.empty((0, 1), np.uint32)] if indices is None
+             else _index_words(indices))
+    out = []
+    for tail in tails:
+        entropy = np.empty((len(head) + 1 + len(tail), len(tags), tail.shape[1]),
+                           np.uint32)
+        entropy[:len(head)] = np.array(head, np.uint32)[:, None, None]
+        entropy[len(head)] = np.array(tags, np.uint32)[:, None]
+        entropy[len(head) + 1:] = tail[:, None]
+        out.append(_seed_words(entropy.reshape(len(entropy), -1))
+                   .reshape(4, len(tags), -1))
+    return np.concatenate(out, axis=2).transpose(1, 0, 2)
+
+
+def _seat(gen: np.random.Generator, words: np.ndarray) -> np.random.Generator:
+    """gen, its PCG64 set to the state PCG64 seeds from four state words:
+    two 128-bit LCG steps, from zero, with initstate added between them."""
+    s_hi, s_lo, i_hi, i_lo = words.tolist()
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+    gen.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
+def _generator() -> np.random.Generator:
+    """A PCG64 generator for _seat; its own seed is never drawn from."""
+    return np.random.Generator(np.random.PCG64(0))
 
 
 def _stream(seed: int, tag: int, index: int | None = None) -> np.random.Generator:
-    key = (seed, tag) if index is None else (seed, tag, index)
-    return np.random.default_rng(np.random.SeedSequence(key))
+    """The generator default_rng(SeedSequence((seed, tag[, index]))) gives."""
+    indices = None if index is None else range(index, index + 1)
+    return _seat(_generator(), _state_words(seed, (tag,), indices)[0, :, 0])
+
+
+class _Seated:
+    """Item i: the shared generator set to column i of a block's state words,
+    which _encode reads as it reads a list of generators."""
+
+    def __init__(self, gen: np.random.Generator, words: np.ndarray):
+        self.gen = gen
+        self.words = words
+
+    def __getitem__(self, i: int) -> np.random.Generator:
+        return _seat(self.gen, self.words[:, i])
 
 
 @dataclass(frozen=True)
@@ -72,6 +216,7 @@ class TrialStreams:
 
 
 def trial_streams(seed: int, index: int) -> TrialStreams:
+    index = _key_int(index, "index")
     return TrialStreams(source=_stream(seed, _SOURCE, index),
                         channel=_stream(seed, _CHANNEL, index),
                         actions=_stream(seed, _ACTIONS, index),
@@ -394,29 +539,31 @@ class _Decoded:
 def _decoded_chunks(cfg: CodingConfig, cb: Codebook, trials: range):
     """The trials of a range, _chunk_rows at a time, as _Decoded chunks.
 
-    Each trial's four streams are built and its source, channel and action
-    uniforms drawn in full before any scan, so every stream is consumed as a
-    trial run alone would consume it; only the encoder generators, which a
-    tie draws from, are kept until the chunk is encoded."""
+    The four streams of every trial in a block of CHUNK_PAIRS trials are
+    derived in one pass (_state_words), and one generator, set to each
+    stream in turn (_seat), draws every trial's source, channel and action
+    uniforms in full before any scan, so every stream is consumed as a
+    trial run alone would consume it; a tie at the encoder sets it to that
+    trial's encoder stream (_Seated)."""
     step = _chunk_rows(cb)
-    for start in range(trials.start, trials.stop, step):
-        ts = range(start, min(start + step, trials.stop))
-        uniforms = np.empty((3, len(ts), cfg.n))
-        encoders = []
-        for k, t in enumerate(ts):
-            streams = trial_streams(cfg.seed, t)
-            uniforms[0, k] = streams.source.random(cfg.n)
-            uniforms[1, k] = streams.channel.random(cfg.n)
-            uniforms[2, k] = streams.actions.random(cfg.n)
-            encoders.append(streams.encoder)
-        u = _draw_iid(cfg.prior, uniforms[0])
-        chosen = _encode(u, cb, cfg, encoders)
-        y = _draw_rows(cfg.channel.rows, cb.x_words[np.maximum(chosen, 0)],
-                       uniforms[1])
-        decoded, hits = _decode(y, cb, cfg)
-        w = cb.w_words[np.maximum(decoded, 0)]
-        w[decoded < 0] = 0
-        yield _Decoded(u, chosen, decoded, hits, w, uniforms[2])
+    gen = _generator()
+    for first in range(trials.start, trials.stop, CHUNK_PAIRS):
+        block = range(first, min(first + CHUNK_PAIRS, trials.stop))
+        words = _state_words(cfg.seed, _TRIAL_TAGS, block)
+        for start in range(0, len(block), step):
+            chunk = words[:, :, start:start + step]
+            uniforms = np.empty((3, chunk.shape[2], cfg.n))
+            for tag in range(3):
+                for k in range(chunk.shape[2]):
+                    _seat(gen, chunk[tag, :, k]).random(out=uniforms[tag, k])
+            u = _draw_iid(cfg.prior, uniforms[0])
+            chosen = _encode(u, cb, cfg, _Seated(gen, chunk[3]))
+            y = _draw_rows(cfg.channel.rows, cb.x_words[np.maximum(chosen, 0)],
+                           uniforms[1])
+            decoded, hits = _decode(y, cb, cfg)
+            w = cb.w_words[np.maximum(decoded, 0)]
+            w[decoded < 0] = 0
+            yield _Decoded(u, chosen, decoded, hits, w, uniforms[2])
 
 
 def _act(cfg: CodingConfig, chunk: _Decoded,
@@ -454,7 +601,8 @@ def run_trial(cfg: CodingConfig, cb: Codebook, t: int,
     A non-default response only redirects the action draws; the error event
     and empirical statistics are computed for whatever actions came out.
     """
-    chunk = next(_decoded_chunks(cfg, cb, range(int(t), int(t) + 1)))
+    t = _key_int(t, "index")
+    chunk = next(_decoded_chunks(cfg, cb, range(t, t + 1)))
     return _act(cfg, chunk, cfg.response if response is None else response)[0]
 
 

@@ -831,12 +831,17 @@ class TestBlockWriter:
         printable = st.text(st.characters(min_codepoint=32, max_codepoint=126))
         labels = column(st.sampled_from(["a%s,b", "100%", "%.9g", ","])
                         | printable)
-        header = ("f", "b", "i", "m", "s")
+        signed = np.array(column(st.integers(-2 ** 63, 2 ** 63 - 1)), dtype=np.int64)
+        unsigned = np.array(column(st.integers(0, 2 ** 64 - 1)), dtype=np.uint64)
+        flags = np.array(column(st.booleans()), dtype=np.int8)
+        header = ("f", "b", "i", "m", "s", "i64", "u64", "i8")
         sink = io.StringIO()
         assert _write_csv(sink, header, [floats, _text(bools), _text(ints),
-                                         _text(optional), _text(labels)]) == count
+                                         _text(optional), _text(labels),
+                                         signed, unsigned, flags]) == count
         assert sink.getvalue() == reference_csv(
-            header, zip(floats, bools, ints, optional, labels))
+            header, zip(floats, bools, ints, optional, labels,
+                        signed, unsigned, flags.astype(bool)))
 
     def test_rejects_unformatted_columns(self):
         sink = io.StringIO()

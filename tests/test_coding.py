@@ -55,22 +55,27 @@ def reference_draw_rows(rows, cond, uniforms):
 
 def reference_sequences(cfg, cb, t, response):
     """The per-trial pipeline the batched one replaced, kept as its oracle:
-    trial t's source block, chosen index, decoded index, word and actions."""
-    streams = trial_streams(cfg.seed, t)
+    trial t's source block, chosen index, decoded index, word and actions.
+
+    Its streams come straight from numpy, the layout spelled out: key
+    (seed, tag, t), tags 1-4 for source, channel, actions and encoder."""
+    source, channel, actions, encoder = (
+        np.random.default_rng(np.random.SeedSequence((cfg.seed, tag, t)))
+        for tag in (1, 2, 3, 4))
     radius = cfg.typicality_radius + TYPE_ATOL
     cdf = np.cumsum(cfg.prior.probs)
-    u = np.minimum(np.searchsorted(cdf, streams.source.random(cfg.n),
+    u = np.minimum(np.searchsorted(cdf, source.random(cfg.n),
                                    side="right"), len(cfg.prior) - 1)
     hits = np.flatnonzero(_pair_type_l1(u, cb.w_tables, cfg.target_uw) <= radius)
     m = (None if hits.size == 0 else int(hits[0]) if hits.size == 1
-         else int(hits[streams.encoder.integers(hits.size)]))
+         else int(hits[encoder.integers(hits.size)]))
     y = reference_draw_rows(cfg.channel.rows,
                             cb.x_words[m if m is not None else 0],
-                            streams.channel.random(cfg.n))
+                            channel.random(cfg.n))
     hits = np.flatnonzero(_pair_type_l1(y, cb.x_tables, cfg.target_yx) <= radius)
     m_hat = int(hits[0]) if hits.size == 1 else None
     w = cb.w_words[m_hat] if m_hat is not None else np.zeros(cfg.n, np.int16)
-    v = reference_draw_rows(response.rows, w, streams.actions.random(cfg.n))
+    v = reference_draw_rows(response.rows, w, actions.random(cfg.n))
     return u, m, m_hat, w, v
 
 
@@ -788,6 +793,64 @@ class TestStreams:
         other = trial_streams(0, 6)
         assert not np.array_equal(trial_streams(0, 5).source.random(8),
                                   other.source.random(8))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 96 - 1), tag=st.integers(0, 4),
+           index=st.integers(0, 2 ** 24), n=st.integers(1, 64),
+           k=st.integers(1, 1000))
+    def test_derived_streams_are_numpys(self, seed, tag, index, n, k):
+        """Keys of one to five words: a new stream, a stream in a block of
+        keys and the shared generator set to a stream after another one drew
+        from it all draw what default_rng(SeedSequence(key)) draws."""
+        def numpy_draws(key):
+            rng = np.random.default_rng(np.random.SeedSequence(key))
+            return rng.random(n).tolist(), int(rng.integers(k))
+
+        def draws(gen):
+            return gen.random(n).tolist(), int(gen.integers(k))
+
+        assert draws(coding._stream(seed, tag)) == numpy_draws((seed, tag))
+        assert (draws(coding._stream(seed, tag, index))
+                == numpy_draws((seed, tag, index)))
+        gen = coding._stream(seed + 1, tag, index)
+        draws(gen)
+        block = coding._state_words(seed, range(5), range(max(0, index - 3),
+                                                          index + 1))
+        assert (draws(coding._seat(gen, block[tag, :, -1]))
+                == numpy_draws((seed, tag, index)))
+
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (-2 ** 40, 3),
+                                             (0.0, 0), (0, 2.5), (0, "3"),
+                                             (True, 0), (0, None)])
+    def test_bad_keys_are_refused(self, seed, index):
+        """A negative or non-integer key part would wrap into another key's
+        uint32 words: it is refused, as SeedSequence refuses it."""
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            trial_streams(seed, index)
+
+    def test_bad_trial_index_refused_by_the_pipeline(self):
+        cfg = trend_config(20)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            run_trial(cfg, generate_codebook(cfg), -1)
+
+    @pytest.mark.parametrize("index", [2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5,
+                                       2 ** 64, 2 ** 70 + 3])
+    def test_wide_indices_take_numpys_multiword_streams(self, index):
+        got = trial_streams(7, index)
+        for tag, gen in zip((1, 2, 3, 4), (got.source, got.channel,
+                                           got.actions, got.encoder)):
+            want = np.random.default_rng(np.random.SeedSequence((7, tag, index)))
+            assert np.array_equal(gen.random(8), want.random(8))
+
+    def test_block_across_a_word_boundary(self):
+        """A block of keys whose indices pass 2^32 splits by word count and
+        still gives each key numpy's state words, in order."""
+        block = range(2 ** 32 - 3, 2 ** 32 + 3)
+        words = coding._state_words(7, (1, 4), block)
+        for j, tag in enumerate((1, 4)):
+            for k, t in enumerate(block):
+                want = np.random.SeedSequence((7, tag, t)).generate_state(4, np.uint64)
+                assert np.array_equal(words[j, :, k], want)
 
 
 def default_doc():
