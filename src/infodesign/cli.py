@@ -408,17 +408,10 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
             "manifest": run.manifest,
         }
         run.write(out, _write_json, report)
-        results = summary.results
-        run.write(trials_csv, _write_csv,
-                  ("trial", "error", "chosen_m", "decoded_m",
-                   "l1_to_target", "util1", "util2"),
-                  [np.arange(len(results)),
-                   np.array([r.error_event for r in results], dtype=np.int8),
-                   _text(r.chosen_m for r in results),
-                   _text(r.decoded_m for r in results),
-                   np.array([r.l1_to_target for r in results], dtype=float),
-                   np.array([r.util1_n for r in results], dtype=float),
-                   np.array([r.util2_n for r in results], dtype=float)])
+        run.write(trials_csv, _write_csv, ("trial", *summary.results),
+                  [np.arange(trials),
+                   *(_text(c) if c.dtype == object else c
+                     for c in summary.results.values())])
     print(json.dumps(_jsonable({k: report[k] for k in
                                 ("error_rate", "mean_l1", "mean_util1",
                                  "mean_util2", "trials")}), sort_keys=True))

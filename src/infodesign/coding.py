@@ -44,9 +44,10 @@ from .prob import (Distribution, JointDistribution, StochasticMatrix,
 
 MEMORY_CAP_WORDS = 2 ** 24
 MEMORY_CAP_BYTES = 2 ** 33
-# bytes one trial's results hold until its run is written out: its
-# TrialResult and its row of the trials CSV, about 400 B under tracemalloc
-# on CPython 3.11, rounded up
+# bytes one trial's results hold until its run is written out: its row of
+# run_experiment's columns and of the trials CSV's text columns, about 145 B
+# under tracemalloc on CPython 3.11 with word indices above 256, bounded
+# generously so that the trial cap stays at 2^24 trials
 TRIAL_BYTES = 512
 TYPE_ATOL = 1e-12
 # float32 holds every integer up to 2^24 exactly, so a count table in float32
@@ -187,22 +188,9 @@ def _generator() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(0))
 
 
-def _stream(seed: int, tag: int, index: int | None = None) -> np.random.Generator:
-    """The generator default_rng(SeedSequence((seed, tag[, index]))) gives."""
-    indices = None if index is None else range(index, index + 1)
-    return _seat(_generator(), _state_words(seed, (tag,), indices)[0, :, 0])
-
-
-class _Seated:
-    """Item i: the shared generator set to column i of a block's state words,
-    which _encode reads as it reads a list of generators."""
-
-    def __init__(self, gen: np.random.Generator, words: np.ndarray):
-        self.gen = gen
-        self.words = words
-
-    def __getitem__(self, i: int) -> np.random.Generator:
-        return _seat(self.gen, self.words[:, i])
+def _stream(seed: int, tag: int) -> np.random.Generator:
+    """The generator default_rng(SeedSequence((seed, tag))) gives."""
+    return _seat(_generator(), _state_words(seed, (tag,))[0, :, 0])
 
 
 @dataclass(frozen=True)
@@ -217,10 +205,8 @@ class TrialStreams:
 
 def trial_streams(seed: int, index: int) -> TrialStreams:
     index = _key_int(index, "index")
-    return TrialStreams(source=_stream(seed, _SOURCE, index),
-                        channel=_stream(seed, _CHANNEL, index),
-                        actions=_stream(seed, _ACTIONS, index),
-                        encoder=_stream(seed, _ENCODER, index))
+    words = _state_words(seed, _TRIAL_TAGS, range(index, index + 1))
+    return TrialStreams(*(_seat(_generator(), w[:, 0]) for w in words))
 
 
 @dataclass(frozen=True)
@@ -458,8 +444,9 @@ def generate_codebook(cfg: CodingConfig) -> Codebook:
 
 
 def _chunk_rows(cb: Codebook) -> int:
-    """Sequences per codebook scan: CHUNK_PAIRS pairs, at least one row."""
-    return max(1, CHUNK_PAIRS // cb.size)
+    """Sequences per codebook scan: at most CHUNK_PAIRS pairs and CHUNK_PAIRS
+    symbols, at least one row."""
+    return max(1, CHUNK_PAIRS // max(cb.size, cb.n))
 
 
 def _typical(seqs: np.ndarray, tables: np.ndarray, target: np.ndarray,
@@ -469,16 +456,17 @@ def _typical(seqs: np.ndarray, tables: np.ndarray, target: np.ndarray,
 
 
 def _encode(u_seqs: np.ndarray, cb: Codebook, cfg: CodingConfig,
-            rngs) -> np.ndarray:
+            rng_of) -> np.ndarray:
     """Chosen index per source block of a stack, -1 where no word covers it.
 
-    A block with one typical word takes it; a block with several draws one
-    uniformly from its own generator, the only draw any generator makes."""
+    A block with one typical word takes it; block i with several draws one
+    uniformly from its own generator rng_of(i), the only draw any generator
+    makes."""
     typical = _typical(u_seqs, cb.w_tables, cfg.target_uw, cfg)
     cover = typical.sum(axis=1)
     chosen = np.where(cover > 0, typical.argmax(axis=1), -1)
     for i in np.flatnonzero(cover > 1):
-        chosen[i] = np.flatnonzero(typical[i])[rngs[i].integers(int(cover[i]))]
+        chosen[i] = np.flatnonzero(typical[i])[rng_of(i).integers(int(cover[i]))]
     return chosen
 
 
@@ -496,7 +484,7 @@ def encode(u_seq: np.ndarray, cb: Codebook, cfg: CodingConfig,
 
     Uniform choice among qualifiers (seeded); None means no cover exists.
     """
-    m = int(_encode(np.asarray(u_seq)[None], cb, cfg, [rng])[0])
+    m = int(_encode(np.asarray(u_seq)[None], cb, cfg, lambda i: rng)[0])
     return m if m >= 0 else None
 
 
@@ -544,7 +532,7 @@ def _decoded_chunks(cfg: CodingConfig, cb: Codebook, trials: range):
     stream in turn (_seat), draws every trial's source, channel and action
     uniforms in full before any scan, so every stream is consumed as a
     trial run alone would consume it; a tie at the encoder sets it to that
-    trial's encoder stream (_Seated)."""
+    trial's encoder stream."""
     step = _chunk_rows(cb)
     gen = _generator()
     for first in range(trials.start, trials.stop, CHUNK_PAIRS):
@@ -557,7 +545,7 @@ def _decoded_chunks(cfg: CodingConfig, cb: Codebook, trials: range):
                 for k in range(chunk.shape[2]):
                     _seat(gen, chunk[tag, :, k]).random(out=uniforms[tag, k])
             u = _draw_iid(cfg.prior, uniforms[0])
-            chosen = _encode(u, cb, cfg, _Seated(gen, chunk[3]))
+            chosen = _encode(u, cb, cfg, lambda i: _seat(gen, chunk[3, :, i]))
             y = _draw_rows(cfg.channel.rows, cb.x_words[np.maximum(chosen, 0)],
                            uniforms[1])
             decoded, hits = _decode(y, cb, cfg)
@@ -566,9 +554,9 @@ def _decoded_chunks(cfg: CodingConfig, cb: Codebook, trials: range):
             yield _Decoded(u, chosen, decoded, hits, w, uniforms[2])
 
 
-def _act(cfg: CodingConfig, chunk: _Decoded,
-         response: StochasticMatrix) -> list:
-    """The TrialResults of a decoded chunk, its actions drawn from response.
+def _act(cfg: CodingConfig, chunk: _Decoded, response: StochasticMatrix):
+    """(ok, l1, util1, util2), one entry a trial, of a decoded chunk with its
+    actions drawn from response.
 
     One bincount tallies every trial's (u, w, v) type; each row's L1 and
     utilities reduce that row alone, the same bits as the trial by itself."""
@@ -582,15 +570,15 @@ def _act(cfg: CodingConfig, chunk: _Decoded,
                 - cfg.target.probs.ravel()).sum(axis=1)
     ok = ((chunk.chosen >= 0) & (chunk.decoded == chunk.chosen)
           & (l1 <= cfg.typicality_radius + TYPE_ATOL))
-    u1 = cfg.phi1[chunk.u, v].mean(axis=1)
-    u2 = cfg.phi2[chunk.u, v].mean(axis=1)
-    return [TrialResult(error_event=not good,
-                        chosen_m=m if m >= 0 else None,
-                        decoded_m=d if d >= 0 else None,
-                        l1_to_target=dist, util1_n=a, util2_n=b)
-            for good, m, d, dist, a, b in zip(
-                ok.tolist(), chunk.chosen.tolist(), chunk.decoded.tolist(),
-                l1.tolist(), u1.tolist(), u2.tolist())]
+    return (ok, l1, cfg.phi1[chunk.u, v].mean(axis=1),
+            cfg.phi2[chunk.u, v].mean(axis=1))
+
+
+def _index_column(indices: np.ndarray) -> np.ndarray:
+    """Word indices as an object column, None where the index is -1."""
+    column = indices.astype(object)
+    column[indices < 0] = None
+    return column
 
 
 def run_trial(cfg: CodingConfig, cb: Codebook, t: int,
@@ -603,7 +591,9 @@ def run_trial(cfg: CodingConfig, cb: Codebook, t: int,
     """
     t = _key_int(t, "index")
     chunk = next(_decoded_chunks(cfg, cb, range(t, t + 1)))
-    return _act(cfg, chunk, cfg.response if response is None else response)[0]
+    ok, *stats = _act(cfg, chunk, cfg.response if response is None else response)
+    m, m_hat = _index_column(np.concatenate([chunk.chosen, chunk.decoded]))
+    return TrialResult(not ok[0], m, m_hat, *(float(x[0]) for x in stats))
 
 
 @dataclass(frozen=True)
@@ -621,7 +611,7 @@ class ExperimentSummary:
     hw_l1: float
     hw_util1: float
     hw_util2: float
-    results: tuple
+    results: dict
     counters: dict
 
 
@@ -634,6 +624,9 @@ def _half_width(values: np.ndarray) -> float:
 def run_experiment(cfg: CodingConfig, trials: int) -> ExperimentSummary:
     """Aggregate independent seeded trials; deterministic given cfg.seed.
 
+    results holds the trials' columns under the trials CSV's names: error
+    (int8, 1 for an error), chosen_m and decoded_m (int, None for no cover
+    and for a failed decode), l1_to_target, util1 and util2 (float).
     counters holds the trial, error and no-cover counts and the decode
     failures split into no typical word and several."""
     if trials < 1:
@@ -643,27 +636,24 @@ def run_experiment(cfg: CodingConfig, trials: int) -> ExperimentSummary:
                          f"{trials * TRIAL_BYTES} bytes of results, above the "
                          f"cap of {MEMORY_CAP_BYTES}")
     cb = generate_codebook(cfg)
-    results, hits = [], []
-    for chunk in _decoded_chunks(cfg, cb, range(trials)):
-        results += _act(cfg, chunk, cfg.response)
-        hits.append(chunk.hits)
-    hits = np.concatenate(hits)
-    errs = np.array([r.error_event for r in results], dtype=float)
-    nocover = np.array([r.chosen_m is None for r in results])
-    l1s = np.array([r.l1_to_target for r in results])
-    u1 = np.array([r.util1_n for r in results])
-    u2 = np.array([r.util2_n for r in results])
+    parts = [(chunk.chosen, chunk.decoded, chunk.hits,
+              *_act(cfg, chunk, cfg.response))
+             for chunk in _decoded_chunks(cfg, cb, range(trials))]
+    chosen, decoded, hits, ok, l1s, u1, u2 = map(np.concatenate, zip(*parts))
+    errs, nocover = ~ok, chosen < 0
     p_err = float(errs.mean())
     return ExperimentSummary(
         trials=trials, n=cfg.n,
         error_rate=p_err,
         nocover_rate=float(np.mean(nocover)),
-        decodefail_rate=float(np.mean([r.decoded_m is None for r in results])),
+        decodefail_rate=float(np.mean(decoded < 0)),
         mean_l1=float(l1s.mean()), median_l1=float(np.median(l1s)),
         mean_util1=float(u1.mean()), mean_util2=float(u2.mean()),
         hw_error_rate=float(1.96 * math.sqrt(max(p_err * (1 - p_err), 0.0) / trials)),
         hw_l1=_half_width(l1s), hw_util1=_half_width(u1), hw_util2=_half_width(u2),
-        results=tuple(results),
+        results={"error": errs.astype(np.int8), "chosen_m": _index_column(chosen),
+                 "decoded_m": _index_column(decoded), "l1_to_target": l1s,
+                 "util1": u1, "util2": u2},
         counters={"trials": trials, "errors": int(errs.sum()),
                   "nocover": int(nocover.sum()),
                   "decode_no_typical": int((hits == 0).sum()),
@@ -695,9 +685,9 @@ def deviation_gaps(cfg: CodingConfig, cb: Codebook, alt_responses,
     utils = [[] for _ in range(len(alts) + 1)]
     for chunk in _decoded_chunks(cfg, cb, range(trials)):
         for got, response in zip(utils, [base, *alts]):
-            got += [r.util2_n for r in _act(cfg, chunk, response)]
-    base_val = np.mean(utils[0])
-    return np.array([np.mean(u) - base_val for u in utils[1:]])
+            got.append(_act(cfg, chunk, response)[3])
+    means = np.array([np.concatenate(u).mean() for u in utils])
+    return means[1:] - means[0]
 
 
 def deviation_test(cfg: CodingConfig, cb: Codebook,
@@ -756,15 +746,14 @@ def posterior_belief_audit(cfg: CodingConfig, cb: Codebook,
 
     gaps = []
     for chunk in _decoded_chunks(cfg, cb, range(trials)):
-        for res in _act(cfg, chunk, cfg.response):
-            if res.error_event or res.decoded_m is None:
-                continue
-            wts = weights * typical[:, res.decoded_m] * inv_cover
+        # a successful trial decoded the word it chose, so its index is >= 0
+        for m in chunk.decoded[_act(cfg, chunk, cfg.response)[0]].tolist():
+            wts = weights * typical[:, m] * inv_cover
             z = wts.sum()
             if z <= 0:
                 continue
             belief1 = (wts @ bits) / z
-            q1 = q1_by_w[cb.w_words[res.decoded_m].astype(np.intp)]
+            q1 = q1_by_w[cb.w_words[m].astype(np.intp)]
             gaps.append(float(np.mean(2.0 * np.abs(belief1 - q1))))
     mean_gap = float(np.mean(gaps)) if gaps else math.nan
     return AuditResult(mean_l1_belief=mean_gap,

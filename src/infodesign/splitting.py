@@ -225,9 +225,12 @@ def split_values(p: float, p1, p2, v1, v2, out=None):
     mix, lam = out or (np.empty(shape), np.empty(shape))
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(p2 - p, np.subtract(p2, p1, out=lam), out=lam)
-        np.multiply(lam, v1, out=mix)
-        np.multiply(np.subtract(1.0, lam, out=lam), v2, out=lam)
-        return np.add(mix, lam, out=mix)
+        np.multiply(np.subtract(1.0, lam, out=mix), v2, out=mix)
+        np.multiply(lam, v1, out=lam)
+        # lam * v1 stays the first operand, as in the plain form, and out is
+        # the second: where both terms are nan, a one-element add whose out
+        # is its first operand returns the second one's nan bits
+        return np.add(lam, mix, out=mix)
 
 
 def _band_sides(p: float, P1, P2, eps: float):

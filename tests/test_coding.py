@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 from importlib import resources
 
@@ -92,6 +93,28 @@ def reference_trial(cfg, cb, t, response=None):
                        l1_to_target=l1,
                        util1_n=float(cfg.phi1[u, v].mean()),
                        util2_n=float(cfg.phi2[u, v].mean()))
+
+
+# run_experiment's result columns and the TrialResult field each one holds
+COLUMNS = {"error": "error_event", "chosen_m": "chosen_m",
+           "decoded_m": "decoded_m", "l1_to_target": "l1_to_target",
+           "util1": "util1_n", "util2": "util2_n"}
+
+
+def columns(summary):
+    """A summary's result columns as lists, each checked for its dtype."""
+    kinds = {"error": np.int8, "chosen_m": object, "decoded_m": object}
+    assert list(summary.results) == list(COLUMNS)
+    for name, column in summary.results.items():
+        assert column.dtype == kinds.get(name, np.float64)
+        assert len(column) == summary.trials
+    return {name: column.tolist() for name, column in summary.results.items()}
+
+
+def reference_columns(results):
+    """TrialResults laid out as run_experiment's columns, field for field."""
+    return {name: [getattr(r, field) for r in results]
+            for name, field in COLUMNS.items()}
 
 
 def ternary_config(n, seed=0):
@@ -499,8 +522,8 @@ class TestTrial:
 
 
 class TestBatchedPipeline:
-    """Every TrialResult the batched pipeline gives, through run_experiment
-    and through run_trial's chunk of one, equals the per-trial oracle's."""
+    """Every trial the batched pipeline gives, as a row of run_experiment's
+    columns and as run_trial's chunk of one, equals the per-trial oracle's."""
 
     @pytest.mark.parametrize("cfg", [trend_config(1), trend_config(20),
                                      trend_config(80), ternary_config(1),
@@ -511,7 +534,7 @@ class TestBatchedPipeline:
         cb = generate_codebook(cfg)
         trials = 40
         want = [reference_trial(cfg, cb, t) for t in range(trials)]
-        assert list(run_experiment(cfg, trials).results) == want
+        assert columns(run_experiment(cfg, trials)) == reference_columns(want)
         assert [run_trial(cfg, cb, t) for t in range(0, trials, 9)] == want[::9]
 
     @pytest.mark.parametrize("cfg", [trend_config(20), ternary_config(7)],
@@ -524,20 +547,41 @@ class TestBatchedPipeline:
                 == [reference_trial(cfg, cb, t, alt) for t in range(30)])
 
     def test_chunk_boundaries_do_not_move_the_trials(self, monkeypatch):
-        cfg = trend_config(40)
-        cb = generate_codebook(cfg)
-        want = [reference_trial(cfg, cb, t) for t in range(10)]
-        # chunks of 3 trials, which do not divide the 10 trials
-        monkeypatch.setattr(coding, "CHUNK_PAIRS", 3 * cb.size + 1)
-        assert list(run_experiment(cfg, 10).results) == want
+        # chunks of 3 trials, which do not divide the 10 trials: bound by the
+        # pairs (64 words of 40 symbols) or by the symbols (49 words of 80)
+        for cfg, chunk_pairs in [(trend_config(40), 3 * 64 + 1),
+                                 (trend_config(80, rate=0.07), 3 * 80 + 1)]:
+            cb = generate_codebook(cfg)
+            want = [reference_trial(cfg, cb, t) for t in range(10)]
+            monkeypatch.setattr(coding, "CHUNK_PAIRS", chunk_pairs)
+            assert [len(c.chosen) for c in
+                    coding._decoded_chunks(cfg, cb, range(10))] == [3, 3, 3, 1]
+            assert columns(run_experiment(cfg, 10)) == reference_columns(want)
+            monkeypatch.undo()
+
+    def test_long_blocks_of_a_small_codebook_scan_in_small_chunks(self):
+        """A chunk holds at most CHUNK_PAIRS symbols a stage, so a one-word
+        codebook with long blocks keeps memory per trial O(n), not a
+        CHUNK_PAIRS-trial stack of blocks."""
+        cfg = trend_config(20000, rate=0.0)
+        assert cfg.codebook_size == 1
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_counters_split_the_failures(self):
         s = run_experiment(trend_config(20, rate=0.15, eps_typ=0.3), 200)
         c = s.counters
         assert c["trials"] == 200 and c["errors"] == round(200 * s.error_rate)
-        assert c["nocover"] == sum(r.chosen_m is None for r in s.results) > 0
+        got = columns(s)
+        assert c["errors"] == sum(got["error"])
+        assert c["nocover"] == got["chosen_m"].count(None) > 0
         assert (c["decode_no_typical"] + c["decode_several_typical"]
-                == sum(r.decoded_m is None for r in s.results))
+                == got["decoded_m"].count(None))
         assert c["decode_no_typical"] > 0 and c["decode_several_typical"] > 0
 
 
@@ -550,14 +594,13 @@ class TestExperiment:
         s = run_experiment(trend_config(20), 1)
         assert s.trials == 1 and s.n == 20
         assert s.error_rate in (0.0, 1.0)
-        assert s.mean_l1 == s.results[0].l1_to_target == s.median_l1
+        assert s.mean_l1 == columns(s)["l1_to_target"][0] == s.median_l1
         assert s.hw_l1 == 0.0
 
     def test_seed_determinism(self):
         a = run_experiment(trend_config(20), 50)
         b = run_experiment(trend_config(20), 50)
-        assert [r.l1_to_target for r in a.results] == \
-               [r.l1_to_target for r in b.results]
+        assert columns(a) == columns(b)
         assert a.error_rate == b.error_rate and a.mean_util1 == b.mean_util1
 
     def test_rate_zero_single_word_always_fails(self):
@@ -809,10 +852,14 @@ class TestStreams:
         def draws(gen):
             return gen.random(n).tolist(), int(gen.integers(k))
 
+        def stream(seed, tag, index):
+            words = coding._state_words(seed, (tag,), range(index, index + 1))
+            return coding._seat(coding._generator(), words[0, :, 0])
+
         assert draws(coding._stream(seed, tag)) == numpy_draws((seed, tag))
-        assert (draws(coding._stream(seed, tag, index))
+        assert (draws(stream(seed, tag, index))
                 == numpy_draws((seed, tag, index)))
-        gen = coding._stream(seed + 1, tag, index)
+        gen = stream(seed + 1, tag, index)
         draws(gen)
         block = coding._state_words(seed, range(5), range(max(0, index - 3),
                                                           index + 1))

@@ -456,8 +456,20 @@ def test_signal_keeps_the_plain_forms_bits(split):
     assert repr(got) == repr(tuple(want))
 
 
+class Draws:
+    """st.data() for an @example: hands out the given draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = iter(draws)
+
+    def draw(self, strategy, label=None):
+        return next(self.draws)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.0, 1.0), st.integers(1, 9), st.integers(1, 9), st.data())
+# a 1 x 1 block where both terms of the mix are nan, of different signs
+@example(0.0, 1, 1, Draws([np.inf], [0.0], [np.inf], [np.nan]))
 def test_split_values_in_place_keeps_the_plain_forms_bits(p, rows, cols, data):
     """The mix computed in a reused pair of scratch views has the bits of
     lam * v1 + (1 - lam) * v2 evaluated directly, p1 = p2 (nan, inf) and
