@@ -2,9 +2,12 @@
 utility surfaces, equilibrium solves, and coordination simulations.
 
 Grids and curves go to CSV (header row, 9 significant digits); reports go to
-JSON. The posterior-square CSVs (region, surface) are joined from one text
-fragment per (label, column) behind each row's p1 text, so only the values of
-labelled cells are float-formatted. Every subcommand runs in one frame, _Run,
+JSON. The grid subcommands hold O(n) arrays and one row block: bestreply
+finds its best replies one CSV_BLOCK_ROWS block of the prior sweep at a time,
+and region and surface write each row block of the posterior square as the
+grid's blocks() makes it. Those square CSVs are joined from one text fragment
+per (label, column) behind each row's p1 text, so only the values of labelled
+cells are float-formatted. Every subcommand runs in one frame, _Run,
 which digests each input from the bytes it parses and each output as it is
 written, and writes a side-car manifest <out>.manifest.json recording the
 resolved parameters, input digests, seed, version, output digests, and wall
@@ -90,75 +93,79 @@ def _text(values) -> np.ndarray:
     return np.array([csv_cell(v) for v in values], dtype=object)
 
 
-def _write_csv(f, header, columns) -> int:
-    """Write equal-length columns under header to the text sink f; return
-    the row count.
+def _write_csv(f, header, blocks) -> int:
+    """Write header and then the rows of blocks, an iterable of lists of
+    equal-length columns, to the text sink f; return the row count.
 
     Float columns are formatted with %.9g and integer columns with %d,
     which print exactly what csv_cell does; every other column must already
-    be text (see _text). Rows go out CSV_BLOCK_ROWS at a time, one %
-    operation on a repeated row template each.
+    be text (see _text). A block's rows go out CSV_BLOCK_ROWS at a time, one
+    % operation on a repeated row template each, so a caller that yields
+    its blocks as it makes them holds one at a time. Raises TypeError
+    before writing a block that holds a column of any other dtype.
     """
-    columns = [np.asarray(c) for c in columns]
     slots = {"f": "%.9g", "i": "%d", "u": "%d", "O": "%s"}
-    for c in columns:
-        if c.dtype.kind not in slots:
-            raise TypeError(f"_write_csv: {c.dtype} column is not text")
-    row = ",".join(slots[c.dtype.kind] for c in columns) + "\n"
-    count = len(columns[0])
-    width = len(columns)
-    f.write(",".join(header) + "\n")
-    for start in range(0, count, CSV_BLOCK_ROWS):
-        stop = min(start + CSV_BLOCK_ROWS, count)
-        cells = [None] * ((stop - start) * width)
-        for k, c in enumerate(columns):
-            cells[k::width] = c[start:stop].tolist()
-        f.write(row * (stop - start) % tuple(cells))
+    head, count = ",".join(header) + "\n", 0
+    for columns in blocks:
+        columns = [np.asarray(c) for c in columns]
+        for c in columns:
+            if c.dtype.kind not in slots:
+                raise TypeError(f"_write_csv: {c.dtype} column is not text")
+        row = ",".join(slots[c.dtype.kind] for c in columns) + "\n"
+        size, width = len(columns[0]), len(columns)
+        f.write(head)
+        head = ""
+        for start in range(0, size, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, size)
+            cells = [None] * ((stop - start) * width)
+            for k, c in enumerate(columns):
+                cells[k::width] = c[start:stop].tolist()
+            f.write(row * (stop - start) % tuple(cells))
+        count += size
+    f.write(head)
     return count
 
 
-def _write_square(f, header, grid) -> int:
+def _write_square(f, header, grid) -> dict:
     """Write a posterior-square grid row-major to the text sink f, one line
-    a cell (p1, p2, the cell of each of grid.values, the label name); return
-    the cell count.
+    a cell (p1, p2, the cell of each value array, the label name), block by
+    block as grid.blocks() makes them; return the cells per RegionLabel
+    name.
 
     A line's text after p1 depends only on its column and label, so one
     fragment per (label, column) is built first: ",<p2>", a %.9g slot per
-    value (",nan" per value for INVALID_SPLIT) and ",<label>\n". Each block
-    of about CSV_BLOCK_ROWS lines joins its rows' fragments behind each row's
-    p1 text, and one % operation fills in the values of its labelled cells.
-    Raises ValueError, writing nothing, if an INVALID_SPLIT cell holds a
-    value that is not nan.
+    value (",nan" per value for INVALID_SPLIT) and ",<label>\n", with a
+    value column for every header name between p2 and the label. Every
+    about CSV_BLOCK_ROWS lines of a block join their rows' fragments behind
+    each row's p1 text, and one % operation fills in the values of their
+    labelled cells. Raises ValueError before writing a block in which an
+    INVALID_SPLIT cell holds a value that is not nan.
     """
-    labels, values = grid.labels, grid.values
-    n1, n2 = labels.shape
-    invalid = labels == RegionLabel.INVALID_SPLIT
-    if any(np.any(invalid & ~np.isnan(v)) for v in values):
-        raise ValueError("_write_square: an INVALID_SPLIT cell holds a value")
+    n2 = grid.p2_axis.size
     p2 = _text(grid.p2_axis)
     frags = np.empty((len(RegionLabel), n2), dtype=object)
     for label in RegionLabel:
         slot = ",nan" if label == RegionLabel.INVALID_SPLIT else ",%.9g"
-        frags[label] = [f",{q}{slot * len(values)},{label.name}\n" for q in p2]
+        frags[label] = [f",{q}{slot * (len(header) - 3)},{label.name}\n" for q in p2]
     p1 = _text(grid.p1_axis)
     cols = np.arange(n2)
     step = max(1, CSV_BLOCK_ROWS // n2)
+    counts = np.zeros(len(RegionLabel), dtype=np.int64)
     f.write(",".join(header) + "\n")
-    for start in range(0, n1, step):
-        rows = slice(start, min(start + step, n1))
-        text = "".join(P + P.join(line) for P, line in
-                       zip(p1[rows], frags[labels[rows], cols].tolist()))
-        if values:
-            kept = ~invalid[rows]
-            text %= tuple(np.stack([v[rows][kept] for v in values],
-                                   axis=-1).ravel().tolist())
-        f.write(text)
-    return n1 * n2
-
-
-def _label_counts(grid) -> dict:
-    """Cells per RegionLabel name of a posterior-square grid."""
-    counts = np.bincount(grid.labels.ravel(), minlength=len(RegionLabel))
+    for rows, labels, values in grid.blocks():
+        invalid = labels == RegionLabel.INVALID_SPLIT
+        if any(np.any(invalid & ~np.isnan(v)) for v in values):
+            raise ValueError("_write_square: an INVALID_SPLIT cell holds a value")
+        counts += np.bincount(labels.ravel(), minlength=len(RegionLabel))
+        for start in range(0, len(labels), step):
+            part = slice(start, start + step)
+            text = "".join(P + P.join(line) for P, line in
+                           zip(p1[rows][part], frags[labels[part], cols].tolist()))
+            if values:
+                kept = ~invalid[part]
+                text %= tuple(np.stack([v[part][kept] for v in values],
+                                       axis=-1).ravel().tolist())
+            f.write(text)
     return {label.name: int(counts[label]) for label in RegionLabel}
 
 
@@ -284,9 +291,8 @@ def cmd_region(p, eps, resolution, out):
                                     "out": out}) as run:
         grid = region_scan(p, eps, resolution)
         run.parameters["capacity"] = grid.capacity
-        run.counters = _label_counts(grid)
-        count = run.write(out, _write_square, ("p1", "p2", "label"), grid)
-    print(f"wrote {out}: {count} cells")
+        run.counters = run.write(out, _write_square, ("p1", "p2", "label"), grid)
+    print(f"wrote {out}: {sum(run.counters.values())} cells")
 
 
 def cmd_bestreply(scenario, step, out):
@@ -295,9 +301,16 @@ def cmd_bestreply(scenario, step, out):
               {"scenario": scenario, "step": step, "out": out}) as run:
         sc = _scenario(run, scenario)
         grid = np.linspace(0.0, 1.0, grid_intervals(step, "bestreply", 1) + 1)
-        sel, _, v2 = grid_best_replies(sc, grid)
+        actions = _text(sc.actions)
+
+        def blocks():
+            for start in range(0, grid.size, CSV_BLOCK_ROWS):
+                q = grid[start:start + CSV_BLOCK_ROWS]
+                sel, _, v2 = grid_best_replies(sc, q)
+                yield [q, actions[sel], v2]
+
         count = run.write(out, _write_csv, ("p", "v_star", "receiver_value"),
-                          [grid, _text(sc.actions)[sel], v2])
+                          blocks())
     print(f"wrote {out}: {count} grid points")
 
 
@@ -313,10 +326,9 @@ def cmd_surface(scenario, mode, eps, resolution, out):
         sc = _scenario(run, scenario)
         surf = scenario_surface(sc, resolution,
                                 eps if mode != "unconstrained" else None)
-        run.counters = _label_counts(surf)
-        count = run.write(out, _write_square,
-                          ("p1", "p2", "phi1", "phi2", "label"), surf)
-    print(f"wrote {out}: {count} cells")
+        run.counters = run.write(out, _write_square,
+                                 ("p1", "p2", "phi1", "phi2", "label"), surf)
+    print(f"wrote {out}: {sum(run.counters.values())} cells")
 
 
 def _parse_mode(mode: str, eps, cap):
@@ -409,9 +421,9 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
         }
         run.write(out, _write_json, report)
         run.write(trials_csv, _write_csv, ("trial", *summary.results),
-                  [np.arange(trials),
-                   *(_text(c) if c.dtype == object else c
-                     for c in summary.results.values())])
+                  [[np.arange(trials),
+                    *(_text(c) if c.dtype == object else c
+                      for c in summary.results.values())]])
     print(json.dumps(_jsonable({k: report[k] for k in
                                 ("error_rate", "mean_l1", "mean_util1",
                                  "mean_util2", "trials")}), sort_keys=True))

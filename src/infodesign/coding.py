@@ -627,8 +627,10 @@ def run_experiment(cfg: CodingConfig, trials: int) -> ExperimentSummary:
     results holds the trials' columns under the trials CSV's names: error
     (int8, 1 for an error), chosen_m and decoded_m (int, None for no cover
     and for a failed decode), l1_to_target, util1 and util2 (float).
-    counters holds the trial, error and no-cover counts and the decode
-    failures split into no typical word and several."""
+    counters holds the trial, error and no-cover counts, the decode
+    failures split into no typical word and several, and ok_mean_util1 and
+    ok_mean_util2, the mean utilities over the error-free trials (None when
+    there are none)."""
     if trials < 1:
         raise ValueError(f"run_experiment: trials = {trials!r} must be >= 1")
     if trials * TRIAL_BYTES > MEMORY_CAP_BYTES:
@@ -657,7 +659,9 @@ def run_experiment(cfg: CodingConfig, trials: int) -> ExperimentSummary:
         counters={"trials": trials, "errors": int(errs.sum()),
                   "nocover": int(nocover.sum()),
                   "decode_no_typical": int((hits == 0).sum()),
-                  "decode_several_typical": int((hits > 1).sum())})
+                  "decode_several_typical": int((hits > 1).sum()),
+                  **{f"ok_mean_util{k}": float(u[ok].mean()) if ok.any() else None
+                     for k, u in ((1, u1), (2, u2))}})
 
 
 def single_letter_utilities(cfg: CodingConfig):

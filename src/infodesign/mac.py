@@ -16,7 +16,7 @@ import numpy as np
 
 from .persuasion import Scenario, grid_best_replies
 from .prob import Distribution, checked_fields
-from .splitting import RegionGrid, region_scan, split_blocks, split_values
+from .splitting import RegionGrid, RegionLabel, region_scan, split_values
 
 
 @dataclass(frozen=True)
@@ -91,23 +91,35 @@ def build_scenario(cfg: MacConfig) -> Scenario:
 def scenario_surface(sc: Scenario, resolution: float = 1.0 / 500,
                      eps: float | None = None) -> RegionGrid:
     """region_scan's square with values (phi1, phi2), the expected payoffs of
-    each posterior pair (nan where no signal exists). They are filled over
-    the same scan of the valid splits (split_blocks) with the same
-    vectorized best-reply path as the equilibrium solver, so restricting the
-    surface to a feasibility label and taking the argmax reproduces the
-    solver's answer at equal resolution.
+    each posterior pair (nan where no signal exists). The best replies along
+    the axis are found here, with the same vectorized path as the
+    equilibrium solver, so restricting the surface to a feasibility label
+    and taking the argmax reproduces the solver's answer at equal
+    resolution. The grid's blocks() mixes them (split_values) beside each
+    row block of labels, over the columns the block's valid cells span.
     """
     p = float(sc.prior.probs[0])
     region = region_scan(p, eps, resolution)
     grid = region.p1_axis
     _, V1, V2 = grid_best_replies(sc, grid)
-    vals1 = np.full(region.labels.shape, np.nan)
-    vals2 = np.full(region.labels.shape, np.nan)
-    for rows, cols in split_blocks(p, grid):
-        P1, P2 = grid[rows, None], grid[None, cols]
-        vals1[rows, cols] = split_values(p, P1, P2, V1[rows, None], V1[None, cols])
-        vals2[rows, cols] = split_values(p, P1, P2, V2[rows, None], V2[None, cols])
-    return replace(region, values=(vals1, vals2))
+
+    def blocks():
+        for rows, labels, _ in region.blocks():
+            vals = np.full((2, *labels.shape), np.nan)
+            valid = labels != int(RegionLabel.INVALID_SPLIT)
+            live = np.flatnonzero(valid.any(axis=0))
+            if live.size:
+                cols = slice(int(live[0]), int(live[-1]) + 1)
+                P1, P2 = grid[rows, None], grid[None, cols]
+                lam = np.empty((len(labels), cols.stop - cols.start))
+                for v, V in zip(vals, (V1, V2)):
+                    split_values(p, P1, P2, V[rows, None], V[None, cols],
+                                 (v[:, cols], lam))
+                if not valid[:, cols].all():
+                    vals[:, ~valid] = np.nan
+            yield rows, labels, tuple(vals)
+
+    return replace(region, blocks=blocks)
 
 
 def config_from_dict(doc: dict) -> MacConfig:

@@ -130,7 +130,8 @@ class Block:
 
     def __post_init__(self):
         if not (np.isfinite(self.capacity) and self.capacity >= 0):
-            raise ValueError(f"Block: capacity {self.capacity!r} must be >= 0")
+            raise ValueError(f"Block: capacity {self.capacity!r} must be finite "
+                             f"and >= 0")
 
     def runs(self, p: float, grid: np.ndarray) -> tuple:
         def mask(P1, P2):

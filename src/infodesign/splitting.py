@@ -19,7 +19,9 @@ reports.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -28,14 +30,15 @@ import numpy as np
 from .prob import binary_entropy, binary_entropy_unchecked
 
 FEAS_ATOL = 1e-12
-# Cells in one posterior grid or best-reply sweep. Through the CLI, at
-# resolution 1/500 (tracemalloc), a surface in any mode peaks near 50 bytes
-# a cell and a region near 27: about 400 and 220 MiB at the cap. A solve
-# holds O(n) arrays plus one row block of its scan: a 3.6 MiB peak on
-# 2001 x 2001 (resolution 5e-4), the finest grid in use, which is half the
-# cap.
+# Cells in one posterior grid or best-reply sweep. Every grid subcommand
+# holds O(n) arrays plus one row block. At the cap, through the CLI under
+# tracemalloc, a region of 2896 x 2896 cells peaks at 2.1 MiB and a block
+# surface at 3.7 MiB; a bestreply sweep of 2**23 points peaks at 65 MiB,
+# nearly all of it the sweep's axis at 8 bytes a point. A solve peaks at
+# 3.6 MiB on 2001 x 2001 (resolution 5e-4), the finest grid in use, which
+# is half the cap.
 MAX_GRID_CELLS = 2 ** 23
-SCAN_BLOCK_CELLS = 2 ** 15  # cells in one row block of split_blocks
+SCAN_BLOCK_CELLS = 2 ** 15  # cells in one row block of a scan
 
 
 class SplitError(ValueError):
@@ -205,11 +208,43 @@ class RegionLabel(IntEnum):
 
 @dataclass(frozen=True)
 class RegionGrid:
+    """The posterior square p1_axis x p2_axis, made in row blocks.
+
+    blocks() yields (rows, labels, values) in row-major order: rows a slice
+    of p1_axis, labels the RegionLabel values (int8) of those rows across
+    the whole p2_axis, and values a tuple of per-cell value arrays of the
+    same shape, nan on INVALID_SPLIT cells (empty for a region). Each call
+    makes the blocks afresh and holds one at a time. labels and values
+    collect the same blocks into whole read-only arrays on first use, for
+    callers that want the square at once.
+    """
+
     p1_axis: np.ndarray
     p2_axis: np.ndarray
-    labels: np.ndarray  # RegionLabel values, shape (len(p1_axis), len(p2_axis))
     capacity: float | None  # None when scanned without a channel
-    values: tuple = ()  # per-cell value arrays, nan on INVALID_SPLIT cells
+    blocks: Callable = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def _square(self) -> tuple:
+        labels = np.empty((self.p1_axis.size, self.p2_axis.size), dtype=np.int8)
+        values = None
+        for rows, block, vals in self.blocks():
+            if values is None:
+                values = tuple(np.empty(labels.shape) for _ in vals)
+            labels[rows] = block
+            for whole, part in zip(values, vals):
+                whole[rows] = part
+        for a in (labels, *values):
+            a.flags.writeable = False
+        return labels, values
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._square[0]
+
+    @property
+    def values(self) -> tuple:
+        return self._square[1]
 
 
 def split_values(p: float, p1, p2, v1, v2, out=None):
@@ -386,7 +421,9 @@ def region_scan(p: float, eps: float | None,
 
     Valid splits are labelled VALID with no channel (eps=None, capacity
     None), else ONE_SHOT, BLOCK_ONLY or INFEASIBLE for the channel with
-    flip eps, from the runs of split_runs.
+    flip eps. The runs of split_runs are found here, O(n) each; the grid's
+    blocks() labels the square from them in blocks of whole rows of about
+    SCAN_BLOCK_CELLS cells.
     """
     _check_prior(p)
     cap = None
@@ -395,18 +432,29 @@ def region_scan(p: float, eps: float | None,
         cap = 1.0 - binary_entropy(eps)
     n = grid_intervals(resolution, "region_scan")
     axis = np.linspace(0.0, 1.0, n + 1)
-    labels = np.full((n + 1, n + 1), int(RegionLabel.INVALID_SPLIT), dtype=np.int8)
+    valid = split_runs(p, axis)
+    # each label over the one before it: valid cells, then the channel's runs
+    runs = [(valid, RegionLabel.VALID if eps is None else RegionLabel.INFEASIBLE)]
     if eps is not None:
-        one_shot = split_runs(
-            p, axis, lambda P1, P2: split_masks(p, P1, P2, eps, None)[1], eps)
-        block = split_runs(p, axis, lambda P1, P2: split_masks(p, P1, P2, None, cap)[2])
-    for rows, cols in split_blocks(p, axis):
-        if eps is None:
-            labels[rows, cols] = int(RegionLabel.VALID)
-            continue
-        cells = np.where(in_runs(block, rows, cols), int(RegionLabel.BLOCK_ONLY),
-                         int(RegionLabel.INFEASIBLE))
-        cells[in_runs(one_shot, rows, cols)] = int(RegionLabel.ONE_SHOT)
-        labels[rows, cols] = cells
-    labels.flags.writeable = False
-    return RegionGrid(p1_axis=axis, p2_axis=axis, labels=labels, capacity=cap)
+        runs += [
+            (split_runs(p, axis, lambda P1, P2: split_masks(p, P1, P2, None, cap)[2]),
+             RegionLabel.BLOCK_ONLY),
+            (split_runs(p, axis, lambda P1, P2: split_masks(p, P1, P2, eps, None)[1],
+                        eps), RegionLabel.ONE_SHOT)]
+    step = max(1, SCAN_BLOCK_CELLS // axis.size)
+
+    def blocks():
+        for start in range(0, axis.size, step):
+            rows = slice(start, min(start + step, axis.size))
+            labels = np.full((rows.stop - start, axis.size),
+                             int(RegionLabel.INVALID_SPLIT), dtype=np.int8)
+            # only the columns the block's valid runs span
+            first, stop = valid[0][rows], valid[1][rows]
+            live = stop > first
+            if live.any():
+                cols = slice(int(first[live].min()), int(stop[live].max()))
+                for run, label in runs:
+                    labels[:, cols][in_runs(run, rows, cols)] = int(label)
+            yield rows, labels, ()
+
+    return RegionGrid(p1_axis=axis, p2_axis=axis, capacity=cap, blocks=blocks)

@@ -485,9 +485,16 @@ class TestSimulate:
         counters = json.loads(
             (workdir / "simulate.json.manifest.json").read_text())["counters"]
         assert set(counters) == {"trials", "errors", "nocover",
-                                 "decode_no_typical", "decode_several_typical"}
+                                 "decode_no_typical", "decode_several_typical",
+                                 "ok_mean_util1", "ok_mean_util2"}
         trials = counters["trials"]
         assert trials == 200
+        _, rows = read_csv(workdir / "simulate_trials.csv")
+        ok = [r for r in rows if r[1] == "0"]
+        assert len(ok) == trials - counters["errors"] > 0
+        for k in (1, 2):
+            mean = sum(float(r[4 + k]) for r in ok) / len(ok)
+            assert counters[f"ok_mean_util{k}"] == pytest.approx(mean, rel=1e-8)
         assert counters["errors"] / trials == report["error_rate"]
         assert counters["nocover"] / trials == report["nocover_rate"]
         assert ((counters["decode_no_typical"]
@@ -835,10 +842,13 @@ class TestBlockWriter:
         unsigned = np.array(column(st.integers(0, 2 ** 64 - 1)), dtype=np.uint64)
         flags = np.array(column(st.booleans()), dtype=np.int8)
         header = ("f", "b", "i", "m", "s", "i64", "u64", "i8")
+        cols = [floats, _text(bools), _text(ints), _text(optional),
+                _text(labels), signed, unsigned, flags]
+        edges = [0, *sorted(data.draw(st.lists(st.integers(0, count),
+                                               max_size=3))), count]
+        blocks = [[c[a:b] for c in cols] for a, b in zip(edges, edges[1:])]
         sink = io.StringIO()
-        assert _write_csv(sink, header, [floats, _text(bools), _text(ints),
-                                         _text(optional), _text(labels),
-                                         signed, unsigned, flags]) == count
+        assert _write_csv(sink, header, blocks) == count
         assert sink.getvalue() == reference_csv(
             header, zip(floats, bools, ints, optional, labels,
                         signed, unsigned, flags.astype(bool)))
@@ -846,17 +856,28 @@ class TestBlockWriter:
     def test_rejects_unformatted_columns(self):
         sink = io.StringIO()
         with pytest.raises(TypeError):
-            _write_csv(sink, ("b",), [np.array([True, False])])
+            _write_csv(sink, ("b",), [[np.array([True, False])]])
         assert sink.getvalue() == ""
+
+
+def row_blocks(grid, labels, values, edges):
+    """grid with blocks() cutting the whole arrays labels and values into
+    the row blocks between consecutive edges."""
+    cuts = list(zip(edges, edges[1:]))
+    return replace(grid, blocks=lambda: (
+        (slice(a, b), labels[a:b], tuple(v[a:b] for v in values))
+        for a, b in cuts))
 
 
 class TestSquareWriter:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_per_cell_writer(self, data):
-        """Every prior, channel and value count, with blocks that end inside
-        the grid: labelled cells print their values through %.9g (nan and
-        inf too), INVALID_SPLIT cells print nan."""
+        """Every prior, channel and value count, fed in row blocks of drawn
+        heights (one row, blocks across the prior row, the whole grid) and
+        written in CSV blocks that end inside them: labelled cells print
+        their values through %.9g (nan and inf too), INVALID_SPLIT cells
+        print nan, and the label counts are a bincount of the whole grid."""
         resolution = data.draw(st.sampled_from([0.5, 1 / 7, 0.05, 1 / 37, 1 / 64]))
         n = round(1.0 / resolution)
         p = data.draw(st.sampled_from([0.0, 1.0, 0.5])
@@ -864,37 +885,56 @@ class TestSquareWriter:
         eps = data.draw(st.none() | st.sampled_from([0.0, 0.25, 0.5])
                         | st.floats(0.0, 0.5))
         grid = region_scan(p, eps, resolution)
-        labelled = grid.labels != RegionLabel.INVALID_SPLIT
+        labels = grid.labels
+        labelled = labels != RegionLabel.INVALID_SPLIT
         values = []
         for _ in range(data.draw(st.integers(0, 2))):
             drawn = data.draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
                                        min_size=1, max_size=9))
-            v = np.full(grid.labels.shape, np.nan)
+            v = np.full(labels.shape, np.nan)
             v[labelled] = [drawn[i % len(drawn)]
                            for i in range(np.count_nonzero(labelled))]
             values.append(v)
+        # blocks of height rows from first on, after one block above first:
+        # from the row before the prior's, a block of 3 rows or more is
+        # across the prior row
+        height = data.draw(st.sampled_from([1, n + 1]) | st.integers(1, n + 1))
+        before = max(int(np.searchsorted(grid.p1_axis, p)) - 1, 0)
+        first = data.draw(st.sampled_from([0, before]) | st.integers(0, n + 1))
+        edges = sorted({0, n + 1, *range(first, n + 1, height)})
         header = ("p1", "p2", *(f"v{k}" for k in range(len(values))), "label")
         sink = io.StringIO()
         block = data.draw(st.sampled_from([CSV_BLOCK_ROWS, 1, 24, 100]))
         with mock.patch("infodesign.cli.CSV_BLOCK_ROWS", block):
-            count = _write_square(sink, header,
-                                  replace(grid, values=tuple(values)))
-        assert count == (n + 1) ** 2
+            counts = _write_square(sink, header,
+                                   row_blocks(grid, labels, values, edges))
+        whole = np.bincount(labels.ravel(), minlength=len(RegionLabel))
+        assert counts == {label.name: int(whole[label]) for label in RegionLabel}
+        assert sum(counts.values()) == (n + 1) ** 2
         rows = ((p1, p2, *(v[i, j] for v in values),
-                 RegionLabel(int(grid.labels[i, j])).name)
+                 RegionLabel(int(labels[i, j])).name)
                 for i, p1 in enumerate(grid.p1_axis)
                 for j, p2 in enumerate(grid.p2_axis))
         assert sink.getvalue() == reference_csv(header, rows)
 
-    def test_value_in_invalid_split_raises(self):
-        grid = region_scan(0.5, 0.25, 0.25)
+    def test_value_in_invalid_split_raises(self, tmp_path):
+        """The writer raises before it writes the block in which an
+        INVALID_SPLIT cell holds a value, and a run frame leaves no file."""
+        grid = region_scan(0.5, 0.25, 0.25)  # row 2, p1 = p, is all invalid
         values = np.where(grid.labels == RegionLabel.INVALID_SPLIT, np.nan, 1.0)
-        values[0, 0] = 0.0
+        values[2, 0] = 0.0
+        square = row_blocks(grid, grid.labels, [values], [0, 2, 4, 5])
+        header = ("p1", "p2", "v", "label")
         sink = io.StringIO()
         with pytest.raises(ValueError, match="INVALID_SPLIT"):
-            _write_square(sink, ("p1", "p2", "v", "label"),
-                          replace(grid, values=(values,)))
-        assert sink.getvalue() == ""
+            _write_square(sink, header, square)
+        written = ((p1, p2, values[i, j], RegionLabel(int(grid.labels[i, j])).name)
+                   for i, p1 in enumerate(grid.p1_axis[:2])
+                   for j, p2 in enumerate(grid.p2_axis))
+        assert sink.getvalue() == reference_csv(header, written)
+        with pytest.raises(ValueError, match="INVALID_SPLIT"):
+            write_one(tmp_path / "square.csv", _write_square, header, square)
+        assert os.listdir(tmp_path) == []
 
     def test_surface_write_peak(self, tmp_path):
         # the writer that formatted whole columns peaked near 10 MiB here
@@ -907,6 +947,49 @@ class TestSquareWriter:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+
+
+class TestStreamedPeaks:
+    """Each grid subcommand holds O(n) arrays and one row block. Peaks
+    through main under tracemalloc at the default sizes were 1.8 MiB for
+    bestreply, 2.0 MiB for surface in each mode and 0.6 MiB for region,
+    against 15.0, 6.0 and 2.2 MiB when bestreply built (N, K) tables over
+    its whole sweep and surface and region filled whole squares: one more
+    array of the sweep, or of the square's values, breaks the bound."""
+
+    @pytest.mark.parametrize("args,mib", [
+        (["bestreply", "--scenario", "mac", "--step", "1e-5"], 2.5),
+        (["surface", "--scenario", "mac"], 3),
+        (["surface", "--scenario", "mac", "--mode", "one_shot", "--eps", "0.1"], 3),
+        (["surface", "--scenario", "mac", "--mode", "block", "--eps", "0.1"], 3),
+        (["region", "--p", "0.5", "--eps", "0.1"], 1)],
+        ids=["bestreply", "surface", "surface one_shot", "surface block", "region"])
+    def test_peak(self, workdir, capsys, args, mib):
+        tracemalloc.start()
+        try:
+            code = main(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0 and peak < mib * 2 ** 20
+
+    @pytest.mark.parametrize("rows", [1000, 4096, 32768])
+    def test_blocked_best_replies_are_one_sweep(self, rows):
+        """bestreply's blocks of the prior sweep give the bits of one call
+        over the whole sweep, on the case study and on random scenarios."""
+        rng = np.random.default_rng(5)
+        scenarios = [build_scenario(default_config())] + [
+            Scenario(Distribution([0.3, 0.7]), tuple(range(k)),
+                     rng.normal(size=(2, k)).round(d), rng.normal(size=(2, k)).round(d))
+            for k, d in ((1, 3), (2, 1), (5, 0), (8, 6))]
+        grid = np.linspace(0.0, 1.0, 100_001)
+        for sc in scenarios:
+            whole = grid_best_replies(sc, grid)
+            parts = [grid_best_replies(sc, grid[a:a + rows])
+                     for a in range(0, grid.size, rows)]
+            for w, part in zip(whole, zip(*parts)):
+                assert np.concatenate(part).tobytes() == w.tobytes()
 
 
 class TestOutputsMatchPerCellOracle:
@@ -956,7 +1039,7 @@ class TestAtomicOutputs:
         cells = ["x" * 40] * (CSV_BLOCK_ROWS + 3) + [_Unprintable()]
         with pytest.raises(RuntimeError):
             write_one(tmp_path / "out.csv", _write_csv, ("s",),
-                      [np.array(cells, dtype=object)])
+                      [[np.array(cells, dtype=object)]])
         assert os.listdir(tmp_path) == []
 
     def test_json_failing_mid_stream_keeps_old_target(self, tmp_path):
@@ -1173,6 +1256,17 @@ class TestEpsRule:
                                   "block", *args], capsys)
         assert code == 1 and out == ""
         assert stderr_error(err)["type"] == "invalid_input"
+        assert os.listdir(workdir) == []
+
+
+    @pytest.mark.parametrize("cap", ["nan", "inf", "-1"])
+    def test_cap_not_finite_and_nonnegative_refused(self, workdir, capsys, cap):
+        code, out, err = run_cli(["solve", "--scenario", "mac", "--mode",
+                                  "block", "--cap", cap], capsys)
+        assert code == 1 and out == ""
+        e = stderr_error(err)
+        assert e["type"] == "invalid_input"
+        assert e["message"] == f"Block: capacity {float(cap)!r} must be finite and >= 0"
         assert os.listdir(workdir) == []
 
 

@@ -584,6 +584,18 @@ class TestBatchedPipeline:
                 == got["decoded_m"].count(None))
         assert c["decode_no_typical"] > 0 and c["decode_several_typical"] > 0
 
+    def test_counters_mean_the_error_free_utilities(self):
+        s = run_experiment(trend_config(20, rate=0.15, eps_typ=0.3), 200)
+        ok = s.results["error"] == 0
+        assert 0 < ok.sum() < 200
+        for k in (1, 2):
+            assert s.counters[f"ok_mean_util{k}"] == float(
+                s.results[f"util{k}"][ok].mean())
+        failed = run_experiment(trend_config(20, rate=0.0, eps_typ=0.15, seed=1), 50)
+        assert failed.error_rate == 1.0
+        assert failed.counters["ok_mean_util1"] is None
+        assert failed.counters["ok_mean_util2"] is None
+
 
 class TestExperiment:
     def test_rejects_zero_trials(self):

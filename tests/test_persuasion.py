@@ -201,6 +201,11 @@ class TestModes:
         with pytest.raises(ValueError):
             Block(-0.1)
 
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), -1.0])
+    def test_block_capacity_must_be_finite_and_nonnegative(self, cap):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            Block(cap)
+
     def test_names(self):
         assert Unconstrained.name == "unconstrained"
         assert OneShot(0.1).name == "one_shot"
