@@ -40,7 +40,8 @@ from .persuasion import (Block, OneShot, Unconstrained, csv_cell,
                          grid_best_replies, scenario_from_dict, solve_equilibrium)
 from .prob import (StochasticMatrix, binary_entropy, checked_fields, marginal,
                    mutual_information)
-from .splitting import RegionLabel, check_eps, grid_intervals, region_scan
+from .splitting import (RegionLabel, check_eps, grid_intervals, grid_points,
+                        region_scan)
 
 CSV_BLOCK_ROWS = 4096
 
@@ -300,12 +301,12 @@ def cmd_bestreply(scenario, step, out):
     with _Run("bestreply", _scenario_files(scenario), [out],
               {"scenario": scenario, "step": step, "out": out}) as run:
         sc = _scenario(run, scenario)
-        grid = np.linspace(0.0, 1.0, grid_intervals(step, "bestreply", 1) + 1)
+        n = grid_intervals(step, "bestreply", 1)
         actions = _text(sc.actions)
 
         def blocks():
-            for start in range(0, grid.size, CSV_BLOCK_ROWS):
-                q = grid[start:start + CSV_BLOCK_ROWS]
+            for start in range(0, n + 1, CSV_BLOCK_ROWS):
+                q = grid_points(n, start, min(start + CSV_BLOCK_ROWS, n + 1))
                 sel, _, v2 = grid_best_replies(sc, q)
                 yield [q, actions[sel], v2]
 

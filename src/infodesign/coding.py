@@ -226,10 +226,13 @@ class CodingConfig:
     eps_typ: float = 0.15
 
     def __post_init__(self):
-        # n, seed and rate: bool (JSON true, false) subclasses int but is refused
+        # n, seed and rate: bool (JSON true, false) subclasses int but is refused.
+        # A word of more than MEMORY_CAP_BYTES symbols never fits, and capping n
+        # keeps n * rate a float
         if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
-                or self.n < 1):
-            raise ValueError(f"CodingConfig: n = {self.n!r} must be an integer >= 1")
+                or not 1 <= self.n <= MEMORY_CAP_BYTES):
+            raise ValueError(f"CodingConfig: n = {self.n!r} must be an integer in "
+                             f"[1, {MEMORY_CAP_BYTES}]")
         if (isinstance(self.rate, bool) or not isinstance(self.rate, numbers.Real)
                 or not 0.0 <= self.rate < math.inf):
             raise ValueError(f"CodingConfig: rate = {self.rate!r} is not a number "
@@ -240,8 +243,9 @@ class CodingConfig:
                 or self.seed < 0):
             raise ValueError(f"CodingConfig: seed = {self.seed!r} must be a "
                              f"nonnegative integer")
-        if self.target.probs.ndim != 3:
-            raise ValueError("CodingConfig: target must be a joint over three axes")
+        if self.target.axes != ("u", "w", "v"):
+            raise ValueError(f"CodingConfig: target axes {self.target.axes!r} must "
+                             f"be ('u', 'w', 'v'), in that order")
         if len(self.input_dist) != self.channel.num_inputs:
             raise ValueError("CodingConfig: input_dist length does not match "
                              "the channel input alphabet")
@@ -251,15 +255,18 @@ class CodingConfig:
                                                         f"CodingConfig: {name}"))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "seed", int(self.seed))
-        rebuilt = compose_markov(self.prior, self.signal, self.response,
-                                 axes=self.target.axes)
+        rebuilt = compose_markov(self.prior, self.signal, self.response)
         gap = float(np.abs(rebuilt.probs - self.target.probs).sum())
         if gap > 1e-9:
             raise ValueError(f"CodingConfig: target does not factor as "
                              f"prior x signal x response (L1 gap {gap:.3e})")
-        if self.codebook_size > MEMORY_CAP_WORDS:
-            raise ValueError(f"CodingConfig: codebook needs {self.codebook_size} "
-                             f"words, above the cap of {MEMORY_CAP_WORDS}")
+        # the 2^(n R) words are refused by their exponent, as a float of
+        # them overflows past 2^1024
+        bits = self.n * self.rate
+        if bits > math.log2(MEMORY_CAP_WORDS):
+            words = self.codebook_size if bits < 1024 else f"2^{bits:.6g}"
+            raise ValueError(f"CodingConfig: codebook needs {words} words, above "
+                             f"the cap of {MEMORY_CAP_WORDS}")
         if self.codebook_bytes > MEMORY_CAP_BYTES:
             raise ValueError(f"CodingConfig: codebook words and scan tables "
                              f"need {self.codebook_bytes} bytes, above the cap "

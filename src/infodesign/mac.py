@@ -16,7 +16,7 @@ import numpy as np
 
 from .persuasion import Scenario, grid_best_replies
 from .prob import Distribution, checked_fields
-from .splitting import RegionGrid, RegionLabel, region_scan, split_values
+from .splitting import RegionGrid, region_scan
 
 
 @dataclass(frozen=True)
@@ -90,36 +90,15 @@ def build_scenario(cfg: MacConfig) -> Scenario:
 
 def scenario_surface(sc: Scenario, resolution: float = 1.0 / 500,
                      eps: float | None = None) -> RegionGrid:
-    """region_scan's square with values (phi1, phi2), the expected payoffs of
-    each posterior pair (nan where no signal exists). The best replies along
-    the axis are found here, with the same vectorized path as the
-    equilibrium solver, so restricting the surface to a feasibility label
-    and taking the argmax reproduces the solver's answer at equal
-    resolution. The grid's blocks() mixes them (split_values) beside each
-    row block of labels, over the columns the block's valid cells span.
+    """region_scan's square with curves (phi1, phi2), so that its values are
+    the expected payoffs of each posterior pair (nan where no signal exists).
+    The best replies along the axis are found with the same vectorized path
+    as the equilibrium solver, so restricting the surface to a feasibility
+    label and taking the argmax reproduces the solver's answer at equal
+    resolution.
     """
-    p = float(sc.prior.probs[0])
-    region = region_scan(p, eps, resolution)
-    grid = region.p1_axis
-    _, V1, V2 = grid_best_replies(sc, grid)
-
-    def blocks():
-        for rows, labels, _ in region.blocks():
-            vals = np.full((2, *labels.shape), np.nan)
-            valid = labels != int(RegionLabel.INVALID_SPLIT)
-            live = np.flatnonzero(valid.any(axis=0))
-            if live.size:
-                cols = slice(int(live[0]), int(live[-1]) + 1)
-                P1, P2 = grid[rows, None], grid[None, cols]
-                lam = np.empty((len(labels), cols.stop - cols.start))
-                for v, V in zip(vals, (V1, V2)):
-                    split_values(p, P1, P2, V[rows, None], V[None, cols],
-                                 (v[:, cols], lam))
-                if not valid[:, cols].all():
-                    vals[:, ~valid] = np.nan
-            yield rows, labels, tuple(vals)
-
-    return replace(region, blocks=blocks)
+    region = region_scan(float(sc.prior.probs[0]), eps, resolution)
+    return replace(region, curves=grid_best_replies(sc, region.p1_axis)[1:])
 
 
 def config_from_dict(doc: dict) -> MacConfig:

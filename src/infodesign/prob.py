@@ -178,8 +178,8 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
 
 
 def compose_markov(prior: Distribution, signal: StochasticMatrix,
-                   response: StochasticMatrix, axes=("u", "w", "v")) -> JointDistribution:
-    """Joint pmf of a chain state -> message -> action."""
+                   response: StochasticMatrix) -> JointDistribution:
+    """Joint pmf of a chain state -> message -> action, on axes (u, w, v)."""
     if signal.num_inputs != len(prior):
         raise ValueError("compose_markov: signal rows do not match prior length")
     if response.num_inputs != signal.num_outputs:
@@ -187,7 +187,7 @@ def compose_markov(prior: Distribution, signal: StochasticMatrix,
     joint = (prior.probs[:, None, None]
              * signal.rows[:, :, None]
              * response.rows[None, :, :])
-    return JointDistribution(joint, axes=tuple(axes))
+    return JointDistribution(joint, axes=("u", "w", "v"))
 
 
 def marginal(joint: JointDistribution, keep):

@@ -19,9 +19,7 @@ reports.
 """
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -32,11 +30,11 @@ from .prob import binary_entropy, binary_entropy_unchecked
 FEAS_ATOL = 1e-12
 # Cells in one posterior grid or best-reply sweep. Every grid subcommand
 # holds O(n) arrays plus one row block. At the cap, through the CLI under
-# tracemalloc, a region of 2896 x 2896 cells peaks at 2.1 MiB and a block
-# surface at 3.7 MiB; a bestreply sweep of 2**23 points peaks at 65 MiB,
-# nearly all of it the sweep's axis at 8 bytes a point. A solve peaks at
-# 3.6 MiB on 2001 x 2001 (resolution 5e-4), the finest grid in use, which
-# is half the cap.
+# tracemalloc, a region of 2896 x 2896 cells peaks at 2.1 MiB, a block
+# surface at 3.7 MiB and a bestreply sweep of 2**23 points, which makes
+# each block's points on its own (grid_points), at 1.1 MiB. A solve peaks
+# at 3.6 MiB on 2001 x 2001 (resolution 5e-4), the finest grid in use,
+# which is half the cap.
 MAX_GRID_CELLS = 2 ** 23
 SCAN_BLOCK_CELLS = 2 ** 15  # cells in one row block of a scan
 
@@ -208,43 +206,48 @@ class RegionLabel(IntEnum):
 
 @dataclass(frozen=True)
 class RegionGrid:
-    """The posterior square p1_axis x p2_axis, made in row blocks.
+    """The posterior square p1_axis x p2_axis of prior p, as data: layers,
+    (runs, RegionLabel) pairs of split_runs, each labelling its runs' cells
+    over the layers before it, the valid cells first; and curves, per-axis
+    values whose split_values mix is each valid cell's value (none for a
+    region).
 
     blocks() yields (rows, labels, values) in row-major order: rows a slice
-    of p1_axis, labels the RegionLabel values (int8) of those rows across
-    the whole p2_axis, and values a tuple of per-cell value arrays of the
-    same shape, nan on INVALID_SPLIT cells (empty for a region). Each call
-    makes the blocks afresh and holds one at a time. labels and values
-    collect the same blocks into whole read-only arrays on first use, for
-    callers that want the square at once.
+    of p1_axis of about SCAN_BLOCK_CELLS cells, labels the RegionLabel
+    values (int8) of those rows across the whole p2_axis, and values one
+    array of the same shape per curve, nan on INVALID_SPLIT cells. Each call
+    makes the blocks afresh and holds one at a time; only the columns a
+    block's valid runs span are labelled and mixed.
     """
 
+    p: float
     p1_axis: np.ndarray
     p2_axis: np.ndarray
     capacity: float | None  # None when scanned without a channel
-    blocks: Callable = field(repr=False, compare=False)
+    layers: tuple
+    curves: tuple = ()
 
-    @functools.cached_property
-    def _square(self) -> tuple:
-        labels = np.empty((self.p1_axis.size, self.p2_axis.size), dtype=np.int8)
-        values = None
-        for rows, block, vals in self.blocks():
-            if values is None:
-                values = tuple(np.empty(labels.shape) for _ in vals)
-            labels[rows] = block
-            for whole, part in zip(values, vals):
-                whole[rows] = part
-        for a in (labels, *values):
-            a.flags.writeable = False
-        return labels, values
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self._square[0]
-
-    @property
-    def values(self) -> tuple:
-        return self._square[1]
+    def blocks(self):
+        n1, n2 = self.p1_axis.size, self.p2_axis.size
+        (lo, hi), _ = self.layers[0]
+        step = max(1, SCAN_BLOCK_CELLS // n2)
+        for start in range(0, n1, step):
+            rows = slice(start, min(start + step, n1))
+            labels = np.full((rows.stop - start, n2), int(RegionLabel.INVALID_SPLIT),
+                             dtype=np.int8)
+            values = np.full((len(self.curves), *labels.shape), np.nan)
+            live = hi[rows] > lo[rows]
+            if live.any():
+                cols = slice(int(lo[rows][live].min()), int(hi[rows][live].max()))
+                for run, label in self.layers:
+                    labels[:, cols][in_runs(run, rows, cols)] = int(label)
+                P1, P2 = self.p1_axis[rows, None], self.p2_axis[None, cols]
+                for v, V in zip(values, self.curves):
+                    split_values(self.p, P1, P2, V[rows, None], V[None, cols],
+                                 (v[:, cols], np.empty_like(v[:, cols])))
+                np.copyto(values[:, :, cols], np.nan,
+                          where=labels[:, cols] == RegionLabel.INVALID_SPLIT)
+            yield rows, labels, tuple(values)
 
 
 def split_values(p: float, p1, p2, v1, v2, out=None):
@@ -378,9 +381,10 @@ def grid_intervals(spacing: float, who: str, dims: int = 2) -> int:
     """Intervals n = round(1/spacing) per axis of a grid of (n + 1)**dims cells.
 
     The one grid rule of every posterior axis and prior sweep; callers build
-    the axis as np.linspace(0, 1, n + 1). Raises ValueError before anything
-    is allocated when spacing is not positive, leaves one point (n < 1), or
-    the grid would hold more than MAX_GRID_CELLS cells.
+    the axis as np.linspace(0, 1, n + 1), or a part of it with grid_points.
+    Raises ValueError before anything is allocated when spacing is not
+    positive, leaves one point (n < 1), or the grid would hold more than
+    MAX_GRID_CELLS cells.
     """
     if not spacing > 0:
         raise ValueError(f"{who}: grid spacing {spacing!r} is not positive")
@@ -391,6 +395,15 @@ def grid_intervals(spacing: float, who: str, dims: int = 2) -> int:
     if round(inv) < 1:
         raise ValueError(f"{who}: grid spacing {spacing!r} leaves one point")
     return round(inv)
+
+
+def grid_points(n: int, start: int, stop: int) -> np.ndarray:
+    """np.linspace(0, 1, n + 1)[start:stop] bit for bit, without the rest of
+    the axis: linspace's own arange * (1 / n), with the last point 1.0."""
+    q = np.arange(start, stop) * (1.0 / n)
+    if stop == n + 1 > start:
+        q[-1] = 1.0
+    return q
 
 
 def split_blocks(p: float, grid: np.ndarray):
@@ -432,29 +445,13 @@ def region_scan(p: float, eps: float | None,
         cap = 1.0 - binary_entropy(eps)
     n = grid_intervals(resolution, "region_scan")
     axis = np.linspace(0.0, 1.0, n + 1)
-    valid = split_runs(p, axis)
     # each label over the one before it: valid cells, then the channel's runs
-    runs = [(valid, RegionLabel.VALID if eps is None else RegionLabel.INFEASIBLE)]
+    layers = [(split_runs(p, axis),
+               RegionLabel.VALID if eps is None else RegionLabel.INFEASIBLE)]
     if eps is not None:
-        runs += [
+        layers += [
             (split_runs(p, axis, lambda P1, P2: split_masks(p, P1, P2, None, cap)[2]),
              RegionLabel.BLOCK_ONLY),
             (split_runs(p, axis, lambda P1, P2: split_masks(p, P1, P2, eps, None)[1],
                         eps), RegionLabel.ONE_SHOT)]
-    step = max(1, SCAN_BLOCK_CELLS // axis.size)
-
-    def blocks():
-        for start in range(0, axis.size, step):
-            rows = slice(start, min(start + step, axis.size))
-            labels = np.full((rows.stop - start, axis.size),
-                             int(RegionLabel.INVALID_SPLIT), dtype=np.int8)
-            # only the columns the block's valid runs span
-            first, stop = valid[0][rows], valid[1][rows]
-            live = stop > first
-            if live.any():
-                cols = slice(int(first[live].min()), int(stop[live].max()))
-                for run, label in runs:
-                    labels[:, cols][in_runs(run, rows, cols)] = int(label)
-            yield rows, labels, ()
-
-    return RegionGrid(p1_axis=axis, p2_axis=axis, capacity=cap, blocks=blocks)
+    return RegionGrid(p, axis, axis, cap, tuple(layers))

@@ -17,6 +17,7 @@ import weakref
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,7 @@ from infodesign.persuasion import (Block, OneShot, Scenario, Unconstrained,
                                    solve_equilibrium)
 from infodesign.prob import Distribution, binary_entropy
 from infodesign.splitting import PosteriorPair, RegionLabel, region_scan
+from test_scan import square
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -861,10 +863,10 @@ class TestBlockWriter:
 
 
 def row_blocks(grid, labels, values, edges):
-    """grid with blocks() cutting the whole arrays labels and values into
-    the row blocks between consecutive edges."""
+    """A square on grid's axes whose blocks() cuts the whole arrays labels
+    and values into the row blocks between consecutive edges."""
     cuts = list(zip(edges, edges[1:]))
-    return replace(grid, blocks=lambda: (
+    return SimpleNamespace(p1_axis=grid.p1_axis, p2_axis=grid.p2_axis, blocks=lambda: (
         (slice(a, b), labels[a:b], tuple(v[a:b] for v in values))
         for a, b in cuts))
 
@@ -885,7 +887,7 @@ class TestSquareWriter:
         eps = data.draw(st.none() | st.sampled_from([0.0, 0.25, 0.5])
                         | st.floats(0.0, 0.5))
         grid = region_scan(p, eps, resolution)
-        labels = grid.labels
+        labels = square(grid)[0]
         labelled = labels != RegionLabel.INVALID_SPLIT
         values = []
         for _ in range(data.draw(st.integers(0, 2))):
@@ -921,19 +923,20 @@ class TestSquareWriter:
         """The writer raises before it writes the block in which an
         INVALID_SPLIT cell holds a value, and a run frame leaves no file."""
         grid = region_scan(0.5, 0.25, 0.25)  # row 2, p1 = p, is all invalid
-        values = np.where(grid.labels == RegionLabel.INVALID_SPLIT, np.nan, 1.0)
+        labels = square(grid)[0]
+        values = np.where(labels == RegionLabel.INVALID_SPLIT, np.nan, 1.0)
         values[2, 0] = 0.0
-        square = row_blocks(grid, grid.labels, [values], [0, 2, 4, 5])
+        blocks = row_blocks(grid, labels, [values], [0, 2, 4, 5])
         header = ("p1", "p2", "v", "label")
         sink = io.StringIO()
         with pytest.raises(ValueError, match="INVALID_SPLIT"):
-            _write_square(sink, header, square)
-        written = ((p1, p2, values[i, j], RegionLabel(int(grid.labels[i, j])).name)
+            _write_square(sink, header, blocks)
+        written = ((p1, p2, values[i, j], RegionLabel(int(labels[i, j])).name)
                    for i, p1 in enumerate(grid.p1_axis[:2])
                    for j, p2 in enumerate(grid.p2_axis))
         assert sink.getvalue() == reference_csv(header, written)
         with pytest.raises(ValueError, match="INVALID_SPLIT"):
-            write_one(tmp_path / "square.csv", _write_square, header, square)
+            write_one(tmp_path / "square.csv", _write_square, header, blocks)
         assert os.listdir(tmp_path) == []
 
     def test_surface_write_peak(self, tmp_path):
@@ -959,11 +962,13 @@ class TestStreamedPeaks:
 
     @pytest.mark.parametrize("args,mib", [
         (["bestreply", "--scenario", "mac", "--step", "1e-5"], 2.5),
+        (["bestreply", "--scenario", "mac", "--step", "1e-6"], 2.5),
         (["surface", "--scenario", "mac"], 3),
         (["surface", "--scenario", "mac", "--mode", "one_shot", "--eps", "0.1"], 3),
         (["surface", "--scenario", "mac", "--mode", "block", "--eps", "0.1"], 3),
         (["region", "--p", "0.5", "--eps", "0.1"], 1)],
-        ids=["bestreply", "surface", "surface one_shot", "surface block", "region"])
+        ids=["bestreply", "bestreply 1e-6", "surface", "surface one_shot",
+             "surface block", "region"])
     def test_peak(self, workdir, capsys, args, mib):
         tracemalloc.start()
         try:
@@ -992,12 +997,53 @@ class TestStreamedPeaks:
                 assert np.concatenate(part).tobytes() == w.tobytes()
 
 
+class TestHostileNumbers:
+    """Numbers past what a float, the grid cap or the memory caps hold, in
+    every subcommand: exit 1 or 2, one JSON error line of a documented type
+    on stderr, and no file left beside the inputs."""
+
+    @pytest.mark.parametrize("args,experiment", [
+        (["capacity", "--bsc", "1e400"], None),
+        (["capacity", "--bsc", "0.1", "--tol", "1e400"], None),
+        (["capacity", "--bsc", "0.1", "--max-iter", str(-10 ** 30)], None),
+        (["region", "--p", "1e400", "--eps", "0.1"], None),
+        (["region", "--p", "0.5", "--eps", "-1e400"], None),
+        (["region", "--p", "0.5", "--eps", "0.1", "--resolution", "1e-400"], None),
+        (["region", "--p", "0.5", "--eps", "0.1", "--resolution", "1e-320"], None),
+        (["bestreply", "--scenario", "mac", "--step", "1e-320"], None),
+        (["bestreply", "--scenario", "mac", "--step", "1e400"], None),
+        (["surface", "--scenario", "mac", "--resolution", "1e-320"], None),
+        (["surface", "--scenario", "mac", "--mode", "block", "--eps", "1e400"], None),
+        (["solve", "--scenario", "mac", "--mode", "block", "--cap", "1e400"], None),
+        (["solve", "--scenario", "mac", "--mode", "unconstrained",
+          "--resolution", "1e-320"], None),
+        (["simulate", "--trials", str(10 ** 30)], {}),
+        (["simulate"], {"n": "10000"}),
+        (["simulate"], {"n": str(10 ** 400)}),
+        (["simulate"], {"n": "1e400"}),
+        (["simulate"], {"rate": "1e308"}),
+        (["simulate"], {"rate": "1e400"})])
+    def test_refused(self, workdir, capsys, args, experiment):
+        if experiment is not None:
+            doc = {k: v for k, v in EXPERIMENT_DOC.items() if k not in experiment}
+            (workdir / "exp.json").write_text(json.dumps(doc)[:-1] + "".join(
+                f', "{k}": {v}' for k, v in experiment.items()) + "}")
+            args = [*args, "--experiment", "exp.json"]
+        code, _, err = run_cli(args, capsys)
+        assert code in (1, 2)
+        assert len(err.splitlines()) == 1
+        assert stderr_error(err)["type"] in ("usage", "invalid_input",
+                                             "no_convergence", "io")
+        assert os.listdir(workdir) == ([] if experiment is None else ["exp.json"])
+
+
 class TestOutputsMatchPerCellOracle:
     def test_region(self, workdir, capsys):
         run_cli(["region", "--p", "0.5", "--eps", "0.25",
                  "--resolution", "0.05"], capsys)
         g = region_scan(0.5, 0.25, 0.05)
-        rows = ((p1, p2, RegionLabel(int(g.labels[i, j])).name)
+        labels = square(g)[0]
+        rows = ((p1, p2, RegionLabel(int(labels[i, j])).name)
                 for i, p1 in enumerate(g.p1_axis)
                 for j, p2 in enumerate(g.p2_axis))
         assert (workdir / "region.csv").read_text() == reference_csv(
@@ -1011,8 +1057,9 @@ class TestOutputsMatchPerCellOracle:
                 "--resolution", "0.05"]
         run_cli(args + ([] if eps is None else ["--eps", str(eps)]), capsys)
         s = scenario_surface(build_scenario(default_config()), 0.05, eps)
-        rows = ((p1, p2, *(v[i, j] for v in s.values),
-                 RegionLabel(int(s.labels[i, j])).name)
+        labels, values = square(s)
+        rows = ((p1, p2, *(v[i, j] for v in values),
+                 RegionLabel(int(labels[i, j])).name)
                 for i, p1 in enumerate(s.p1_axis)
                 for j, p2 in enumerate(s.p2_axis))
         assert (workdir / "surface.csv").read_text() == reference_csv(

@@ -194,6 +194,27 @@ class TestConfig:
             trend_config(25, rate=1.0)
         assert 2 ** 25 > MEMORY_CAP_WORDS
 
+    @pytest.mark.parametrize("n,rate,match", [
+        (10000, 0.15, r"needs 2\^1500 words"), (1, 1e308, r"needs 2\^1e\+308 words"),
+        (20, 1e308, r"needs 2\^inf words"), (10 ** 400, 0.15, "n = 1000"),
+        (2 ** 33 + 1, 0.0, "must be an integer in")])
+    def test_memory_cap_before_the_size(self, n, rate, match):
+        """2^(n R) overflows a float past n R = 1024, and n R overflows for
+        n past 2^1024: both are refused by the caps before either is formed."""
+        with pytest.raises(ValueError, match=match):
+            trend_config(n, rate=rate)
+
+    def test_target_axes_must_be_u_w_v(self):
+        """The target's dimensions are read as (u, w, v): the same valid
+        chain with its axes named in another order is refused as such, not
+        as a chain that does not factor."""
+        swapped = JointDistribution(TREND_TARGET.probs.transpose(1, 0, 2),
+                                    axes=("w", "u", "v"))
+        with pytest.raises(ValueError, match=r"target axes \('w', 'u', 'v'\) must "
+                                             r"be \('u', 'w', 'v'\)"):
+            CodingConfig(n=4, rate=0.5, target=swapped, channel=bsc(0.1),
+                         input_dist=UNIFORM, phi1=EYE, phi2=EYE, seed=0)
+
     def test_byte_cap(self):
         # checked on the config alone: neither codebook is ever allocated
         with pytest.raises(ValueError, match="bytes"):

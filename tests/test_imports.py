@@ -184,3 +184,51 @@ def test_traced_names_are_top_level_functions():
         missing += [f"{module}.{name}" for name in names if name not in defs]
     assert "run_trial" in traced["infodesign.coding"]
     assert missing == []
+
+
+def info_reads(source: str) -> dict:
+    """bench/spans.py's INFO table: traced name -> the argument names its
+    reader takes by subscript from its first parameter (a["name"])."""
+    tree = ast.parse(source)
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["INFO"]):
+            reads = {}
+            for key, reader in zip(node.value.keys, node.value.values):
+                reader = defs[reader.id] if isinstance(reader, ast.Name) else reader
+                bound = reader.args.args[0].arg
+                reads[key.value] = sorted(
+                    sub.slice.value for sub in ast.walk(reader)
+                    if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+                    and sub.value.id == bound and isinstance(sub.slice, ast.Constant))
+            return reads
+    raise AssertionError("no INFO assignment")
+
+
+def test_info_readers_take_parameters_of_their_function():
+    """The tracer binds a traced call's arguments by signature and hands them
+    to its INFO reader, so each name a reader takes must stay a parameter of
+    that function: a renamed one would fail only in a traced run."""
+    source = (ROOT / "bench" / "spans.py").read_text()
+    module_of = {name: module for module, names in traced_names(source).items()
+                 for name in names}
+    reads = info_reads(source)
+    missing = []
+    for name, args in reads.items():
+        path = SRC / (module_of[name].split(".", 1)[1] + ".py")
+        fn = next(node for node in ast.parse(path.read_text()).body
+                  if isinstance(node, ast.FunctionDef) and node.name == name)
+        params = {a.arg for a in (*fn.args.posonlyargs, *fn.args.args,
+                                  *fn.args.kwonlyargs)}
+        missing += [f"{name}({arg})" for arg in args if arg not in params]
+    assert reads["scenario_surface"] == ["resolution"] and reads["encode"] == ["cb"]
+    assert missing == []
+
+
+def test_finds_info_reads():
+    source = ("def _size(a, r, e):\n"
+              "    return a['cb'].size + a['n']\n"
+              "INFO = {'f': lambda a, r, e: a['x'] * r.k, 'g': _size,\n"
+              "        'h': lambda a, r, e: r.iterations}\n")
+    assert info_reads(source) == {"f": ["x"], "g": ["cb", "n"], "h": []}

@@ -12,6 +12,7 @@ from infodesign.persuasion import (Block, OneShot, Unconstrained,
                                    solve_equilibrium)
 from infodesign.prob import binary_entropy
 from infodesign.splitting import PosteriorPair, RegionLabel
+from test_scan import square
 
 CFG = default_config()
 SC = build_scenario(CFG)
@@ -144,21 +145,19 @@ class TestEquilibria:
 
 class TestSurface:
     def test_unconstrained_labels(self):
-        surf = scenario_surface(SC, resolution=0.02)
-        labels = set(np.unique(surf.labels))
+        labels = set(np.unique(square(scenario_surface(SC, resolution=0.02))[0]))
         assert labels == {int(RegionLabel.INVALID_SPLIT),
                           int(RegionLabel.VALID)}
 
     def test_constrained_labels(self):
-        surf = scenario_surface(SC, resolution=0.02, eps=0.25)
-        labels = set(np.unique(surf.labels))
+        labels = set(np.unique(square(scenario_surface(SC, 0.02, 0.25))[0]))
         assert int(RegionLabel.ONE_SHOT) in labels
         assert int(RegionLabel.BLOCK_ONLY) in labels
 
     def test_invalid_cells_are_nan(self):
-        surf = scenario_surface(SC, resolution=0.02)
-        bad = surf.labels == int(RegionLabel.INVALID_SPLIT)
-        for values in surf.values:
+        labels, surface = square(scenario_surface(SC, resolution=0.02))
+        bad = labels == int(RegionLabel.INVALID_SPLIT)
+        for values in surface:
             assert np.isnan(values[bad]).all()
             assert np.isfinite(values[~bad]).all()
 
@@ -166,8 +165,8 @@ class TestSurface:
         # re-reducing the surface reproduces the unconstrained optimum
         surf = scenario_surface(SC, resolution=1e-3)
         res = solve_equilibrium(SC, Unconstrained(), 1e-3)
-        flat = np.nanargmax(surf.values[0])
-        i, j = divmod(int(flat), surf.p2_axis.size)
-        assert surf.values[0][i, j] == pytest.approx(res.phi1_star, abs=1e-12)
+        phi1 = square(surf)[1][0]
+        i, j = divmod(int(np.nanargmax(phi1)), surf.p2_axis.size)
+        assert phi1[i, j] == pytest.approx(res.phi1_star, abs=1e-12)
         assert surf.p1_axis[i] == res.posteriors.p1
         assert surf.p2_axis[j] == res.posteriors.p2

@@ -58,6 +58,15 @@ def reference_surface(sc, resolution, eps):
             np.where(valid, vals2, np.nan))
 
 
+def square(grid):
+    """The whole square of grid.blocks(), its rows in order: the labels and
+    the tuple of value arrays."""
+    parts = list(grid.blocks())
+    assert [r.start for r, _, _ in parts[1:]] == [r.stop for r, _, _ in parts[:-1]]
+    labels = np.concatenate([labels for _, labels, _ in parts])
+    return labels, tuple(map(np.concatenate, zip(*(v for _, _, v in parts))))
+
+
 def assert_same_array(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -93,7 +102,7 @@ def test_region_scan_matches_full_grid(resolution, block, data):
     eps = data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]) | st.floats(0.0, 0.5))
     with mock.patch.object(splitting, "SCAN_BLOCK_CELLS", block):
         got = region_scan(p, eps, resolution)
-    assert_same_array(got.labels, reference_region_scan(p, eps, resolution))
+        assert_same_array(square(got)[0], reference_region_scan(p, eps, resolution))
     assert got.capacity == 1.0 - binary_entropy(eps)
 
 
@@ -111,18 +120,18 @@ def test_surface_matches_full_grid(k_actions, resolution, block, data):
     eps = data.draw(st.none() | st.sampled_from([0.0, 0.25, 0.5])
                     | st.floats(0.0, 0.5))
     with mock.patch.object(splitting, "SCAN_BLOCK_CELLS", block):
-        got = mac.scenario_surface(sc, resolution, eps)
-    for a, b in zip((got.labels, *got.values),
-                    reference_surface(sc, resolution, eps), strict=True):
+        labels, values = square(mac.scenario_surface(sc, resolution, eps))
+    for a, b in zip((labels, *values), reference_surface(sc, resolution, eps),
+                    strict=True):
         assert_same_array(a, b)
 
 
 def test_default_case_study_surfaces_match_full_grid():
     sc = mac.build_scenario(mac.default_config())
     for eps in (None, 0.25):
-        got = mac.scenario_surface(sc, 1 / 300, eps)
-        for a, b in zip((got.labels, *got.values),
-                        reference_surface(sc, 1 / 300, eps), strict=True):
+        labels, values = square(mac.scenario_surface(sc, 1 / 300, eps))
+        for a, b in zip((labels, *values), reference_surface(sc, 1 / 300, eps),
+                        strict=True):
             assert_same_array(a, b)
 
 
@@ -131,6 +140,7 @@ def test_region_without_channel_labels_the_surface(p):
     """region_scan with eps=None is the square a surface without a channel
     carries: VALID or INVALID_SPLIT, and no capacity."""
     region = region_scan(p, None, 0.05)
-    assert region.capacity is None and region.values == ()
+    labels, values = square(region)
+    assert region.capacity is None and values == ()
     sc = Scenario(Distribution([p, 1.0 - p]), (0, 1), np.eye(2), np.eye(2))
-    assert_same_array(region.labels, mac.scenario_surface(sc, 0.05).labels)
+    assert_same_array(labels, square(mac.scenario_surface(sc, 0.05))[0])

@@ -11,12 +11,14 @@ from infodesign.prob import Distribution, binary_entropy
 from infodesign.splitting import (FEAS_ATOL, MAX_GRID_CELLS, NO_INFO,
                                   BinarySignal, PosteriorPair,
                                   RegionLabel, SplitError, block_feasible,
-                                  grid_intervals, in_runs, is_valid_split,
+                                  grid_intervals, grid_points, in_runs,
+                                  is_valid_split,
                                   message_weights, one_shot_feasible,
                                   posteriors_from_signal, region_scan,
                                   signal_from_posteriors,
                                   signal_information_rate, split_blocks,
                                   split_masks, split_runs, split_values)
+from test_scan import square
 
 CAP_QUARTER = 1.0 - binary_entropy(0.25)  # bsc(0.25)
 
@@ -180,7 +182,7 @@ class TestRegions:
 
     def test_scan_labels(self):
         g = region_scan(0.5, 0.25, resolution=0.01)
-        labels = set(np.unique(g.labels))
+        labels = set(np.unique(square(g)[0]))
         assert labels == {int(RegionLabel.INVALID_SPLIT),
                           int(RegionLabel.ONE_SHOT),
                           int(RegionLabel.BLOCK_ONLY),
@@ -190,14 +192,14 @@ class TestRegions:
     def test_scan_noiseless(self):
         # eps = 0: every valid split is one-shot feasible
         g = region_scan(0.5, 0.0, resolution=0.02)
-        labels = set(np.unique(g.labels))
+        labels = set(np.unique(square(g)[0]))
         assert int(RegionLabel.INFEASIBLE) not in labels
         assert int(RegionLabel.BLOCK_ONLY) not in labels
 
     def test_scan_useless_channel(self):
         # eps = 1/2: nothing feasible off the diagonal
         g = region_scan(0.5, 0.5, resolution=0.02)
-        labels = set(np.unique(g.labels))
+        labels = set(np.unique(square(g)[0]))
         assert int(RegionLabel.ONE_SHOT) not in labels
         assert int(RegionLabel.BLOCK_ONLY) not in labels
 
@@ -211,6 +213,17 @@ class TestRegions:
     def test_grid_cap_refuses_finer_grids(self, spacing):
         with pytest.raises(ValueError, match="cap"):
             grid_intervals(spacing, "region_scan")
+
+    def test_grid_points_are_linspace_bits(self):
+        """Blocks of the axis, at every block edge, and the whole axis:
+        bestreply makes its sweep one block at a time this way."""
+        for n in [*range(1, 3001), 2 ** 20, 2 ** 23 - 1]:
+            axis = np.linspace(0.0, 1.0, n + 1)
+            step = 4096 if n > 3000 else 7
+            for start in [*range(0, n + 1, step), n, n + 1]:
+                stop = min(start + step, n + 1)
+                assert grid_points(n, start, stop).tobytes() == axis[start:stop].tobytes()
+            assert grid_points(n, 0, n + 1).tobytes() == axis.tobytes()
 
     @pytest.mark.parametrize("spacing", [0.0, -0.1, float("nan")])
     def test_grid_spacing_must_be_positive(self, spacing):
@@ -367,7 +380,7 @@ def test_one_shot_mask_matches_verdicts_at_tiny_priors(p, eps):
 
 
 def test_region_labels_one_shot_at_a_subnormal_prior():
-    assert region_scan(5e-324, 0.0, 0.25).labels[0, 1] == RegionLabel.ONE_SHOT
+    assert square(region_scan(5e-324, 0.0, 0.25))[0][0, 1] == RegionLabel.ONE_SHOT
 
 
 # -- property suites ---------------------------------------------------------
