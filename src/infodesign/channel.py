@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prob import Distribution, StochasticMatrix
+from .prob import Distribution, StochasticMatrix, shown
 
 
 class CapacityError(RuntimeError):
@@ -63,7 +63,7 @@ def capacity(ch: StochasticMatrix, tol: float = 1e-9,
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"capacity: tol {tol!r} must be finite and >= 0")
     if max_iter < 1:
-        raise ValueError(f"capacity: max_iter {max_iter!r} must be >= 1")
+        raise ValueError(f"capacity: max_iter {shown(max_iter)} must be >= 1")
     T = ch.rows
     m, k = T.shape
     support = T > 0
@@ -96,4 +96,4 @@ def capacity(ch: StochasticMatrix, tol: float = 1e-9,
             multiply(r, d, r)
             divide(r, add_reduce(r), r)
     raise CapacityError(f"capacity: residual {residual!r} above tol {tol!r} "
-                        f"after {max_iter} iterations")
+                        f"after {shown(max_iter)} iterations")

@@ -14,6 +14,14 @@ and every row comes out the same bits as its trial run alone. encode,
 decode, transmit, generate_actions and run_trial are those stages on a
 single row.
 
+Scans and draws are integer work. A codebook keeps one bit plane per symbol
+(a bit per position, 64 to a uint64 word) and each word's symbol counts; a
+scan counts a joint type with popcounts of ANDed planes, derives the last
+row and column from the symbol counts, and reads each |c / n - t| from a
+table over c = 0..n, so a distance is the same bits as counting pair by
+pair. A draw counts the cdf entries below the last that its uniform reaches,
+the index searchsorted(cdf, u, side="right") capped at the last symbol.
+
 Typicality is an L1 criterion on empirical types: a tuple qualifies when the
 L1 distance between its joint type and the target distribution is at most
 eps_typ * sqrt(20 / n), so the criterion tightens as blocks grow.
@@ -33,14 +41,14 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .channel import bsc
 from .prob import (Distribution, JointDistribution, StochasticMatrix,
                    checked_fields, compose_markov, conditional, marginal,
-                   payoff_table)
+                   payoff_table, shown)
 
 MEMORY_CAP_WORDS = 2 ** 24
 MEMORY_CAP_BYTES = 2 ** 33
@@ -50,12 +58,14 @@ MEMORY_CAP_BYTES = 2 ** 33
 # generously so that the trial cap stays at 2^24 trials
 TRIAL_BYTES = 512
 TYPE_ATOL = 1e-12
-# float32 holds every integer up to 2^24 exactly, so a count table in float32
-# sums 0/1 products exactly for blocks up to this length
-FLOAT32_EXACT = 2 ** 24
 # (sequence, codeword) pairs a codebook scan takes per kernel call, in the
-# trial pipeline and in the belief audit alike: its float64 count array is
-# 8 B x |U| x |W| a pair, 512 KiB at binary alphabets
+# trial pipeline and in the belief audit alike, and trials a stream block
+# derives at once. At binary alphabets and n < 256 a scan holds 30 B a pair:
+# four 1-byte joint counts, one ANDed 64-bit plane word and its popcount,
+# the float64 distance and a gather buffer, and the typical mask; 480 KiB in
+# all. A stream block holds 128 B of state words a trial, 2 MiB. At 2^15, an
+# n = 80 simulate call between calls at other n took about 13 000 minor page
+# faults against 300, on glibc, which cost more than halving the scans saves
 CHUNK_PAIRS = 2 ** 14
 
 # stream tags under the config seed
@@ -76,7 +86,7 @@ def _key_int(value, name: str) -> int:
     """A stream key part: a nonnegative integer, as SeedSequence takes it."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < 0):
-        raise ValueError(f"stream key: {name} = {value!r} must be a "
+        raise ValueError(f"stream key: {name} = {shown(value)} must be a "
                          f"nonnegative integer")
     return int(value)
 
@@ -144,7 +154,7 @@ def _index_words(indices: range) -> list:
     """The indices' entropy words, one (words, K) uint32 array per run of
     indices of one word count: a single run below 2^32."""
     if indices.start < 0:
-        raise ValueError(f"stream key: index = {indices.start} must be a "
+        raise ValueError(f"stream key: index = {shown(indices.start)} must be a "
                          f"nonnegative integer")
     if indices.stop <= 1 << 32:
         return [np.arange(indices.start, indices.stop, dtype=np.uint32)[None]]
@@ -231,8 +241,8 @@ class CodingConfig:
         # keeps n * rate a float
         if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
                 or not 1 <= self.n <= MEMORY_CAP_BYTES):
-            raise ValueError(f"CodingConfig: n = {self.n!r} must be an integer in "
-                             f"[1, {MEMORY_CAP_BYTES}]")
+            raise ValueError(f"CodingConfig: n = {shown(self.n)} must be an "
+                             f"integer in [1, {MEMORY_CAP_BYTES}]")
         if (isinstance(self.rate, bool) or not isinstance(self.rate, numbers.Real)
                 or not 0.0 <= self.rate < math.inf):
             raise ValueError(f"CodingConfig: rate = {self.rate!r} is not a number "
@@ -241,7 +251,7 @@ class CodingConfig:
             raise ValueError(f"CodingConfig: eps_typ = {self.eps_typ!r} outside (0, 1)")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
-            raise ValueError(f"CodingConfig: seed = {self.seed!r} must be a "
+            raise ValueError(f"CodingConfig: seed = {shown(self.seed)} must be a "
                              f"nonnegative integer")
         if self.target.axes != ("u", "w", "v"):
             raise ValueError(f"CodingConfig: target axes {self.target.axes!r} must "
@@ -264,7 +274,7 @@ class CodingConfig:
         # them overflows past 2^1024
         bits = self.n * self.rate
         if bits > math.log2(MEMORY_CAP_WORDS):
-            words = self.codebook_size if bits < 1024 else f"2^{bits:.6g}"
+            words = shown(self.codebook_size) if bits < 1024 else f"2^{bits:.6g}"
             raise ValueError(f"CodingConfig: codebook needs {words} words, above "
                              f"the cap of {MEMORY_CAP_WORDS}")
         if self.codebook_bytes > MEMORY_CAP_BYTES:
@@ -279,11 +289,16 @@ class CodingConfig:
 
     @property
     def codebook_bytes(self) -> int:
-        """Bytes of the two int16 word arrays plus their indicator tables
-        (`_indicator_tables`), one per symbol but the last of each alphabet."""
-        tables = self.target.probs.shape[1] - 1 + self.channel.num_inputs - 1
-        per_symbol = 2 * 2 + tables * np.dtype(_count_dtype(self.n)).itemsize
-        return self.codebook_size * self.n * per_symbol
+        """Bytes of the two int16 word arrays plus their scan tables
+        (`ScanTables`): for each alphabet, a word's bit plane of 64-bit
+        words per symbol but the last, and its count of every symbol in the
+        smallest unsigned type that holds n."""
+        kw, kx = self.target.probs.shape[1], self.channel.num_inputs
+        plane = 8 * -(-self.n // 64)
+        count = np.min_scalar_type(self.n).itemsize
+        per_word = 2 * 2 * self.n + (plane * (kw - 1 + kx - 1)
+                                     + count * (kw + kx))
+        return self.codebook_size * per_word
 
     @property
     def typicality_radius(self) -> float:
@@ -348,12 +363,12 @@ class Codebook:
 
     # Scan tables, built on the first scan and freed with the codebook.
     @functools.cached_property
-    def w_tables(self) -> np.ndarray:
-        return _indicator_tables(self.w_words)
+    def w_tables(self) -> ScanTables:
+        return _scan_tables(self.w_words)
 
     @functools.cached_property
-    def x_tables(self) -> np.ndarray:
-        return _indicator_tables(self.x_words)
+    def x_tables(self) -> ScanTables:
+        return _scan_tables(self.x_words)
 
 
 @dataclass(frozen=True)
@@ -366,72 +381,108 @@ class TrialResult:
     util2_n: float
 
 
+class ScanTables(NamedTuple):
+    """A word array's scan tables: planes (K - 1, W, M) uint64 holds, for each
+    symbol b below the largest one, K - 1, a bit per position where word m is
+    b, packed into W = ceil(n / 64) words (`_bit_planes`); counts (K, M) holds
+    each word's count of every symbol up to K - 1, in the smallest unsigned
+    type that holds n."""
+
+    planes: np.ndarray
+    counts: np.ndarray
+
+
 def _draw_iid(dist: Distribution, uniforms: np.ndarray) -> np.ndarray:
-    """Draws from dist, one a uniform, in the uniforms' shape."""
-    cdf = np.cumsum(dist.probs)
-    idx = np.searchsorted(cdf, uniforms, side="right")
-    return np.minimum(idx, len(dist) - 1).astype(np.int16)
+    """Draws from dist, one a uniform, in the uniforms' shape: the number of
+    cdf entries below the last that the uniform reaches."""
+    idx = np.zeros(uniforms.shape, np.int16)
+    for edge in np.cumsum(dist.probs)[:-1]:
+        idx += uniforms >= edge
+    return idx
 
 
 def _draw_rows(rows: np.ndarray, cond_seq: np.ndarray,
                uniforms: np.ndarray) -> np.ndarray:
     """Draws from the rows of a stochastic matrix that cond_seq picks, one a
-    uniform; cond_seq and uniforms share any shape."""
-    cdf = np.cumsum(rows, axis=1)[np.asarray(cond_seq, dtype=np.intp)]
-    idx = (uniforms[..., None] >= cdf).sum(axis=-1)
-    return np.minimum(idx, rows.shape[1] - 1).astype(np.int16)
+    uniform; cond_seq and uniforms share any shape. As in _draw_iid, each
+    cdf column but the last is gathered by cond_seq and compared once."""
+    cond = np.asarray(cond_seq, dtype=np.intp)
+    idx = np.zeros(uniforms.shape, np.int16)
+    for edges in np.cumsum(rows, axis=1).T[:-1]:
+        idx += uniforms >= edges.take(cond)
+    return idx
 
 
-def _count_dtype(n: int):
-    return np.float32 if n <= FLOAT32_EXACT else np.float64
+def _bit_planes(rows: np.ndarray, symbols: int) -> np.ndarray:
+    """(symbols, W, R) uint64 view: plane b of an (R, n) symbol array sets one
+    bit per position where the row holds b, packed by np.packbits into
+    W = ceil(n / 64) words a row, the padding bits clear."""
+    r, n = rows.shape
+    packed = np.zeros((symbols, r, -(-n // 64) * 8), np.uint8)
+    for b in range(symbols):
+        packed[b, :, :(n + 7) // 8] = np.packbits(rows == b, axis=1)
+    return packed.view(np.uint64).transpose(0, 2, 1)
 
 
-def _indicator_tables(words: np.ndarray) -> np.ndarray:
-    """(K - 1, M, n) 0/1 tables (words == b) for each symbol b below the
-    largest one, K - 1; that symbol's counts follow by subtraction."""
+def _scan_tables(words: np.ndarray) -> ScanTables:
+    """The ScanTables of an (M, n) word array, CHUNK_PAIRS symbols at a time,
+    so no (M, n) temporary is held."""
+    m, n = words.shape
     top = int(words.max()) if words.size else 0
-    tables = np.empty((top,) + words.shape, dtype=_count_dtype(words.shape[1]))
-    for b in range(top):
-        np.equal(words, b, out=tables[b], casting="unsafe")
-    tables.flags.writeable = False
-    return tables
+    planes = np.empty((top, -(-n // 64), m), np.uint64)
+    counts = np.empty((top + 1, m), np.min_scalar_type(n))
+    step = max(1, CHUNK_PAIRS // n)
+    for s in range(0, m, step):
+        block = planes[:, :, s:s + step]
+        block[...] = _bit_planes(words[s:s + step], top)
+        np.add.reduce(np.bitwise_count(block), axis=1, out=counts[:top, s:s + step])
+    counts[top] = n - counts[:top].sum(axis=0)
+    planes.flags.writeable = counts.flags.writeable = False
+    return ScanTables(planes, counts)
 
 
-def _pair_type_l1(seqs: np.ndarray, tables: np.ndarray,
+def _pair_type_l1(seqs: np.ndarray, tables: ScanTables,
                   target: np.ndarray) -> np.ndarray:
     """L1 distance from each (seq, words[m]) joint type to the target table,
     for one sequence (n,) -> (M,) or a stack of them (S, n) -> (S, M).
 
-    tables are the words' indicator tables (`_indicator_tables`). One matrix
-    product against the sequences' one-hot matrices counts every joint
-    symbol; the counts are exact integers, and the distances are summed in
+    tables are the words' ScanTables. The joint count c_ab of sequence
+    symbol a < |A| - 1 and word symbol b < K - 1 is the popcount of the AND of
+    their bit planes; the count of the words' largest symbol K - 1 is the
+    rest of the sequence's a's, and the last row the rest of each word's
+    symbol counts. Every count is an exact integer, and |c / n - t_ab| is read
+    from a table over c = 0..n made by the same IEEE operations, summed in
     (a, b) order, so the result is the same bits as counting pair by pair,
     and a row of a stack the same bits as that sequence alone."""
     seqs = np.asarray(seqs)
     n = seqs.shape[-1]
+    flat = seqs.reshape(-1, n)
     ka, kb = target.shape
-    top, m = tables.shape[:2]
-    onehot = np.equal.outer(seqs.reshape(-1, n), np.arange(ka)).astype(tables.dtype)
-    s = onehot.shape[0]
-    k = min(top, kb)
-    counts = np.zeros((ka, kb, s, m))
-    counts[:, :k] = (tables[:k].reshape(-1, n) @ onehot
-                     ).reshape(s, k, m, ka).transpose(3, 1, 0, 2)
-    if top < kb:
-        # the top symbol's counts: each source symbol's count less the other
-        # word symbols' (at top = 0, counts[:, 0] is that zero column itself)
-        last = counts[:, top]
-        np.subtract(np.add.reduce(onehot, 1).T[:, :, None], counts[:, 0],
-                    out=last)
-        for b in range(1, top):
-            last -= counts[:, b]
-    counts /= n
-    counts -= target[:, :, None, None]
-    np.abs(counts, out=counts)
-    rows = counts.reshape(ka * kb, s, m)
-    dist = rows[0].copy()
-    for row in rows[1:]:
-        dist += row
+    planes, word_counts = tables
+    top, width, m = planes.shape
+    s = len(flat)
+    seq_planes = _bit_planes(flat, ka - 1)
+    kind = word_counts.dtype
+    counts = np.zeros((ka, kb, s, m), kind)
+    both = np.empty((s, m), np.uint64)
+    ones = np.empty((s, m), np.uint8)
+    for a in range(ka - 1):
+        for b in range(top):
+            for w in range(width):
+                np.bitwise_and(seq_planes[a, w, :, None], planes[b, w], out=both)
+                counts[a, b] += np.bitwise_count(both, out=ones)
+        seq_count = np.count_nonzero(flat == a, axis=1).astype(kind)
+        np.subtract(seq_count[:, None], counts[a, :top].sum(axis=0, dtype=kind),
+                    out=counts[a, top])
+    np.subtract(word_counts[:, None],
+                counts[:ka - 1, :top + 1].sum(axis=0, dtype=kind),
+                out=counts[ka - 1, :top + 1])
+    # every count lies in [0, n], so clipping the gather never moves one
+    lut = np.abs(np.arange(n + 1) / n - target[:, :, None])
+    dist = lut[0, 0].take(counts[0, 0], mode="clip")
+    term = np.empty_like(dist)
+    for a, b in itertools.islice(np.ndindex(ka, kb), 1, None):
+        dist += lut[a, b].take(counts[a, b], out=term, mode="clip")
     return dist.reshape(seqs.shape[:-1] + (m,))
 
 
@@ -456,15 +507,15 @@ def _chunk_rows(cb: Codebook) -> int:
     return max(1, CHUNK_PAIRS // max(cb.size, cb.n))
 
 
-def _typical(seqs: np.ndarray, tables: np.ndarray, target: np.ndarray,
+def _typical(seqs: np.ndarray, tables: ScanTables, target: np.ndarray,
              cfg: CodingConfig) -> np.ndarray:
     """(S, M) mask of the (sequence, word) pairs within the typicality radius."""
     return _pair_type_l1(seqs, tables, target) <= cfg.typicality_radius + TYPE_ATOL
 
 
-def _encode(u_seqs: np.ndarray, cb: Codebook, cfg: CodingConfig,
-            rng_of) -> np.ndarray:
-    """Chosen index per source block of a stack, -1 where no word covers it.
+def _encode(u_seqs: np.ndarray, cb: Codebook, cfg: CodingConfig, rng_of):
+    """(chosen index, typical word count) per source block of a stack; the
+    index is -1 where no word covers the block.
 
     A block with one typical word takes it; block i with several draws one
     uniformly from its own generator rng_of(i), the only draw any generator
@@ -474,7 +525,7 @@ def _encode(u_seqs: np.ndarray, cb: Codebook, cfg: CodingConfig,
     chosen = np.where(cover > 0, typical.argmax(axis=1), -1)
     for i in np.flatnonzero(cover > 1):
         chosen[i] = np.flatnonzero(typical[i])[rng_of(i).integers(int(cover[i]))]
-    return chosen
+    return chosen, cover
 
 
 def _decode(y_seqs: np.ndarray, cb: Codebook, cfg: CodingConfig):
@@ -491,7 +542,7 @@ def encode(u_seq: np.ndarray, cb: Codebook, cfg: CodingConfig,
 
     Uniform choice among qualifiers (seeded); None means no cover exists.
     """
-    m = int(_encode(np.asarray(u_seq)[None], cb, cfg, lambda i: rng)[0])
+    m = int(_encode(np.asarray(u_seq)[None], cb, cfg, lambda i: rng)[0][0])
     return m if m >= 0 else None
 
 
@@ -521,10 +572,12 @@ class _Decoded:
     """A chunk of trials, one row each, taken through source, encode,
     transmit and decode, with its action uniforms drawn. Index -1 stands for
     no cover (word 0 is sent) and for a failed decode (the word of first
-    symbols is acted on); hits counts the typical words at the decoder."""
+    symbols is acted on); cover counts the typical words at the encoder and
+    hits those at the decoder."""
 
     u: np.ndarray
     chosen: np.ndarray
+    cover: np.ndarray
     decoded: np.ndarray
     hits: np.ndarray
     w: np.ndarray
@@ -552,13 +605,14 @@ def _decoded_chunks(cfg: CodingConfig, cb: Codebook, trials: range):
                 for k in range(chunk.shape[2]):
                     _seat(gen, chunk[tag, :, k]).random(out=uniforms[tag, k])
             u = _draw_iid(cfg.prior, uniforms[0])
-            chosen = _encode(u, cb, cfg, lambda i: _seat(gen, chunk[3, :, i]))
+            chosen, cover = _encode(u, cb, cfg,
+                                    lambda i: _seat(gen, chunk[3, :, i]))
             y = _draw_rows(cfg.channel.rows, cb.x_words[np.maximum(chosen, 0)],
                            uniforms[1])
             decoded, hits = _decode(y, cb, cfg)
             w = cb.w_words[np.maximum(decoded, 0)]
             w[decoded < 0] = 0
-            yield _Decoded(u, chosen, decoded, hits, w, uniforms[2])
+            yield _Decoded(u, chosen, cover, decoded, hits, w, uniforms[2])
 
 
 def _act(cfg: CodingConfig, chunk: _Decoded, response: StochasticMatrix):
@@ -635,20 +689,22 @@ def run_experiment(cfg: CodingConfig, trials: int) -> ExperimentSummary:
     (int8, 1 for an error), chosen_m and decoded_m (int, None for no cover
     and for a failed decode), l1_to_target, util1 and util2 (float).
     counters holds the trial, error and no-cover counts, the decode
-    failures split into no typical word and several, and ok_mean_util1 and
+    failures split into no typical word and several, ok_mean_util1 and
     ok_mean_util2, the mean utilities over the error-free trials (None when
-    there are none)."""
+    there are none), and the min, median, 90th percentile and max of the
+    encoder's cover, the typical word count of each source block."""
     if trials < 1:
-        raise ValueError(f"run_experiment: trials = {trials!r} must be >= 1")
+        raise ValueError(f"run_experiment: trials = {shown(trials)} must be >= 1")
     if trials * TRIAL_BYTES > MEMORY_CAP_BYTES:
-        raise ValueError(f"run_experiment: {trials} trials hold about "
-                         f"{trials * TRIAL_BYTES} bytes of results, above the "
-                         f"cap of {MEMORY_CAP_BYTES}")
+        raise ValueError(f"run_experiment: {shown(trials)} trials hold about "
+                         f"{shown(trials * TRIAL_BYTES)} bytes of results, "
+                         f"above the cap of {MEMORY_CAP_BYTES}")
     cb = generate_codebook(cfg)
-    parts = [(chunk.chosen, chunk.decoded, chunk.hits,
+    parts = [(chunk.chosen, chunk.cover, chunk.decoded, chunk.hits,
               *_act(cfg, chunk, cfg.response))
              for chunk in _decoded_chunks(cfg, cb, range(trials))]
-    chosen, decoded, hits, ok, l1s, u1, u2 = map(np.concatenate, zip(*parts))
+    (chosen, cover, decoded, hits,
+     ok, l1s, u1, u2) = map(np.concatenate, zip(*parts))
     errs, nocover = ~ok, chosen < 0
     p_err = float(errs.mean())
     return ExperimentSummary(
@@ -668,7 +724,11 @@ def run_experiment(cfg: CodingConfig, trials: int) -> ExperimentSummary:
                   "decode_no_typical": int((hits == 0).sum()),
                   "decode_several_typical": int((hits > 1).sum()),
                   **{f"ok_mean_util{k}": float(u[ok].mean()) if ok.any() else None
-                     for k, u in ((1, u1), (2, u2))}})
+                     for k, u in ((1, u1), (2, u2))},
+                  "cover_min": int(cover.min()),
+                  "cover_median": float(np.median(cover)),
+                  "cover_p90": float(np.quantile(cover, 0.9)),
+                  "cover_max": int(cover.max())})
 
 
 def single_letter_utilities(cfg: CodingConfig):
@@ -686,7 +746,7 @@ def deviation_gaps(cfg: CodingConfig, cb: Codebook, alt_responses,
     response gets a gap of exactly zero.
     """
     if trials < 1:
-        raise ValueError(f"deviation_gaps: trials = {trials!r} must be >= 1")
+        raise ValueError(f"deviation_gaps: trials = {shown(trials)} must be >= 1")
     alts = list(alt_responses)
     base = cfg.response
     for k, r in enumerate(alts):

@@ -41,6 +41,16 @@ def payoff_table(values, shape: tuple, what: str) -> np.ndarray:
     return arr
 
 
+def shown(value) -> str:
+    """repr(value) for an error message, but an integer of more than 20
+    digits as its first seven digits in scientific form, so that a hostile
+    one keeps the line short."""
+    if not isinstance(value, (int, np.integer)) or abs(int(value)) < 10 ** 20:
+        return repr(value)
+    digits = str(abs(int(value)))
+    return f"{'-' * (value < 0)}{digits[0]}.{digits[1:7]}e+{len(digits) - 1}"
+
+
 def checked_fields(doc, what: str, required, optional=()) -> None:
     """ValueError unless doc is a dict with every required field and no field
     outside required and optional; a missing field is reported first."""

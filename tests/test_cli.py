@@ -488,7 +488,8 @@ class TestSimulate:
             (workdir / "simulate.json.manifest.json").read_text())["counters"]
         assert set(counters) == {"trials", "errors", "nocover",
                                  "decode_no_typical", "decode_several_typical",
-                                 "ok_mean_util1", "ok_mean_util2"}
+                                 "ok_mean_util1", "ok_mean_util2", "cover_min",
+                                 "cover_median", "cover_p90", "cover_max"}
         trials = counters["trials"]
         assert trials == 200
         _, rows = read_csv(workdir / "simulate_trials.csv")
@@ -1000,7 +1001,9 @@ class TestStreamedPeaks:
 class TestHostileNumbers:
     """Numbers past what a float, the grid cap or the memory caps hold, in
     every subcommand: exit 1 or 2, one JSON error line of a documented type
-    on stderr, and no file left beside the inputs."""
+    on stderr, at most 160 characters long (an integer of more than 20
+    digits is echoed in scientific form), and no file left beside the
+    inputs."""
 
     @pytest.mark.parametrize("args,experiment", [
         (["capacity", "--bsc", "1e400"], None),
@@ -1022,7 +1025,12 @@ class TestHostileNumbers:
         (["simulate"], {"n": str(10 ** 400)}),
         (["simulate"], {"n": "1e400"}),
         (["simulate"], {"rate": "1e308"}),
-        (["simulate"], {"rate": "1e400"})])
+        (["simulate"], {"rate": "1e400"}),
+        (["capacity", "--bsc", "0.1", "--max-iter", str(-10 ** 400)], None),
+        (["simulate", "--trials", str(-10 ** 400)], {}),
+        (["simulate", "--seed", str(-10 ** 400)], {}),
+        (["simulate"], {"seed": str(-10 ** 400)}),
+        (["simulate"], {"n": "5000"})])
     def test_refused(self, workdir, capsys, args, experiment):
         if experiment is not None:
             doc = {k: v for k, v in EXPERIMENT_DOC.items() if k not in experiment}
@@ -1032,6 +1040,7 @@ class TestHostileNumbers:
         code, _, err = run_cli(args, capsys)
         assert code in (1, 2)
         assert len(err.splitlines()) == 1
+        assert len(err) <= 160
         assert stderr_error(err)["type"] in ("usage", "invalid_input",
                                              "no_convergence", "io")
         assert os.listdir(workdir) == ([] if experiment is None else ["exp.json"])

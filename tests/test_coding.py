@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import weakref
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,9 +50,18 @@ def all_words(n):
     return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.int16)
 
 
+def reference_draw_iid(probs, uniforms):
+    """The searchsorted draw the threshold counts replaced, kept as their
+    oracle."""
+    cdf = np.cumsum(probs)
+    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(cdf) - 1)
+
+
 def reference_draw_rows(rows, cond, uniforms):
+    """The (..., K) cdf-gather draw the threshold counts replaced, kept as
+    their oracle."""
     cdf = np.cumsum(rows, axis=1)[np.asarray(cond, dtype=np.intp)]
-    return np.minimum((uniforms[:, None] >= cdf).sum(axis=1), rows.shape[1] - 1)
+    return np.minimum((uniforms[..., None] >= cdf).sum(axis=-1), rows.shape[1] - 1)
 
 
 def reference_sequences(cfg, cb, t, response):
@@ -64,9 +74,7 @@ def reference_sequences(cfg, cb, t, response):
         np.random.default_rng(np.random.SeedSequence((cfg.seed, tag, t)))
         for tag in (1, 2, 3, 4))
     radius = cfg.typicality_radius + TYPE_ATOL
-    cdf = np.cumsum(cfg.prior.probs)
-    u = np.minimum(np.searchsorted(cdf, source.random(cfg.n),
-                                   side="right"), len(cfg.prior) - 1)
+    u = reference_draw_iid(cfg.prior.probs, source.random(cfg.n))
     hits = np.flatnonzero(_pair_type_l1(u, cb.w_tables, cfg.target_uw) <= radius)
     m = (None if hits.size == 0 else int(hits[0]) if hits.size == 1
          else int(hits[encoder.integers(hits.size)]))
@@ -196,7 +204,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("n,rate,match", [
         (10000, 0.15, r"needs 2\^1500 words"), (1, 1e308, r"needs 2\^1e\+308 words"),
-        (20, 1e308, r"needs 2\^inf words"), (10 ** 400, 0.15, "n = 1000"),
+        (20, 1e308, r"needs 2\^inf words"),
+        (10 ** 400, 0.15, r"n = 1\.000000e\+400 must be"),
         (2 ** 33 + 1, 0.0, "must be an integer in")])
     def test_memory_cap_before_the_size(self, n, rate, match):
         """2^(n R) overflows a float past n R = 1024, and n R overflows for
@@ -221,7 +230,10 @@ class TestConfig:
             trend_config(160, rate=0.15)
         cfg = trend_config(40, rate=0.6)
         assert cfg.codebook_size == MEMORY_CAP_WORDS
-        assert cfg.codebook_bytes == MEMORY_CAP_WORDS * 40 * (2 * 2 + 2 * 4)
+        # a word: two int16 words of 40 symbols, one 64-bit plane for each
+        # binary alphabet, and a 1-byte count per symbol of each
+        assert cfg.codebook_bytes == MEMORY_CAP_WORDS * (2 * 2 * 40 + 2 * 8
+                                                         + 2 + 2)
         assert cfg.codebook_bytes <= MEMORY_CAP_BYTES
 
     def test_byte_cap_counts_one_table_per_extra_symbol(self):
@@ -231,8 +243,9 @@ class TestConfig:
                                 StochasticMatrix([[1.0, 0.0]] * 4)),
                             channel=bsc(0.05), input_dist=UNIFORM,
                             phi1=EYE, phi2=EYE, seed=0)
-        # three tables for the four word symbols, one for the binary input
-        assert wide.codebook_bytes == 64 * 20 * (2 * 2 + 4 * 4)
+        # three planes and four counts for the four word symbols, one plane
+        # and two counts for the binary input
+        assert wide.codebook_bytes == 64 * (2 * 2 * 20 + 4 * 8 + 4 + 2)
 
     def test_codebook_size_values(self):
         assert trend_config(20).codebook_size == 8
@@ -412,7 +425,53 @@ def scan_cases(draw):
     return seq, words, weights / weights.sum()
 
 
+@st.composite
+def long_scan_cases(draw):
+    """scan_cases at blocks of up to 200 symbols, four 64-bit words a plane,
+    drawn often at the word edges 63, 64, 65 and 128; the codebook may also
+    miss a symbol below its top one."""
+    ka, kb = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    n = draw(st.sampled_from([63, 64, 65, 128, 129, 200]) | st.integers(1, 200))
+    m = draw(st.integers(1, 12))
+    absent = draw(st.none() | st.integers(0, ka - 1))
+    seq = draw(arrays(np.int16, n, elements=st.sampled_from(
+        [a for a in range(ka) if a != absent])))
+    top = draw(st.integers(0, kb - 1))
+    gap = draw(st.none() | st.integers(0, top))
+    symbols = [b for b in range(top + 1) if b != gap] or [top]
+    words = draw(arrays(np.int16, (m, n), elements=st.sampled_from(symbols)))
+    weights = draw(arrays(float, (ka, kb), elements=st.floats(0.01, 1.0)))
+    return seq, words, weights / weights.sum()
+
+
 class TestTypeScan:
+    @given(case=long_scan_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_multiword_planes_match_pairwise_oracle(self, case):
+        """Blocks past 64 symbols pack a plane into several words: every
+        distance, alone and as a stack row, is the oracle's bits."""
+        seq, words, target = case
+        tables = Codebook(words, words).w_tables
+        assert tables.planes.shape[1] == -(-seq.size // 64)
+        want = pair_type_l1_oracle(seq, words, target)
+        assert np.array_equal(_pair_type_l1(seq, tables, target), want)
+        stack = _pair_type_l1(np.stack([seq[::-1], seq]), tables, target)
+        assert np.array_equal(stack[1], want)
+
+    @pytest.mark.parametrize("n", [64, 65, 128, 200, 255, 256, 300])
+    def test_word_edges_match_pairwise_oracle(self, n):
+        """Blocks at the 64-bit word edges, and past 255 symbols, where the
+        counts take two bytes."""
+        rng = np.random.default_rng(n)
+        for ka, kb in [(2, 2), (3, 4), (4, 2)]:
+            target = rng.random((ka, kb))
+            target /= target.sum()
+            seqs = rng.integers(0, ka, (5, n)).astype(np.int16)
+            words = rng.integers(0, kb, (9, n)).astype(np.int16)
+            got = _pair_type_l1(seqs, Codebook(words, words).x_tables, target)
+            for row, seq in zip(got, seqs):
+                assert np.array_equal(row, pair_type_l1_oracle(seq, words, target))
+
     @given(case=scan_cases())
     @settings(max_examples=150, deadline=None)
     def test_matches_pairwise_oracle(self, case):
@@ -462,7 +521,9 @@ class TestTypeScan:
         for seed in (0, 1):
             cb = generate_codebook(trend_config(40, seed=seed))
             run_trial(cfg, cb, 0)
-            assert cb.w_tables.shape == cb.x_tables.shape == (1, cb.size, 40)
+            for tables in (cb.w_tables, cb.x_tables):
+                assert tables.planes.shape == (1, 1, cb.size)
+                assert tables.counts.shape == (2, cb.size)
             refs.append(weakref.ref(cb))
             del cb
         gc.collect()
@@ -471,6 +532,63 @@ class TestTypeScan:
     def test_negative_symbols_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Codebook(np.array([[0, -1]], np.int16), np.zeros((1, 2), np.int16))
+
+
+@st.composite
+def draw_cases(draw):
+    """Rows over 1-5 symbols, some with zero entries and some whose cdf ends
+    below 1, condition symbols, and uniforms that often sit exactly on a cdf
+    entry."""
+    k, r = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rows = draw(arrays(float, (r, k), elements=st.sampled_from(
+        [0.0, 0.1, 0.2, 0.25, 0.3, 1 / 3, 0.5, 0.7])))
+    rows = rows / np.maximum(rows.sum(axis=1, keepdims=True), 1.0)
+    cond = draw(arrays(np.int16, 30, elements=st.integers(0, r - 1)))
+    edges = np.unique(np.cumsum(rows, axis=1))
+    uniforms = draw(arrays(float, 30, elements=st.sampled_from(edges.tolist())
+                           | st.floats(0.0, 1.0, exclude_max=True)))
+    return rows, cond, uniforms
+
+
+class TestDraws:
+    """The threshold-count draws equal the searchsorted and cdf-gather draws
+    they replaced, bit for bit."""
+
+    @given(case=draw_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_cdf_gather(self, case):
+        rows, cond, uniforms = case
+        got = coding._draw_rows(rows, cond, uniforms)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, reference_draw_rows(rows, cond, uniforms))
+        stacked = coding._draw_rows(rows, cond.reshape(5, 6), uniforms.reshape(5, 6))
+        assert np.array_equal(stacked.ravel(), got)
+
+    @given(case=draw_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_iid_matches_searchsorted(self, case):
+        rows, _, uniforms = case
+        # a Distribution's probs, which need not sum to 1 here
+        got = coding._draw_iid(SimpleNamespace(probs=rows[0]),
+                               uniforms.reshape(3, 10))
+        assert got.dtype == np.int16
+        assert np.array_equal(got.ravel(), reference_draw_iid(rows[0], uniforms))
+
+    def test_cdf_below_one_and_uniforms_on_the_edges(self):
+        # ten tenths sum to 0.9999999999999999: a uniform above that, and
+        # every uniform equal to a cdf entry, draws what searchsorted did
+        probs = np.full(10, 0.1)
+        cdf = np.cumsum(probs)
+        assert cdf[-1] < 1.0
+        uniforms = np.concatenate([cdf, np.nextafter(cdf, 0.0),
+                                   [0.0, np.nextafter(1.0, 0.0)]])
+        dist = Distribution(probs)
+        assert np.array_equal(coding._draw_iid(dist, uniforms),
+                              reference_draw_iid(probs, uniforms))
+        rows = np.stack([probs, probs[::-1]])
+        cond = np.arange(uniforms.size) % 2
+        assert np.array_equal(coding._draw_rows(rows, cond, uniforms),
+                              reference_draw_rows(rows, cond, uniforms))
 
 
 class TestActions:
@@ -604,6 +722,22 @@ class TestBatchedPipeline:
         assert (c["decode_no_typical"] + c["decode_several_typical"]
                 == got["decoded_m"].count(None))
         assert c["decode_no_typical"] > 0 and c["decode_several_typical"] > 0
+
+    def test_counters_give_the_encoder_cover_quantiles(self):
+        """The cover counters are the quantiles of each source block's count
+        of typical words, as the pairwise oracle counts them."""
+        cfg = trend_config(20, rate=0.15, eps_typ=0.3)
+        cb = generate_codebook(cfg)
+        radius = cfg.typicality_radius + TYPE_ATOL
+        cover = np.array([(pair_type_l1_oracle(
+            reference_sequences(cfg, cb, t, cfg.response)[0], cb.w_words,
+            cfg.target_uw) <= radius).sum() for t in range(200)])
+        c = run_experiment(cfg, 200).counters
+        assert c["cover_min"] == cover.min() == 0 < c["nocover"]
+        assert c["cover_max"] == cover.max() > 1
+        assert c["cover_median"] == float(np.median(cover))
+        assert c["cover_p90"] == float(np.quantile(cover, 0.9))
+        assert c["nocover"] == (cover == 0).sum()
 
     def test_counters_mean_the_error_free_utilities(self):
         s = run_experiment(trend_config(20, rate=0.15, eps_typ=0.3), 200)

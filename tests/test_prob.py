@@ -12,7 +12,7 @@ from infodesign.persuasion import Scenario, scenario_from_dict
 from infodesign.prob import (Distribution, JointDistribution, StochasticMatrix,
                              binary_entropy, compose_markov, conditional,
                              entropy, kl_divergence, l1_distance, marginal,
-                             mutual_information)
+                             mutual_information, shown)
 
 
 def masses(k, min_size=2, max_size=6):
@@ -104,6 +104,17 @@ class TestCheckedFields:
             load({**{k: v for k, v in doc.items() if k != first}, "bogus": 1})
         with pytest.raises(ValueError, match=f"^{what}: unknown field 'bogus'$"):
             load({**doc, "bogus": 1})
+
+
+@pytest.mark.parametrize("value,text", [
+    (10 ** 20 - 1, "99999999999999999999"), (-7, "-7"), (0.5, "0.5"),
+    (10 ** 20, "1.000000e+20"), (-(10 ** 400), "-1.000000e+400"),
+    (np.int64(-12), "np.int64(-12)"),
+    (123456789 * 10 ** 30, "1.234567e+38")])
+def test_shown_keeps_huge_integers_short(value, text):
+    """Integers of up to 20 digits, and any other value, are their repr;
+    longer ones are their first seven digits in scientific form."""
+    assert shown(value) == text
 
 
 class TestStochasticMatrix:
