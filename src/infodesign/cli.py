@@ -2,16 +2,17 @@
 utility surfaces, equilibrium solves, and coordination simulations.
 
 Grids and curves go to CSV (header row, 9 significant digits); reports go to
-JSON. The grid subcommands hold O(n) arrays and one row block: bestreply
-finds its best replies one CSV_BLOCK_ROWS block of the prior sweep at a time,
-and region and surface write each row block of the posterior square as the
-grid's blocks() makes it. Those square CSVs are joined from one text fragment
-per (label, column) behind each row's p1 text, so only the values of labelled
-cells are float-formatted. Every subcommand runs in one frame, _Run,
-which digests each input from the bytes it parses and each output as it is
-written, and writes a side-car manifest <out>.manifest.json recording the
-resolved parameters, input digests, seed, version, output digests, and wall
-clock. Data outputs are byte-identical across reruns; the manifest is the one
+JSON. Every writer formats bytes, which the sink hashes and writes as they
+come, with no encode step. The grid subcommands hold O(n) arrays and one row
+block: bestreply finds its best replies one CSV_BLOCK_ROWS block of the prior
+sweep at a time, and region and surface write each row block of the posterior
+square as the grid's blocks() makes it. Those square CSVs are joined from one
+bytes fragment per (label, column) behind each row's p1 bytes, so only the
+values of labelled cells are float-formatted. Every subcommand runs in one
+frame, _Run, which digests each input from the bytes it parses and each output
+as it is written, and writes a side-car manifest <out>.manifest.json recording
+the resolved parameters, input digests, seed, version, output digests, and
+wall clock. Data outputs are byte-identical across reruns; the manifest is the one
 file that is not (it carries the duration). Every file of a run goes to a temp
 file beside its target, and all are moved into place together when the run
 completes, so a failed run leaves no output at all.
@@ -72,50 +73,50 @@ def _jsonable(x):
 
 
 class _HashingWriter:
-    """Text sink over a binary file: each write goes out as UTF-8 and into
+    """Bytes sink over a binary file: each write goes out as it is and into
     sha, a SHA-256 of every byte written, so the digest needs no re-read."""
 
     def __init__(self, f):
         self.f, self.sha = f, hashlib.sha256()
 
-    def write(self, text: str) -> None:
-        data = text.encode()
+    def write(self, data: bytes) -> None:
         self.sha.update(data)
         self.f.write(data)
 
 
 def _write_json(f, doc: dict) -> None:
-    """Write doc to the text sink f as indented, key-sorted JSON."""
-    f.write(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n")
+    """Write doc to the bytes sink f as indented, key-sorted UTF-8 JSON."""
+    f.write((json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n").encode())
 
 
 def _text(values) -> np.ndarray:
-    """Cells formatted one by one with csv_cell, as an array to index."""
-    return np.array([csv_cell(v) for v in values], dtype=object)
+    """Cells formatted one by one with csv_cell, as UTF-8 bytes to index."""
+    return np.array([csv_cell(v).encode() for v in values], dtype=object)
 
 
 def _write_csv(f, header, blocks) -> int:
     """Write header and then the rows of blocks, an iterable of lists of
-    equal-length columns, to the text sink f; return the row count.
+    equal-length columns, to the bytes sink f; return the row count.
 
     Float columns are formatted with %.9g and integer columns with %d,
     which print exactly what csv_cell does; every other column must already
-    be text (see _text). A block's rows go out CSV_BLOCK_ROWS at a time, one
-    % operation on a repeated row template each, so a caller that yields
-    its blocks as it makes them holds one at a time. Raises TypeError
-    before writing a block that holds a column of any other dtype.
+    hold bytes (see _text). A block's rows go out CSV_BLOCK_ROWS at a time,
+    one bytes % operation on a repeated row template each, so a caller that
+    yields its blocks as it makes them holds one at a time. Raises TypeError
+    before writing a block that holds a column of any other dtype, or rows
+    whose object cells are not bytes (str, say).
     """
-    slots = {"f": "%.9g", "i": "%d", "u": "%d", "O": "%s"}
-    head, count = ",".join(header) + "\n", 0
+    slots = {"f": b"%.9g", "i": b"%d", "u": b"%d", "O": b"%s"}
+    head, count = (",".join(header) + "\n").encode(), 0
     for columns in blocks:
         columns = [np.asarray(c) for c in columns]
         for c in columns:
             if c.dtype.kind not in slots:
                 raise TypeError(f"_write_csv: {c.dtype} column is not text")
-        row = ",".join(slots[c.dtype.kind] for c in columns) + "\n"
+        row = b",".join(slots[c.dtype.kind] for c in columns) + b"\n"
         size, width = len(columns[0]), len(columns)
         f.write(head)
-        head = ""
+        head = b""
         for start in range(0, size, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, size)
             cells = [None] * ((stop - start) * width)
@@ -128,31 +129,32 @@ def _write_csv(f, header, blocks) -> int:
 
 
 def _write_square(f, header, grid) -> dict:
-    """Write a posterior-square grid row-major to the text sink f, one line
+    """Write a posterior-square grid row-major to the bytes sink f, one line
     a cell (p1, p2, the cell of each value array, the label name), block by
     block as grid.blocks() makes them; return the cells per RegionLabel
     name.
 
-    A line's text after p1 depends only on its column and label, so one
-    fragment per (label, column) is built first: ",<p2>", a %.9g slot per
-    value (",nan" per value for INVALID_SPLIT) and ",<label>\n", with a
+    A line's bytes after p1 depend only on its column and label, so one
+    bytes fragment per (label, column) is built first: ",<p2>", a %.9g slot
+    per value (",nan" per value for INVALID_SPLIT) and ",<label>\n", with a
     value column for every header name between p2 and the label. Every
     about CSV_BLOCK_ROWS lines of a block join their rows' fragments behind
-    each row's p1 text, and one % operation fills in the values of their
-    labelled cells. Raises ValueError before writing a block in which an
-    INVALID_SPLIT cell holds a value that is not nan.
+    each row's p1 bytes, and one bytes % operation fills in the values of
+    their labelled cells. Raises ValueError before writing a block in which
+    an INVALID_SPLIT cell holds a value that is not nan.
     """
     n2 = grid.p2_axis.size
     p2 = _text(grid.p2_axis)
     frags = np.empty((len(RegionLabel), n2), dtype=object)
     for label in RegionLabel:
-        slot = ",nan" if label == RegionLabel.INVALID_SPLIT else ",%.9g"
-        frags[label] = [f",{q}{slot * (len(header) - 3)},{label.name}\n" for q in p2]
+        slot = b",nan" if label == RegionLabel.INVALID_SPLIT else b",%.9g"
+        tail = b"%s,%s\n" % (slot * (len(header) - 3), label.name.encode())
+        frags[label] = [b"," + q + tail for q in p2]
     p1 = _text(grid.p1_axis)
     cols = np.arange(n2)
     step = max(1, CSV_BLOCK_ROWS // n2)
     counts = np.zeros(len(RegionLabel), dtype=np.int64)
-    f.write(",".join(header) + "\n")
+    f.write((",".join(header) + "\n").encode())
     for rows, labels, values in grid.blocks():
         invalid = labels == RegionLabel.INVALID_SPLIT
         if any(np.any(invalid & ~np.isnan(v)) for v in values):
@@ -160,13 +162,13 @@ def _write_square(f, header, grid) -> dict:
         counts += np.bincount(labels.ravel(), minlength=len(RegionLabel))
         for start in range(0, len(labels), step):
             part = slice(start, start + step)
-            text = "".join(P + P.join(line) for P, line in
-                           zip(p1[rows][part], frags[labels[part], cols].tolist()))
+            chunk = b"".join(P + P.join(line) for P, line in
+                             zip(p1[rows][part], frags[labels[part], cols].tolist()))
             if values:
                 kept = ~invalid[part]
-                text %= tuple(np.stack([v[part][kept] for v in values],
-                                       axis=-1).ravel().tolist())
-            f.write(text)
+                chunk %= tuple(np.stack([v[part][kept] for v in values],
+                                        axis=-1).ravel().tolist())
+            f.write(chunk)
     return {label.name: int(counts[label]) for label in RegionLabel}
 
 
@@ -276,6 +278,7 @@ def cmd_capacity(bsc_eps, matrix_file, tol, max_iter, out):
             except (ValueError, TypeError) as e:
                 raise ValueError(f"channel matrix: {e}") from None
         res = capacity(ch, tol=tol, max_iter=max_iter)
+        run.counters = {"sweeps": res.iterations, "residual": res.residual}
         report = {"capacity": res.capacity,
                   "optimal_input": res.optimal_input.probs,
                   "iterations": res.iterations,

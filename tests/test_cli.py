@@ -155,6 +155,18 @@ class TestCapacity:
                                 "--tol", "1e-15", "--max-iter", "2"], capsys)
         assert code == 1
         assert stderr_error(err)["type"] == "no_convergence"
+        assert os.listdir(workdir) == ["ch.json"]
+
+    def test_manifest_counts_sweeps_and_residual(self, workdir, capsys):
+        (workdir / "ch.json").write_text(
+            json.dumps([[0.9, 0.1], [0.3, 0.7]]))
+        assert run_cli(["capacity", "--matrix", "ch.json"], capsys)[0] == 0
+        report = json.loads((workdir / "capacity.json").read_text())
+        manifest = json.loads(
+            (workdir / "capacity.json.manifest.json").read_text())
+        assert report["iterations"] > 1
+        assert manifest["counters"] == {"sweeps": report["iterations"],
+                                        "residual": report["residual"]}
 
     @pytest.mark.parametrize("flags,name", [
         (["--tol", "-1", "--max-iter", "200000"], "tol"), (["--tol", "nan"], "tol"),
@@ -276,6 +288,24 @@ class TestBestReply:
         assert e["type"] == "invalid_input"
         assert e["message"] == "scenario: Scenario: phi2 spread max - min overflows"
         assert os.listdir(workdir) == ["sc.json"]
+
+    def test_non_ascii_labels_written_as_utf8(self, workdir, capsys):
+        """Action labels outside ASCII go out as the UTF-8 bytes of their
+        cells, and the manifest digests the bytes in the file."""
+        actions = ["größer", "小"]
+        (workdir / "sc.json").write_text(json.dumps(
+            {"prior": [0.5, 0.5], "actions": actions,
+             "phi1": [[1, 0], [0, 1]], "phi2": [[1, 0], [0, 1]]}))
+        code, _, _ = run_cli(["bestreply", "--scenario", "sc.json",
+                              "--step", "0.25"], capsys)
+        assert code == 0
+        data = (workdir / "bestreply.csv").read_bytes()
+        cells = [line.split(b",")[1] for line in data.splitlines()[1:]]
+        assert set(cells) == {csv_cell(a).encode("utf-8") for a in actions}
+        manifest = json.loads(
+            (workdir / "bestreply.csv.manifest.json").read_text())
+        assert (manifest["outputs"]["bestreply.csv"]
+                == hashlib.sha256(data).hexdigest())
 
     def test_bad_step_rejected(self, workdir, capsys):
         code, _, err = run_cli(["bestreply", "--scenario", "mac",
@@ -696,6 +726,8 @@ MANIFEST_RUNS = {
     "capacity_matrix": (["capacity", "--matrix", "ch.json"], ["ch.json"]),
     "region": (["region", "--p", "0.5", "--eps", "0.25", "--resolution", "0.1"],
                []),
+    # the default 1/500 grid goes out in about 70 writer chunks
+    "region_default": (["region", "--p", "0.5", "--eps", "0.25"], []),
     "bestreply": (["bestreply", "--scenario", "sc.json", "--step", "0.1"],
                   ["sc.json"]),
     "surface": (["surface", "--scenario", "sc.json", "--resolution", "0.1"],
@@ -710,7 +742,7 @@ MANIFEST_RUNS = {
 class TestManifest:
     KEYS = {"subcommand", "parameters", "inputs", "seed", "version",
             "duration_s", "outputs"}
-    COUNTED = {"region", "surface", "solve", "simulate"}
+    COUNTED = {"capacity", "region", "surface", "solve", "simulate"}
 
     @pytest.mark.parametrize("run", MANIFEST_RUNS)
     def test_keys_and_digests(self, workdir, experiment_file, capsys, run):
@@ -839,8 +871,8 @@ class TestBlockWriter:
         ints = column(st.integers(-2 ** 70, 2 ** 70))
         optional = column(st.none() | st.integers(0, 10 ** 6))
         printable = st.text(st.characters(min_codepoint=32, max_codepoint=126))
-        labels = column(st.sampled_from(["a%s,b", "100%", "%.9g", ","])
-                        | printable)
+        labels = column(st.sampled_from(["a%s,b", "100%", "%.9g", ",",
+                                         "größer", "小"]) | printable)
         signed = np.array(column(st.integers(-2 ** 63, 2 ** 63 - 1)), dtype=np.int64)
         unsigned = np.array(column(st.integers(0, 2 ** 64 - 1)), dtype=np.uint64)
         flags = np.array(column(st.booleans()), dtype=np.int8)
@@ -850,17 +882,27 @@ class TestBlockWriter:
         edges = [0, *sorted(data.draw(st.lists(st.integers(0, count),
                                                max_size=3))), count]
         blocks = [[c[a:b] for c in cols] for a, b in zip(edges, edges[1:])]
-        sink = io.StringIO()
+        sink = io.BytesIO()
         assert _write_csv(sink, header, blocks) == count
         assert sink.getvalue() == reference_csv(
             header, zip(floats, bools, ints, optional, labels,
-                        signed, unsigned, flags.astype(bool)))
+                        signed, unsigned, flags.astype(bool))).encode()
 
     def test_rejects_unformatted_columns(self):
-        sink = io.StringIO()
+        sink = io.BytesIO()
         with pytest.raises(TypeError):
             _write_csv(sink, ("b",), [[np.array([True, False])]])
-        assert sink.getvalue() == ""
+        assert sink.getvalue() == b""
+
+    def test_rejects_str_cells(self):
+        """An object column must hold bytes: a block whose cells are str
+        raises TypeError, and nothing of it is written."""
+        first = [np.array([0.5]), _text(["a"])]
+        second = [np.array([1.5]), np.array(["b"], dtype=object)]
+        sink = io.BytesIO()
+        with pytest.raises(TypeError):
+            _write_csv(sink, ("p", "s"), [first, second])
+        assert sink.getvalue() == b"p,s\n0.5,a\n"
 
 
 def row_blocks(grid, labels, values, edges):
@@ -906,7 +948,7 @@ class TestSquareWriter:
         first = data.draw(st.sampled_from([0, before]) | st.integers(0, n + 1))
         edges = sorted({0, n + 1, *range(first, n + 1, height)})
         header = ("p1", "p2", *(f"v{k}" for k in range(len(values))), "label")
-        sink = io.StringIO()
+        sink = io.BytesIO()
         block = data.draw(st.sampled_from([CSV_BLOCK_ROWS, 1, 24, 100]))
         with mock.patch("infodesign.cli.CSV_BLOCK_ROWS", block):
             counts = _write_square(sink, header,
@@ -918,7 +960,7 @@ class TestSquareWriter:
                  RegionLabel(int(labels[i, j])).name)
                 for i, p1 in enumerate(grid.p1_axis)
                 for j, p2 in enumerate(grid.p2_axis))
-        assert sink.getvalue() == reference_csv(header, rows)
+        assert sink.getvalue() == reference_csv(header, rows).encode()
 
     def test_value_in_invalid_split_raises(self, tmp_path):
         """The writer raises before it writes the block in which an
@@ -929,13 +971,13 @@ class TestSquareWriter:
         values[2, 0] = 0.0
         blocks = row_blocks(grid, labels, [values], [0, 2, 4, 5])
         header = ("p1", "p2", "v", "label")
-        sink = io.StringIO()
+        sink = io.BytesIO()
         with pytest.raises(ValueError, match="INVALID_SPLIT"):
             _write_square(sink, header, blocks)
         written = ((p1, p2, values[i, j], RegionLabel(int(labels[i, j])).name)
                    for i, p1 in enumerate(grid.p1_axis[:2])
                    for j, p2 in enumerate(grid.p2_axis))
-        assert sink.getvalue() == reference_csv(header, written)
+        assert sink.getvalue() == reference_csv(header, written).encode()
         with pytest.raises(ValueError, match="INVALID_SPLIT"):
             write_one(tmp_path / "square.csv", _write_square, header, blocks)
         assert os.listdir(tmp_path) == []
@@ -945,7 +987,7 @@ class TestSquareWriter:
         surf = scenario_surface(build_scenario(default_config()), 1 / 500, 0.25)
         tracemalloc.start()
         try:
-            with open(tmp_path / "surface.csv", "w") as sink:
+            with open(tmp_path / "surface.csv", "wb") as sink:
                 _write_square(sink, ("p1", "p2", "phi1", "phi2", "label"), surf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1085,14 +1127,14 @@ class TestOutputsMatchPerCellOracle:
 
 
 class _Unprintable:
-    def __str__(self):
+    def __bytes__(self):
         raise RuntimeError("cell cannot be formatted")
 
 
 class TestAtomicOutputs:
     def test_csv_failing_mid_stream_leaves_nothing(self, tmp_path):
         # the first block is written before the failing cell is reached
-        cells = ["x" * 40] * (CSV_BLOCK_ROWS + 3) + [_Unprintable()]
+        cells = [b"x" * 40] * (CSV_BLOCK_ROWS + 3) + [_Unprintable()]
         with pytest.raises(RuntimeError):
             write_one(tmp_path / "out.csv", _write_csv, ("s",),
                       [[np.array(cells, dtype=object)]])
