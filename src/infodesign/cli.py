@@ -39,8 +39,8 @@ from .coding import (coding_config_from_dict, run_experiment,
 from .mac import build_scenario, default_config, scenario_surface
 from .persuasion import (Block, OneShot, Unconstrained, csv_cell,
                          grid_best_replies, scenario_from_dict, solve_equilibrium)
-from .prob import (StochasticMatrix, binary_entropy, checked_fields, marginal,
-                   mutual_information)
+from .prob import (JointDistribution, StochasticMatrix, binary_entropy,
+                   checked_fields, marginal, mutual_information)
 from .splitting import (RegionLabel, check_eps, grid_intervals, grid_points,
                         region_scan)
 
@@ -336,6 +336,8 @@ def cmd_surface(scenario, mode, eps, resolution, out):
 
 
 def _parse_mode(mode: str, eps, cap):
+    if cap is not None and mode != "block":
+        raise UsageError(f"--cap applies to --mode block only, not {mode}")
     if mode == "unconstrained":
         return Unconstrained()
     if mode == "one_shot":
@@ -399,10 +401,14 @@ def cmd_simulate(experiment, trials, seed, out, trials_csv):
             raise ValueError(
                 f"experiment.rate: covering requirement violated; rate {cfg.rate} "
                 f"must exceed the signal's information rate {rate_needed:.6f} bits")
-        if cfg.rate >= cap:
+        # codewords are drawn from input_dist, so I(X;Y) under that law, not
+        # the capacity, bounds the rate the decoder can separate
+        rate_sent = mutual_information(JointDistribution(cfg.target_yx, ("y", "x")))
+        if cfg.rate >= rate_sent:
             raise ValueError(
                 f"experiment.rate: packing requirement violated; rate {cfg.rate} "
-                f"must stay below the channel capacity {cap:.6f} bits")
+                f"must stay below I(X;Y) {rate_sent:.6f} bits of input_dist "
+                f"on the channel (capacity {cap:.6f} bits)")
 
         summary = run_experiment(cfg, trials)
         run.counters = summary.counters

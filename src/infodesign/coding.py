@@ -8,11 +8,11 @@ noisy channel, identify the unique typical codeword at the other end
 an error unless the encoder found a word, the decoder returned the same
 index, and the realized (source, word, action) triple is typical.
 
-Trials run as stacks, a bounded chunk of them at a time: one codebook scan
-encodes a chunk, one decodes it, one draw each transmits it and acts on it,
-and every row comes out the same bits as its trial run alone. encode,
-decode, transmit, generate_actions and run_trial are those stages on a
-single row.
+Trials run as stacks, a bounded chunk of them at a time, through one
+implementation a stage: trial_streams derives their streams, one codebook
+scan encodes them, one draw transmits them, one scan decodes them and one
+draw generates the actions. Every row comes out the same bits as its trial
+run alone; run_trial is the pipeline on a chunk of one.
 
 Scans and draws are integer work. A codebook keeps one bit plane per symbol
 (a bit per position, 64 to a uint64 word) and each word's symbol counts; a
@@ -203,20 +203,10 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return _seat(_generator(), _state_words(seed, (tag,))[0, :, 0])
 
 
-@dataclass(frozen=True)
-class TrialStreams:
-    """Independent per-trial generators; pairing tests rebuild them at will."""
-
-    source: np.random.Generator
-    channel: np.random.Generator
-    actions: np.random.Generator
-    encoder: np.random.Generator
-
-
-def trial_streams(seed: int, index: int) -> TrialStreams:
-    index = _key_int(index, "index")
-    words = _state_words(seed, _TRIAL_TAGS, range(index, index + 1))
-    return TrialStreams(*(_seat(_generator(), w[:, 0]) for w in words))
+def trial_streams(seed: int, trials: range) -> np.ndarray:
+    """(4, 4, K) uint64: the state words of the source, channel, actions and
+    encoder streams of each trial of a range, as _seat takes them."""
+    return _state_words(seed, _TRIAL_TAGS, trials)
 
 
 @dataclass(frozen=True)
@@ -513,7 +503,7 @@ def _typical(seqs: np.ndarray, tables: ScanTables, target: np.ndarray,
     return _pair_type_l1(seqs, tables, target) <= cfg.typicality_radius + TYPE_ATOL
 
 
-def _encode(u_seqs: np.ndarray, cb: Codebook, cfg: CodingConfig, rng_of):
+def encode(u_seqs: np.ndarray, cb: Codebook, cfg: CodingConfig, rng_of):
     """(chosen index, typical word count) per source block of a stack; the
     index is -1 where no word covers the block.
 
@@ -528,7 +518,13 @@ def _encode(u_seqs: np.ndarray, cb: Codebook, cfg: CodingConfig, rng_of):
     return chosen, cover
 
 
-def _decode(y_seqs: np.ndarray, cb: Codebook, cfg: CodingConfig):
+def transmit(x_seqs: np.ndarray, channel: StochasticMatrix,
+             uniforms: np.ndarray) -> np.ndarray:
+    """Memoryless channel pass: one conditional draw a symbol and uniform."""
+    return _draw_rows(channel.rows, x_seqs, uniforms)
+
+
+def decode(y_seqs: np.ndarray, cb: Codebook, cfg: CodingConfig):
     """(decoded index, typical word count) per received block of a stack; the
     index is -1 unless exactly one channel word is typical with the block."""
     typical = _typical(y_seqs, cb.x_tables, cfg.target_yx, cfg)
@@ -536,35 +532,10 @@ def _decode(y_seqs: np.ndarray, cb: Codebook, cfg: CodingConfig):
     return np.where(hits == 1, typical.argmax(axis=1), -1), hits
 
 
-def encode(u_seq: np.ndarray, cb: Codebook, cfg: CodingConfig,
-           rng: np.random.Generator) -> Optional[int]:
-    """Index of a codeword jointly typical with the source block.
-
-    Uniform choice among qualifiers (seeded); None means no cover exists.
-    """
-    m = int(_encode(np.asarray(u_seq)[None], cb, cfg, lambda i: rng)[0][0])
-    return m if m >= 0 else None
-
-
-def transmit(x_seq: np.ndarray, channel: StochasticMatrix,
-             rng: np.random.Generator) -> np.ndarray:
-    """Memoryless channel pass: one conditional draw per symbol."""
-    x_seq = np.asarray(x_seq)
-    return _draw_rows(channel.rows, x_seq, rng.random(x_seq.size))
-
-
-def decode(y_seq: np.ndarray, cb: Codebook, cfg: CodingConfig) -> Optional[int]:
-    """Unique-typicality decoding: the one codeword whose channel word pairs
-    typically with the received block, or None when zero or several do."""
-    m = int(_decode(np.asarray(y_seq)[None], cb, cfg)[0][0])
-    return m if m >= 0 else None
-
-
-def generate_actions(w_seq: np.ndarray, response: StochasticMatrix,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Symbolwise conditional draws of actions given word symbols."""
-    w_seq = np.asarray(w_seq)
-    return _draw_rows(response.rows, w_seq, rng.random(w_seq.size))
+def generate_actions(w_seqs: np.ndarray, response: StochasticMatrix,
+                     uniforms: np.ndarray) -> np.ndarray:
+    """Actions drawn symbolwise given the word symbols, one a uniform."""
+    return _draw_rows(response.rows, w_seqs, uniforms)
 
 
 @dataclass(frozen=True)
@@ -588,16 +559,17 @@ def _decoded_chunks(cfg: CodingConfig, cb: Codebook, trials: range):
     """The trials of a range, _chunk_rows at a time, as _Decoded chunks.
 
     The four streams of every trial in a block of CHUNK_PAIRS trials are
-    derived in one pass (_state_words), and one generator, set to each
+    derived in one pass (trial_streams), and one generator, set to each
     stream in turn (_seat), draws every trial's source, channel and action
     uniforms in full before any scan, so every stream is consumed as a
     trial run alone would consume it; a tie at the encoder sets it to that
-    trial's encoder stream."""
+    trial's encoder stream. encode, transmit and decode are read as module
+    globals at each call, so a wrapper set on the module sees them all."""
     step = _chunk_rows(cb)
     gen = _generator()
     for first in range(trials.start, trials.stop, CHUNK_PAIRS):
         block = range(first, min(first + CHUNK_PAIRS, trials.stop))
-        words = _state_words(cfg.seed, _TRIAL_TAGS, block)
+        words = trial_streams(cfg.seed, block)
         for start in range(0, len(block), step):
             chunk = words[:, :, start:start + step]
             uniforms = np.empty((3, chunk.shape[2], cfg.n))
@@ -605,11 +577,11 @@ def _decoded_chunks(cfg: CodingConfig, cb: Codebook, trials: range):
                 for k in range(chunk.shape[2]):
                     _seat(gen, chunk[tag, :, k]).random(out=uniforms[tag, k])
             u = _draw_iid(cfg.prior, uniforms[0])
-            chosen, cover = _encode(u, cb, cfg,
-                                    lambda i: _seat(gen, chunk[3, :, i]))
-            y = _draw_rows(cfg.channel.rows, cb.x_words[np.maximum(chosen, 0)],
-                           uniforms[1])
-            decoded, hits = _decode(y, cb, cfg)
+            chosen, cover = encode(u, cb, cfg,
+                                   lambda i: _seat(gen, chunk[3, :, i]))
+            y = transmit(cb.x_words[np.maximum(chosen, 0)], cfg.channel,
+                         uniforms[1])
+            decoded, hits = decode(y, cb, cfg)
             w = cb.w_words[np.maximum(decoded, 0)]
             w[decoded < 0] = 0
             yield _Decoded(u, chosen, cover, decoded, hits, w, uniforms[2])
@@ -617,11 +589,11 @@ def _decoded_chunks(cfg: CodingConfig, cb: Codebook, trials: range):
 
 def _act(cfg: CodingConfig, chunk: _Decoded, response: StochasticMatrix):
     """(ok, l1, util1, util2), one entry a trial, of a decoded chunk with its
-    actions drawn from response.
+    actions drawn from response by generate_actions.
 
     One bincount tallies every trial's (u, w, v) type; each row's L1 and
     utilities reduce that row alone, the same bits as the trial by itself."""
-    v = _draw_rows(response.rows, chunk.w, chunk.action_uniforms)
+    v = generate_actions(chunk.w, response, chunk.action_uniforms)
     ku, kw, kv = cfg.target.probs.shape
     size = ku * kw * kv
     cells = ((chunk.u.astype(np.intp) * kw + chunk.w) * kv + v

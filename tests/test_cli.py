@@ -415,6 +415,17 @@ class TestSolve:
         assert code == 2
         assert stderr_error(err)["type"] == "usage"
 
+    @pytest.mark.parametrize("mode", ["one_shot", "unconstrained"])
+    def test_cap_outside_block_mode_refused(self, workdir, capsys, mode):
+        """--cap sets the block mode's capacity alone; with another mode it
+        would be dropped and reported as null."""
+        code, out, err = run_cli(["solve", "--scenario", "mac", "--mode", mode,
+                                  "--eps", "0.25", "--cap=-5"], capsys)
+        assert code == 2 and out == ""
+        e = stderr_error(err)
+        assert e["type"] == "usage" and "--cap" in e["message"]
+        assert os.listdir(workdir) == []
+
     def test_scenario_file_roundtrip(self, workdir, capsys):
         # a hand-written scenario: aligned interests, full revelation wins
         doc = {"prior": [0.4, 0.6], "actions": [0, 1],
@@ -482,6 +493,31 @@ class TestSimulate:
                                capsys)
         assert code == 1
         assert "packing requirement" in stderr_error(err)["message"]
+
+    @pytest.mark.parametrize("input_dist, rate", [([1.0, 0.0], 0.2),
+                                                  ([0.9, 0.1], 0.3)])
+    def test_packing_gate_takes_the_input_law(self, workdir, capsys,
+                                              input_dist, rate):
+        """Codewords are drawn from input_dist, so a rate below the channel
+        capacity (0.7136 bits) is refused when it reaches I(X;Y) under that
+        law: 0 and 0.297 bits here."""
+        doc = dict(EXPERIMENT_DOC, input_dist=input_dist, rate=rate)
+        (workdir / "skew.json").write_text(json.dumps(doc))
+        code, _, err = run_cli(["simulate", "--experiment", "skew.json"], capsys)
+        assert code == 1
+        e = stderr_error(err)
+        assert e["type"] == "invalid_input"
+        assert e["message"].startswith("experiment.rate: packing requirement violated")
+        assert os.listdir(workdir) == ["skew.json"]
+
+    def test_packing_gate_passes_below_the_input_laws_rate(self, workdir, capsys):
+        doc = dict(EXPERIMENT_DOC, input_dist=[0.9, 0.1], rate=0.25)
+        (workdir / "skew.json").write_text(json.dumps(doc))
+        code, _, _ = run_cli(["simulate", "--experiment", "skew.json",
+                              "--trials", "20"], capsys)
+        assert code == 0
+        report = json.loads((workdir / "simulate.json").read_text())
+        assert report["rate"] < report["channel_capacity"]
 
     def test_codebook_bytes_refused_before_allocation(self, workdir, capsys):
         # 2^24 words of 160 symbols: within the word cap, 32 GiB with tables

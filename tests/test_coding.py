@@ -64,6 +64,15 @@ def reference_draw_rows(rows, cond, uniforms):
     return np.minimum((uniforms[..., None] >= cdf).sum(axis=-1), rows.shape[1] - 1)
 
 
+def streams(seed, t):
+    """Trial t's source, channel, actions and encoder generators, each seated
+    from its state words as the pipeline seats its shared generator."""
+    words = trial_streams(seed, range(t, t + 1))
+    return SimpleNamespace(**{
+        name: coding._seat(coding._generator(), words[j, :, 0])
+        for j, name in enumerate(("source", "channel", "actions", "encoder"))})
+
+
 def reference_sequences(cfg, cb, t, response):
     """The per-trial pipeline the batched one replaced, kept as its oracle:
     trial t's source block, chosen index, decoded index, word and actions.
@@ -330,21 +339,26 @@ class TestEncoder:
         junk = np.zeros(20, np.int16)
         cb = Codebook(np.stack([junk, self.BALANCED]),
                       np.stack([junk, self.BALANCED]))
-        m = encode(self.BALANCED, cb, self.IDENT_CFG,
-                   trial_streams(0, 0).encoder)
-        assert m == 1
+        chosen, cover = encode(self.BALANCED[None], cb, self.IDENT_CFG,
+                               lambda i: streams(0, 0).encoder)
+        assert chosen.tolist() == [1] and cover.tolist() == [1]
 
     def test_no_cover_returns_none(self):
         cb = Codebook(np.zeros((1, 20), np.int16), np.zeros((1, 20), np.int16))
-        assert encode(self.BALANCED, cb, self.IDENT_CFG,
-                      trial_streams(0, 0).encoder) is None
+        chosen, cover = encode(self.BALANCED[None], cb, self.IDENT_CFG,
+                               lambda i: streams(0, 0).encoder)
+        assert chosen.tolist() == [-1] and cover.tolist() == [0]
 
     def test_uniform_choice_among_qualifiers(self):
         words = np.stack([self.BALANCED, self.BALANCED,
                           np.zeros(20, np.int16)])
         cb = Codebook(words, words)
-        picks = {encode(self.BALANCED, cb, self.IDENT_CFG,
-                        trial_streams(0, t).encoder) for t in range(30)}
+        picks = set()
+        for t in range(30):
+            chosen, cover = encode(self.BALANCED[None], cb, self.IDENT_CFG,
+                                   lambda i: streams(0, t).encoder)
+            assert cover.tolist() == [2]
+            picks.add(int(chosen[0]))
         assert picks == {0, 1}
 
     def test_cover_fails_persistently_below_rate_bound(self):
@@ -359,19 +373,20 @@ class TestEncoder:
 
 class TestChannelPass:
     def test_noiseless_is_identity(self):
-        x = np.array([0, 1, 1, 0, 1], np.int16)
-        y = transmit(x, bsc(0.0), trial_streams(0, 0).channel)
+        x = np.array([[0, 1, 1, 0, 1]], np.int16)
+        y = transmit(x, bsc(0.0), streams(0, 0).channel.random(x.shape))
         assert np.array_equal(y, x)
 
     def test_flip_fraction(self):
-        x = np.zeros(10000, np.int16)
-        y = transmit(x, bsc(0.25), trial_streams(0, 0).channel)
+        x = np.zeros((1, 10000), np.int16)
+        y = transmit(x, bsc(0.25), streams(0, 0).channel.random(x.shape))
+        assert y.shape == x.shape
         frac = y.mean()
         assert abs(frac - 0.25) <= 3.0 * math.sqrt(0.25 * 0.75 / 10000)
 
     def test_half_noise_destroys_input(self):
-        x = np.zeros(10000, np.int16)
-        y = transmit(x, bsc(0.5), trial_streams(0, 1).channel)
+        x = np.zeros((1, 10000), np.int16)
+        y = transmit(x, bsc(0.5), streams(0, 1).channel.random(x.shape))
         assert abs(y.mean() - 0.5) <= 3.0 * 0.5 / 100.0
 
 
@@ -383,17 +398,19 @@ class TestDecoder:
         comp = (1 - self.BALANCED).astype(np.int16)
         cb = Codebook(np.stack([self.BALANCED, comp]),
                       np.stack([self.BALANCED, comp]))
-        assert decode(self.BALANCED, cb, self.CFG) == 0
-        assert decode(comp, cb, self.CFG) == 1
+        decoded, hits = decode(np.stack([self.BALANCED, comp]), cb, self.CFG)
+        assert decoded.tolist() == [0, 1] and hits.tolist() == [1, 1]
 
     def test_ambiguity_returns_none(self):
         cb = Codebook(np.stack([self.BALANCED, self.BALANCED]),
                       np.stack([self.BALANCED, self.BALANCED]))
-        assert decode(self.BALANCED, cb, self.CFG) is None
+        decoded, hits = decode(self.BALANCED[None], cb, self.CFG)
+        assert decoded.tolist() == [-1] and hits.tolist() == [2]
 
     def test_no_match_returns_none(self):
         junk = np.zeros((1, 20), np.int16)
-        assert decode(self.BALANCED, Codebook(junk, junk), self.CFG) is None
+        decoded, hits = decode(self.BALANCED[None], Codebook(junk, junk), self.CFG)
+        assert decoded.tolist() == [-1] and hits.tolist() == [0]
 
 
 def pair_type_l1_oracle(seq, words, target):
@@ -507,8 +524,8 @@ class TestTypeScan:
         cb = generate_codebook(cfg)
         for t in range(20):
             u_seq = reference_sequences(cfg, cb, t, cfg.response)[0]
-            y_seq = transmit(cb.x_words[t], cfg.channel,
-                             trial_streams(cfg.seed, t).channel)
+            y_seq = transmit(cb.x_words[t:t + 1], cfg.channel,
+                             streams(cfg.seed, t).channel.random((1, cfg.n)))[0]
             for seq, tables, words, target in (
                     (u_seq, cb.w_tables, cb.w_words, cfg.target_uw),
                     (y_seq, cb.x_tables, cb.x_words, cfg.target_yx)):
@@ -593,16 +610,17 @@ class TestDraws:
 
 class TestActions:
     def test_deterministic_response(self):
-        w = np.array([0, 1, 1, 0], np.int16)
-        v = generate_actions(w, IDENTITY, trial_streams(0, 0).actions)
+        w = np.array([[0, 1, 1, 0]], np.int16)
+        v = generate_actions(w, IDENTITY, streams(0, 0).actions.random(w.shape))
         assert np.array_equal(v, w)
         flip = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
-        v = generate_actions(w, flip, trial_streams(0, 0).actions)
+        v = generate_actions(w, flip, streams(0, 0).actions.random(w.shape))
         assert np.array_equal(v, 1 - w)
 
     def test_uniform_response_frequencies(self):
-        w = np.zeros(10000, np.int16)
-        v = generate_actions(w, FLAT, trial_streams(0, 2).actions)
+        w = np.zeros((1, 10000), np.int16)
+        v = generate_actions(w, FLAT, streams(0, 2).actions.random(w.shape))
+        assert v.shape == w.shape
         assert abs(v.mean() - 0.5) <= 3.0 * 0.5 / 100.0
 
 
@@ -992,16 +1010,16 @@ class TestAudit:
 
 class TestStreams:
     def test_same_key_same_draws(self):
-        a = trial_streams(0, 5)
-        b = trial_streams(0, 5)
+        a = streams(0, 5)
+        b = streams(0, 5)
         assert np.array_equal(a.source.random(8), b.source.random(8))
         assert np.array_equal(a.channel.random(8), b.channel.random(8))
 
     def test_streams_are_separated(self):
-        s = trial_streams(0, 5)
+        s = streams(0, 5)
         assert not np.array_equal(s.source.random(8), s.channel.random(8))
-        other = trial_streams(0, 6)
-        assert not np.array_equal(trial_streams(0, 5).source.random(8),
+        other = streams(0, 6)
+        assert not np.array_equal(streams(0, 5).source.random(8),
                                   other.source.random(8))
 
     @settings(max_examples=200, deadline=None)
@@ -1038,9 +1056,15 @@ class TestStreams:
                                              (True, 0), (0, None)])
     def test_bad_keys_are_refused(self, seed, index):
         """A negative or non-integer key part would wrap into another key's
-        uint32 words: it is refused, as SeedSequence refuses it."""
+        uint32 words: it is refused, as SeedSequence refuses it. A range
+        holds integers alone, so a non-integer trial index goes to
+        run_trial, which takes one."""
         with pytest.raises(ValueError, match="nonnegative integer"):
-            trial_streams(seed, index)
+            if isinstance(index, int):
+                trial_streams(seed, range(index, index + 1))
+            else:
+                cfg = trend_config(20)
+                run_trial(cfg, generate_codebook(cfg), index)
 
     def test_bad_trial_index_refused_by_the_pipeline(self):
         cfg = trend_config(20)
@@ -1050,7 +1074,7 @@ class TestStreams:
     @pytest.mark.parametrize("index", [2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5,
                                        2 ** 64, 2 ** 70 + 3])
     def test_wide_indices_take_numpys_multiword_streams(self, index):
-        got = trial_streams(7, index)
+        got = streams(7, index)
         for tag, gen in zip((1, 2, 3, 4), (got.source, got.channel,
                                            got.actions, got.encoder)):
             want = np.random.default_rng(np.random.SeedSequence((7, tag, index)))

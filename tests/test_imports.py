@@ -2,11 +2,15 @@
 import sits at module level and reaches only the package, the standard
 library or numpy, and every public name it defines has a caller."""
 import ast
+import json
 import re
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
+
+from infodesign import coding
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "infodesign"
@@ -184,6 +188,29 @@ def test_traced_names_are_top_level_functions():
         missing += [f"{module}.{name}" for name in names if name not in defs]
     assert "run_trial" in traced["infodesign.coding"]
     assert missing == []
+
+
+def test_traced_coding_names_run_in_an_experiment(monkeypatch):
+    """The tracer wraps each coding name on its module, so a name that
+    run_experiment never reaches through the module reads "absent" in a
+    traced run: every one but run_trial, the pipeline on a chunk of one,
+    must be called."""
+    names = traced_names((ROOT / "bench" / "spans.py").read_text())["infodesign.coding"]
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        if name != "run_trial":
+            monkeypatch.setattr(coding, name, counting(name, getattr(coding, name)))
+    doc = json.loads(resources.files("infodesign").joinpath(
+        "data/coding_default.json").read_text())
+    coding.run_experiment(coding.coding_config_from_dict(doc), 20)
+    assert sorted(calls) == sorted(set(names) - {"run_trial"})
 
 
 def info_reads(source: str) -> dict:
