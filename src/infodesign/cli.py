@@ -362,7 +362,8 @@ def cmd_solve(scenario, mode, eps, cap, resolution, out):
                "resolution": resolution, "out": out}) as run:
         res = solve_equilibrium(_scenario(run, scenario), mode_obj, resolution)
         run.counters = {"cells_scanned": res.cells_scanned,
-                        "cells_feasible": res.cells_feasible}
+                        "cells_feasible": res.cells_feasible,
+                        "cells_evaluated": res.cells_evaluated}
         report = {
             "mode": mode,
             "parameters": {"eps": eps, "cap": cap, "resolution": resolution},

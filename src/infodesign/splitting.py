@@ -33,8 +33,8 @@ FEAS_ATOL = 1e-12
 # tracemalloc, a region of 2896 x 2896 cells peaks at 2.1 MiB, a block
 # surface at 3.7 MiB and a bestreply sweep of 2**23 points, which makes
 # each block's points on its own (grid_points), at 1.1 MiB. A solve peaks
-# at 3.6 MiB on 2001 x 2001 (resolution 5e-4), the finest grid in use,
-# which is half the cap.
+# at 1.3 MiB on 2001 x 2001 (resolution 5e-4), the finest grid in use,
+# which is half the cap, and at 1.4 MiB on 2896 x 2896.
 MAX_GRID_CELLS = 2 ** 23
 SCAN_BLOCK_CELLS = 2 ** 15  # cells in one row block of a scan
 
@@ -348,18 +348,23 @@ def split_runs(p: float, grid: np.ndarray, holds=None, eps: float | None = None)
     step = np.where(in_a, 1, -1)
     origin = np.where(in_a, above, below - 1)
 
+    last = np.maximum(width - 1, 0)
+
     def first_failing(test, first):
         """Per row, the first walk position from first on at which test (a
         mask function of probe vectors) fails, else width; test must hold
-        and then fail along each row."""
+        and then fail along each row. Every row is probed at every step, so
+        no step gathers or scatters the live rows; a finished row probes a
+        cell of its walk (or, with an empty walk, the prior's neighbour)
+        and keeps its bounds."""
         lo, hi = first.copy(), width.copy()
-        live = np.flatnonzero(lo < hi)
-        while live.size:
-            mid = (lo[live] + hi[live]) // 2
-            ok = test(grid[live], grid[origin[live] + step[live] * mid])
-            lo[live[ok]] = mid[ok] + 1
-            hi[live[~ok]] = mid[~ok]
-            live = live[lo[live] < hi[live]]
+        live = lo < hi
+        while live.any():
+            mid = (lo + hi) // 2
+            ok = test(grid, grid[origin + step * np.minimum(mid, last)])
+            lo = np.where(live & ok, mid + 1, lo)
+            hi = np.where(live & ~ok, mid, hi)
+            live = lo < hi
         return lo
 
     start = np.zeros(n, dtype=width.dtype)
@@ -406,15 +411,16 @@ def grid_points(n: int, start: int, stop: int) -> np.ndarray:
     return q
 
 
-def split_blocks(p: float, grid: np.ndarray):
+def split_blocks(p: float, grid: np.ndarray, cells: int | None = None):
     """Row blocks of the posterior square grid x grid that hold valid splits.
 
     A split is valid only when p lies strictly between p1 and p2, so the
     valid cells form two rectangles: A (p1 < p < p2) and B (p2 < p < p1).
     Yields (rows, cols) slices covering A and then B, each in blocks of
-    whole rows of about SCAN_BLOCK_CELLS cells, in row-major order; nothing
-    at p = 0 or p = 1.
+    whole rows of about cells cells (SCAN_BLOCK_CELLS if None), in row-major
+    order; nothing at p = 0 or p = 1.
     """
+    cells = SCAN_BLOCK_CELLS if cells is None else cells
     n = grid.size
     below = int(np.searchsorted(grid, p, "left"))  # grid[:below] < p
     above = int(np.searchsorted(grid, p, "right"))  # grid[above:] > p
@@ -423,7 +429,7 @@ def split_blocks(p: float, grid: np.ndarray):
         width = cols.stop - cols.start
         if width == 0:
             continue
-        step = max(1, SCAN_BLOCK_CELLS // width)
+        step = max(1, cells // width)
         for r in range(start, stop, step):
             yield slice(r, min(r + step, stop)), cols
 

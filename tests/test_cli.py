@@ -31,7 +31,8 @@ from infodesign.coding import (ExperimentSummary, coding_config_from_dict,
                                run_experiment, single_letter_utilities)
 from infodesign.mac import build_scenario, default_config, scenario_surface
 from infodesign.persuasion import (Block, OneShot, Scenario, Unconstrained,
-                                   csv_cell, grid_best_replies, sender_value,
+                                   csv_cell, grid_best_replies,
+                                   scenario_from_dict, sender_value,
                                    solve_equilibrium)
 from infodesign.prob import Distribution, binary_entropy
 from infodesign.splitting import PosteriorPair, RegionLabel, region_scan
@@ -407,7 +408,39 @@ class TestSolve:
         assert report["no_info"] is True and "counters" not in report
         # prior 1/2 on the 101-point grid: two 50 x 50 rectangles of valid splits
         assert manifest["counters"] == {"cells_scanned": 5000,
-                                        "cells_feasible": 0}
+                                        "cells_feasible": 0,
+                                        "cells_evaluated": 0}
+
+    @pytest.mark.parametrize("mode", [["unconstrained"], ["one_shot", "--eps", "0.1"],
+                                      ["block", "--eps", "0.1"]])
+    def test_chord_bound_skips_most_rows_on_mac(self, workdir, capsys, mode):
+        """On the case study the chord bound leaves fewer than 1% of the
+        feasible cells to evaluate, in every mode."""
+        code, _, _ = run_cli(["solve", "--scenario", "mac", "--mode", *mode],
+                             capsys)
+        assert code == 0
+        manifest = json.loads((workdir / "solve.json.manifest.json").read_text())
+        counts = manifest["counters"]
+        assert counts["cells_scanned"] == 500_000
+        assert 0 < counts["cells_evaluated"] < 0.01 * counts["cells_feasible"]
+
+    @pytest.mark.parametrize("mode", [["unconstrained"], ["one_shot", "--eps", "0.1"],
+                                      ["block", "--eps", "0.1"]])
+    def test_linear_sender_value_evaluates_every_feasible_cell(self, workdir,
+                                                               capsys, mode):
+        """An action the receiver always takes makes V1 linear, so every
+        split ties the no-information value up to rounding and no row may
+        be skipped."""
+        doc = {"prior": [0.35, 0.65], "actions": ["a", "b", "c"],
+               "phi1": [[0.3, -1.2, 2.0], [1.5, 0.4, -0.7]],
+               "phi2": [[0.0, 1.0, 0.2], [0.0, 1.0, -0.5]]}
+        (workdir / "linear.json").write_text(json.dumps(doc))
+        code, _, _ = run_cli(["solve", "--scenario", "linear.json",
+                              "--mode", *mode, "--resolution", "0.01"], capsys)
+        assert code == 0
+        counts = json.loads(
+            (workdir / "solve.json.manifest.json").read_text())["counters"]
+        assert counts["cells_evaluated"] == counts["cells_feasible"] > 0
 
     def test_one_shot_needs_eps(self, workdir, capsys):
         code, _, err = run_cli(["solve", "--scenario", "mac",
@@ -1037,18 +1070,12 @@ class TestStreamedPeaks:
     bestreply, 2.0 MiB for surface in each mode and 0.6 MiB for region,
     against 15.0, 6.0 and 2.2 MiB when bestreply built (N, K) tables over
     its whole sweep and surface and region filled whole squares: one more
-    array of the sweep, or of the square's values, breaks the bound."""
+    array of the sweep, or of the square's values, breaks the bound. A solve
+    on 2001 x 2001 cells (resolution 5e-4) peaked at 1.3 MiB, and one of
+    1001 actions on 1001 x 1001 cells at 1.25 MiB."""
 
-    @pytest.mark.parametrize("args,mib", [
-        (["bestreply", "--scenario", "mac", "--step", "1e-5"], 2.5),
-        (["bestreply", "--scenario", "mac", "--step", "1e-6"], 2.5),
-        (["surface", "--scenario", "mac"], 3),
-        (["surface", "--scenario", "mac", "--mode", "one_shot", "--eps", "0.1"], 3),
-        (["surface", "--scenario", "mac", "--mode", "block", "--eps", "0.1"], 3),
-        (["region", "--p", "0.5", "--eps", "0.1"], 1)],
-        ids=["bestreply", "bestreply 1e-6", "surface", "surface one_shot",
-             "surface block", "region"])
-    def test_peak(self, workdir, capsys, args, mib):
+    @staticmethod
+    def peak(args, capsys):
         tracemalloc.start()
         try:
             code = main(args)
@@ -1056,7 +1083,40 @@ class TestStreamedPeaks:
         finally:
             tracemalloc.stop()
         capsys.readouterr()
-        assert code == 0 and peak < mib * 2 ** 20
+        assert code == 0
+        return peak
+
+    @pytest.mark.parametrize("args,mib", [
+        (["bestreply", "--scenario", "mac", "--step", "1e-5"], 2.5),
+        (["bestreply", "--scenario", "mac", "--step", "1e-6"], 2.5),
+        (["surface", "--scenario", "mac"], 3),
+        (["surface", "--scenario", "mac", "--mode", "one_shot", "--eps", "0.1"], 3),
+        (["surface", "--scenario", "mac", "--mode", "block", "--eps", "0.1"], 3),
+        (["region", "--p", "0.5", "--eps", "0.1"], 1),
+        (["solve", "--scenario", "mac", "--mode", "unconstrained",
+          "--resolution", "5e-4"], 2),
+        (["solve", "--scenario", "mac", "--mode", "block", "--eps", "0.1",
+          "--resolution", "5e-4"], 2)],
+        ids=["bestreply", "bestreply 1e-6", "surface", "surface one_shot",
+             "surface block", "region", "solve 5e-4", "solve block 5e-4"])
+    def test_peak(self, workdir, capsys, args, mib):
+        assert self.peak(args, capsys) < mib * 2 ** 20
+
+    def test_many_action_solve_peak(self, workdir, capsys):
+        """The receiver's payoffs are the tangents of q**2 at the 1001 grid
+        points, so the best reply changes at every grid point and the
+        solver's chord bounds have as many segment ends as the grid has
+        points: an (n x ends) table of them, or the (N, K) payoff tables of
+        the whole grid, would hold 10**6 cells."""
+        q = np.linspace(0.0, 1.0, 1001)
+        doc = {"prior": [0.4, 0.6], "actions": list(range(q.size)),
+               "phi1": np.random.default_rng(0).normal(size=(2, q.size)).tolist(),
+               "phi2": [(2.0 * q - q ** 2).tolist(), (-q ** 2).tolist()]}
+        sel, _, _ = grid_best_replies(scenario_from_dict(doc), q)
+        assert np.array_equal(sel, np.arange(q.size))
+        (workdir / "many.json").write_text(json.dumps(doc))
+        assert self.peak(["solve", "--scenario", "many.json", "--mode",
+                          "unconstrained"], capsys) < 2 * 2 ** 20
 
     @pytest.mark.parametrize("rows", [1000, 4096, 32768])
     def test_blocked_best_replies_are_one_sweep(self, rows):

@@ -12,7 +12,7 @@ from infodesign.persuasion import (Block, EquilibriumResult, OneShot, Scenario,
                                    solve_equilibrium)
 from infodesign.prob import Distribution, StochasticMatrix, binary_entropy
 from infodesign.splitting import (NO_INFO, PosteriorPair, SplitError,
-                                  signal_from_posteriors, split_masks,
+                                  in_runs, signal_from_posteriors, split_masks,
                                   split_values)
 
 # classic two-state persuasion: sender wants action "act" always, receiver
@@ -308,11 +308,16 @@ def table_best_replies(sc, q_grid):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_grid_best_replies_match_tables(k_actions, data):
+    """The best replies, made in row blocks of the payoff tables (the
+    default block or a few cells), are those of the whole tables."""
     sc = random_binary_scenario(data, k_actions,
                                 st.floats(-1e300, 1e300) | st.floats(-5, 5))
     grid = np.concatenate([np.linspace(0.0, 1.0, 41),
                            data.draw(st.lists(st.floats(0.0, 1.0), max_size=9))])
-    got, want = grid_best_replies(sc, grid), table_best_replies(sc, grid)
+    block = data.draw(st.sampled_from([persuasion.SCAN_BLOCK_CELLS, 1, 7, 64]))
+    with mock.patch.object(persuasion, "SCAN_BLOCK_CELLS", block):
+        got = grid_best_replies(sc, grid)
+    want = table_best_replies(sc, grid)
     assert np.array_equal(got[0], want[0])
     for a, b in zip(got[1:], want[1:]):
         assert a.tobytes() == b.tobytes()
@@ -368,7 +373,8 @@ def test_reported_values_follow_reported_actions(k_actions, eps, data):
 def reference_solve(sc, mode, resolution):
     """The full-grid solver the row-block scan replaced, kept as its oracle:
     one mask over the whole (n + 1)^2 grid, split_values, np.where and
-    np.argmax. The counts are the valid cells and those passing the mask."""
+    np.argmax. The counts are the valid cells and those passing the mask,
+    every one of which it evaluates."""
     p = float(sc.prior.probs[0])
     grid = np.linspace(0.0, 1.0, round(1.0 / resolution) + 1)
     sel, V1, V2 = grid_best_replies(sc, grid)
@@ -376,7 +382,8 @@ def reference_solve(sc, mode, resolution):
     valid, one_shot, block = split_masks(p, P1, P2, getattr(mode, "eps", 0.0),
                                          getattr(mode, "capacity", np.inf))
     mask = {"unconstrained": valid, "one_shot": one_shot, "block": block}[mode.name]
-    counts = dict(cells_scanned=int(valid.sum()), cells_feasible=int(mask.sum()))
+    counts = dict(cells_scanned=int(valid.sum()), cells_feasible=int(mask.sum()),
+                  cells_evaluated=int(mask.sum()))
 
     no_sel, no1, no2 = grid_best_replies(sc, np.array([p]))
     best = EquilibriumResult(
@@ -404,12 +411,34 @@ def reference_solve(sc, mode, resolution):
 
 
 def assert_same_result(got, want):
-    """Every field equal, bit for bit (repr tells -0.0 from 0.0)."""
+    """Every field equal, bit for bit (repr tells -0.0 from 0.0), but
+    cells_evaluated: the solver skips rows that cannot win, so it evaluates
+    at most the feasible cells."""
+    assert 0 <= got.cells_evaluated <= got.cells_feasible
     for f in dataclasses.fields(EquilibriumResult):
+        if f.name == "cells_evaluated":
+            continue
         a, b = getattr(got, f.name), getattr(want, f.name)
         if f.name == "message_weights":
             a, b = a.probs.tobytes(), b.probs.tobytes()
         assert type(a) is type(b) and repr(a) == repr(b), f.name
+
+
+def assert_chord_bounds_hold(sc, mode, resolution):
+    """No cell of a row's run has a split value above the row's chord bound
+    plus the solver's skip margin, on the full grid."""
+    p = float(sc.prior.probs[0])
+    grid = np.linspace(0.0, 1.0, round(1.0 / resolution) + 1)
+    sel, V1, _ = grid_best_replies(sc, grid)
+    runs = mode.runs(p, grid)
+    scratch = np.empty((2, max(persuasion.SCAN_BLOCK_CELLS, grid.size)))
+    bound = persuasion._chord_bounds(p, grid, sel, V1, runs, scratch)
+    square = slice(0, grid.size)
+    vals = np.where(in_runs(runs, square, square),
+                    split_values(p, grid[:, None], grid[None, :], V1[:, None],
+                                 V1[None, :]), -np.inf)
+    margin = persuasion.SKIP_RTOL * (1.0 + float(np.abs(sc.phi1).max()))
+    assert np.all(vals.max(axis=1) <= bound + margin)
 
 
 # 1/401 and 1/450 spread the valid rectangles over several default blocks,
@@ -417,31 +446,93 @@ def assert_same_result(got, want):
 RESOLUTIONS = (0.5, 0.3, 0.1, 0.05, 1 / 37, 1 / 150, 1 / 401, 1 / 450)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8), st.data())
 def test_row_block_scan_matches_full_grid(k_actions, data):
     """The row-block scan over the mode's runs returns what the full-grid
     argmax over its mask returned, in every field: integer payoffs make ties
     common, the prior is drawn on a grid point, at 0 and at 1, the
     resolution and the capacity at random, and the block is the default or
-    a few cells."""
+    a few cells.
+
+    The draws include the cases where skipping rows by their chord bound
+    could go wrong: float payoffs, where most rows are skipped; an action
+    the receiver always takes and a constant sender table, where V1 is
+    linear and every split ties the no-information value up to rounding;
+    sender payoffs scaled by 10**150 or 10**-150; priors of 5e-324 and
+    1 - 2**-53; eps 0 and 0.5 and a zero capacity."""
     resolution = data.draw(st.sampled_from(RESOLUTIONS)
                            | st.integers(1, 450).map(lambda k: 1.0 / k))
     n = round(1.0 / resolution)
-    p = data.draw(st.one_of(st.sampled_from([0.0, 1.0, 0.5]),
+    p = data.draw(st.one_of(st.sampled_from([0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0 ** -53]),
                             st.integers(0, n).map(lambda i: i / n),
                             st.floats(0.0, 1.0)))
-    phi = st.lists(st.lists(st.integers(-3, 3).map(float), min_size=k_actions,
-                            max_size=k_actions), min_size=2, max_size=2)
-    sc = Scenario(Distribution([p, 1.0 - p]), tuple(range(k_actions)),
-                  data.draw(phi), data.draw(phi))
+    entries = data.draw(st.sampled_from([st.integers(-3, 3).map(float),
+                                         st.floats(-5.0, 5.0)]))
+    phi = st.lists(st.lists(entries, min_size=k_actions, max_size=k_actions),
+                   min_size=2, max_size=2)
+    phi1, phi2 = np.array(data.draw(phi)), np.array(data.draw(phi))
+    linear = data.draw(st.sampled_from(["dominant", "constant", None]))
+    if linear == "dominant":
+        phi2[:, data.draw(st.integers(0, k_actions - 1))] = 6.0
+    elif linear == "constant":
+        phi1[:] = phi1[0, 0]
+    phi1 = phi1 * 10.0 ** data.draw(st.sampled_from([0, 150, -150]))
+    sc = Scenario(Distribution([p, 1.0 - p]), tuple(range(k_actions)), phi1, phi2)
     eps = data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]) | st.floats(0.0, 0.5))
-    cap = data.draw(st.just(1.0 - binary_entropy(eps)) | st.floats(0.0, 1.2))
+    cap = data.draw(st.sampled_from([0.0, 1.0 - binary_entropy(eps)])
+                    | st.floats(0.0, 1.2))
     block = data.draw(st.sampled_from([splitting.SCAN_BLOCK_CELLS, 1, 2, 7, 64]))
-    with mock.patch.object(splitting, "SCAN_BLOCK_CELLS", block):
+    with mock.patch.object(splitting, "SCAN_BLOCK_CELLS", block), \
+            mock.patch.object(persuasion, "SCAN_BLOCK_CELLS", block):
         for mode in (Unconstrained(), OneShot(eps), Block(cap)):
-            assert_same_result(solve_equilibrium(sc, mode, resolution),
-                               reference_solve(sc, mode, resolution))
+            got = solve_equilibrium(sc, mode, resolution)
+            assert_same_result(got, reference_solve(sc, mode, resolution))
+            assert_chord_bounds_hold(sc, mode, resolution)
+            if linear:
+                assert got.cells_evaluated == got.cells_feasible
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_first_max_in_runs_is_the_masked_argmax(seed):
+    """The per-row reduceat maximum finds the cell np.argmax finds over the
+    block with every cell outside the runs set to -inf: on ties, nan, -inf,
+    empty runs and runs that end at the block's last column."""
+    rng = np.random.default_rng(seed)
+    h, w = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+    vals = rng.integers(-2, 3, (h, w)).astype(float)
+    for v in (np.nan, -np.inf):
+        if rng.random() < 0.3:
+            vals[rng.random((h, w)) < 0.2] = v
+    lo = rng.integers(0, w + 1, h)
+    hi = np.maximum(lo, rng.integers(0, w + 1, h))
+    if rng.random() < 0.5:
+        hi[-1] = w
+    live = hi > lo
+    if not live.any():
+        lo[0], hi[0], live[0] = 0, w, True
+    lo[~live] = rng.integers(-5, w + 5, int((~live).sum()))  # ignored
+    hi[~live] = lo[~live]
+    col = np.arange(w)
+    masked = np.where((lo[:, None] <= col) & (col < hi[:, None]), vals, -np.inf)
+    flat = int(np.argmax(masked))
+    i, j = persuasion._first_max_in_runs(vals.copy(), lo, hi, live)
+    assert lo[i] <= j < hi[i]
+    assert repr(vals[i, j]) == repr(masked.flat[flat])
+    if not masked.flat[flat] == -np.inf:
+        assert (i, j) == divmod(flat, w)
+
+
+def test_solve_restores_the_ufunc_buffer():
+    """The scan's ufunc buffer size is put back after a solve, and after a
+    solve that raises."""
+    size = np.getbufsize()
+    solve_equilibrium(PROSECUTOR, OneShot(0.1), 0.01)
+    assert np.getbufsize() == size
+    with mock.patch.object(persuasion, "split_blocks", side_effect=RuntimeError), \
+            pytest.raises(RuntimeError):
+        solve_equilibrium(PROSECUTOR, Unconstrained(), 0.01)
+    assert np.getbufsize() == size
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 22])
@@ -454,6 +545,7 @@ def test_ties_across_block_edges(monkeypatch, block):
                   phi1=[[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]],
                   phi2=[[0.0, 0.6, 1.0], [1.0, 0.6, 0.0]])
     monkeypatch.setattr(splitting, "SCAN_BLOCK_CELLS", block)
+    monkeypatch.setattr(persuasion, "SCAN_BLOCK_CELLS", block)
     for resolution in (0.05, 1 / 23):
         want = reference_solve(sc, Unconstrained(), resolution)
         assert not want.no_info and want.phi1_star == 1.0
